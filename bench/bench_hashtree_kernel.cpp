@@ -1,16 +1,27 @@
-// Old-vs-new subset-counting kernel comparison on a T10.I4.D100K-style
-// Quest workload (10-item transactions, 4-item patterns, 100K transactions
-// at scale 1.0). Runs the classic recursive pointer-chasing traversal and
-// the flat structure-of-arrays kernel over identical trees, verifies the
-// counts and SubsetStats are bit-identical, times the specialized
-// triangular pass-2 counter against both, sweeps the intra-rank counting
-// team over {1, 2, 4, 8} threads (counts re-verified at every size), and
-// writes the measurements to BENCH_kernel.json — including the host core
-// count, without which the thread-sweep numbers cannot be interpreted.
-// Exits non-zero on any count/stats mismatch.
+// Subset-counting kernel comparison on a T10.I4.D100K-style Quest workload
+// (10-item transactions, 4-item patterns, 100K transactions at scale 1.0).
+// Each pass times the same candidates in four trees:
+//   classic   the recursive pointer-chasing kernel on the paper-tuned tree
+//             (TunedFor(M, k, 8), hashed root)
+//   flat      the flat structure-of-arrays kernel on that same tree
+//   identity  flat, same tuned shape with the identity root
+//   default   flat, the library default shape (identity root, fanout 8,
+//             64-candidate leaves)
+// All four must count identically, and classic and flat must report
+// identical SubsetStats on their shared tree. The bench also times the
+// specialized triangular pass-2 counter, and sweeps the intra-rank counting
+// team over {1, 2, 4, 8} threads on the default shape (counts and stats
+// re-verified at every size). It writes the measurements to
+// BENCH_kernel.json, including the host core count, without which the
+// thread-sweep numbers cannot be interpreted, and exits non-zero on any
+// count/stats mismatch.
+//
+//   --smoke   10K transactions, one repetition: exactness + JSON shape only
+//             (CI gate)
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -47,15 +58,12 @@ struct KernelRun {
   SubsetStats stats;
 };
 
-// Counts `candidates` over the whole database `reps` times with the given
-// kernel and keeps the fastest repetition (counts/stats are identical
-// across repetitions by construction).
+// Counts `candidates` over the whole database `reps` times in a tree of
+// the given shape and keeps the fastest repetition (counts/stats are
+// identical across repetitions by construction).
 KernelRun RunKernel(const TransactionDatabase& db,
                     const ItemsetCollection& candidates,
-                    HashTreeKernel kernel, int reps) {
-  HashTreeConfig shape =
-      HashTreeConfig::TunedFor(candidates.size(), candidates.k(), 8);
-  shape.kernel = kernel;
+                    const HashTreeConfig& shape, int reps) {
   HashTree tree(candidates, shape);
 
   KernelRun best;
@@ -76,24 +84,17 @@ KernelRun RunKernel(const TransactionDatabase& db,
   return best;
 }
 
-bool SameStats(const SubsetStats& a, const SubsetStats& b) {
-  return a.transactions == b.transactions &&
-         a.root_items_considered == b.root_items_considered &&
-         a.root_items_skipped == b.root_items_skipped &&
-         a.traversal_steps == b.traversal_steps &&
-         a.distinct_leaf_visits == b.distinct_leaf_visits &&
-         a.leaf_candidates_checked == b.leaf_candidates_checked;
-}
-
 struct PassReport {
   int k = 0;
   std::size_t num_candidates = 0;
   double classic_seconds = 0.0;
   double flat_seconds = 0.0;
+  double identity_seconds = 0.0;
+  double default_seconds = 0.0;
   double triangle_seconds = -1.0;  // < 0 when the pass has no triangle path
   bool counts_identical = false;
   bool stats_identical = false;
-  /// Counting-team sweep over the flat kernel: (threads, best seconds).
+  /// Counting-team sweep over the default shape: (threads, best seconds).
   std::vector<std::pair<int, double>> team;
   /// Same sweep for the pass-2 triangle team (k == 2 only).
   std::vector<std::pair<int, double>> triangle_team;
@@ -101,13 +102,13 @@ struct PassReport {
 
 constexpr int kTeamSizes[] = {1, 2, 4, 8};
 
-// Times the intra-rank counting team at one size over the flat tree; the
-// merged counts and stats must match the single-threaded flat kernel.
+// Times the intra-rank counting team at one size over a flat tree; the
+// merged counts and stats must match the single-threaded flat kernel's on
+// the same shape.
 double RunTeamKernel(const TransactionDatabase& db,
-                     const ItemsetCollection& candidates, int threads,
-                     int reps, const KernelRun& expect, bool* ok) {
-  HashTreeConfig shape =
-      HashTreeConfig::TunedFor(candidates.size(), candidates.k(), 8);
+                     const ItemsetCollection& candidates,
+                     const HashTreeConfig& shape, int threads, int reps,
+                     const KernelRun& expect, bool* ok) {
   HashTree tree(candidates, shape);
   CountingPool pool(threads);
   double best = 0.0;
@@ -121,7 +122,7 @@ double RunTeamKernel(const TransactionDatabase& db,
     const double s = timer.Seconds();
     if (rep == 0 || s < best) best = s;
     if (rep == 0) {
-      *ok = *ok && counts == expect.counts && SameStats(stats, expect.stats);
+      *ok = *ok && counts == expect.counts && stats == expect.stats;
     }
   }
   return best;
@@ -150,8 +151,9 @@ double RunTriangleTeam(const TransactionDatabase& db,
   return best;
 }
 
-// Compares both tree kernels (and, at k == 2, the triangular counter) on
-// one candidate set. Returns the frequent survivors for the next pass.
+// Compares the kernels and tree shapes (and, at k == 2, the triangular
+// counter) on one candidate set. Returns the frequent survivors for the
+// next pass.
 PassReport ComparePass(const TransactionDatabase& db,
                        const ItemsetCollection& f_prev,
                        const ItemsetCollection& candidates, int reps,
@@ -160,13 +162,27 @@ PassReport ComparePass(const TransactionDatabase& db,
   r.k = candidates.k();
   r.num_candidates = candidates.size();
 
-  KernelRun classic =
-      RunKernel(db, candidates, HashTreeKernel::kClassic, reps);
-  KernelRun flat = RunKernel(db, candidates, HashTreeKernel::kFlat, reps);
+  HashTreeConfig hashed =
+      HashTreeConfig::TunedFor(candidates.size(), candidates.k(), 8);
+  hashed.identity_root = false;
+  HashTreeConfig classic_hashed = hashed;
+  classic_hashed.kernel = HashTreeKernel::kClassic;
+  HashTreeConfig identity = hashed;
+  identity.identity_root = true;
+  const HashTreeConfig production;
+
+  KernelRun classic = RunKernel(db, candidates, classic_hashed, reps);
+  KernelRun flat = RunKernel(db, candidates, hashed, reps);
+  KernelRun flat_identity = RunKernel(db, candidates, identity, reps);
+  KernelRun flat_default = RunKernel(db, candidates, production, reps);
   r.classic_seconds = classic.seconds;
   r.flat_seconds = flat.seconds;
-  r.counts_identical = classic.counts == flat.counts;
-  r.stats_identical = SameStats(classic.stats, flat.stats);
+  r.identity_seconds = flat_identity.seconds;
+  r.default_seconds = flat_default.seconds;
+  r.counts_identical = classic.counts == flat.counts &&
+                       flat_identity.counts == flat.counts &&
+                       flat_default.counts == flat.counts;
+  r.stats_identical = classic.stats == flat.stats;
 
   if (r.k == 2 && TrianglePairCounter::Fits(f_prev.size(), 0)) {
     double tri_best = 0.0;
@@ -198,7 +214,8 @@ PassReport ComparePass(const TransactionDatabase& db,
 
   for (const int threads : kTeamSizes) {
     bool ok = true;
-    const double s = RunTeamKernel(db, candidates, threads, reps, flat, &ok);
+    const double s = RunTeamKernel(db, candidates, production, threads, reps,
+                                   flat_default, &ok);
     r.team.emplace_back(threads, s);
     r.counts_identical = r.counts_identical && ok;
     r.stats_identical = r.stats_identical && ok;
@@ -222,6 +239,13 @@ void PrintPass(const PassReport& r, std::size_t n) {
   std::printf("  flat     %8.3f s  (%10.0f tx/s)  speedup %.2fx\n",
               r.flat_seconds, flat_tps,
               r.classic_seconds / r.flat_seconds);
+  std::printf("  identity %8.3f s  (%10.0f tx/s)  vs flat %.2fx\n",
+              r.identity_seconds,
+              static_cast<double>(n) / r.identity_seconds,
+              r.flat_seconds / r.identity_seconds);
+  std::printf("  default  %8.3f s  (%10.0f tx/s)  vs flat %.2fx\n",
+              r.default_seconds, static_cast<double>(n) / r.default_seconds,
+              r.flat_seconds / r.default_seconds);
   if (r.triangle_seconds >= 0.0) {
     std::printf("  triangle %8.3f s  (%10.0f tx/s)  speedup %.2fx\n",
                 r.triangle_seconds,
@@ -259,18 +283,22 @@ void AppendSweepJson(std::string* out, const char* name,
 }
 
 void AppendPassJson(std::string* out, const PassReport& r, std::size_t n) {
-  char buf[512];
+  char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "    {\"k\": %d, \"num_candidates\": %zu,\n"
       "     \"classic_seconds\": %.6f, \"flat_seconds\": %.6f,\n"
       "     \"classic_tx_per_sec\": %.1f, \"flat_tx_per_sec\": %.1f,\n"
       "     \"flat_speedup\": %.4f, \"triangle_seconds\": %.6f,\n"
+      "     \"identity_seconds\": %.6f, \"identity_vs_flat\": %.4f,\n"
+      "     \"default_seconds\": %.6f, \"default_vs_flat\": %.4f,\n"
       "     \"counts_identical\": %s, \"stats_identical\": %s",
       r.k, r.num_candidates, r.classic_seconds, r.flat_seconds,
       static_cast<double>(n) / r.classic_seconds,
       static_cast<double>(n) / r.flat_seconds,
       r.classic_seconds / r.flat_seconds, r.triangle_seconds,
+      r.identity_seconds, r.flat_seconds / r.identity_seconds,
+      r.default_seconds, r.flat_seconds / r.default_seconds,
       r.counts_identical ? "true" : "false",
       r.stats_identical ? "true" : "false");
   *out += buf;
@@ -283,17 +311,21 @@ void AppendPassJson(std::string* out, const PassReport& r, std::size_t n) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
   bench::Banner(
       "Subset-counting kernel: classic vs flat vs pass-2 triangle",
       "engineering baseline for the Section IV counting terms "
       "(T10.I4.D100K workload)");
 
-  const std::size_t n = bench::ScaledN(100000);
+  const std::size_t n = smoke ? 10000 : bench::ScaledN(100000);
   const TransactionDatabase db = GenerateQuest(KernelWorkload(n));
   const Count minsup =
       static_cast<Count>(static_cast<double>(n) * 0.005) + 1;
-  const int reps = 3;
+  const int reps = smoke ? 1 : 3;
 
   std::vector<Count> item_counts = CountItems(db, {0, db.size()});
   ItemsetCollection f1 = MakeF1(item_counts, minsup);
@@ -319,8 +351,15 @@ int main() {
   std::string json = "{\n";
   json += "  \"workload\": \"T10.I4.D" + std::to_string(n) + "\",\n";
   json += "  \"transactions\": " + std::to_string(n) + ",\n";
+  json += "  \"smoke\": " + std::string(smoke ? "true" : "false") + ",\n";
+  json += "  \"build_type\": \"" + std::string(PAM_BUILD_TYPE) + "\",\n";
   json += "  \"reps\": " + std::to_string(reps) + ",\n";
   json += "  \"host_cpu_cores\": " + std::to_string(host_cores) + ",\n";
+  json += "  \"shapes\": {\"classic\": \"TunedFor(M, k, 8), hashed root\", "
+          "\"flat\": \"TunedFor(M, k, 8), hashed root\", "
+          "\"identity\": \"TunedFor(M, k, 8), identity root\", "
+          "\"default\": \"HashTreeConfig{} (identity root, fanout 8, "
+          "leaf capacity 64)\", \"team\": \"default\"},\n";
   json += "  \"passes\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     AppendPassJson(&json, reports[i], n);

@@ -97,10 +97,12 @@ inline QuestConfig ScaleupWorkload(std::size_t num_transactions,
   return q;
 }
 
-/// Hash tree shape used by the figure benches: a wide fanout keeps the
-/// number of distinct hash paths (fanout^k) well above the candidate
-/// count, so leaves stay near the target occupancy S — the paper tunes
-/// the branching factor the same way. (With a narrow fanout the depth-k
+/// Hash tree shape used by the figure benches: the paper's hashed root
+/// (the library default's identity root would erase the DD-vs-IDD root
+/// work the figures measure), and a wide fanout that keeps the number of
+/// distinct hash paths (fanout^k) well above the candidate count, so
+/// leaves stay near the target occupancy S — the paper tunes the
+/// branching factor the same way. (With a narrow fanout the depth-k
 /// paths saturate and the full tree's leaves chain far past capacity,
 /// which spuriously inflates CD's checking work relative to the
 /// partitioned trees.)
@@ -108,6 +110,7 @@ inline HashTreeConfig BenchTreeConfig() {
   HashTreeConfig tree;
   tree.fanout = 64;
   tree.leaf_capacity = 8;
+  tree.identity_root = false;
   return tree;
 }
 

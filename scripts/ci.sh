@@ -146,6 +146,33 @@ EOF
   echo "loopback smoke: client and daemon both exited clean"
 }
 
+# Smoke pass of the counting-kernel benchmark: the classic and flat
+# kernels on the hashed tree, the flat kernel on the identity-root and
+# default shapes, and the counting-team sweep, on a 10K-transaction workload
+# (bench_hashtree_kernel exits non-zero on any count or stats mismatch),
+# then checks that every pass row of BENCH_kernel.json records exact
+# counts and stats.
+run_bench_kernel_smoke() {
+  echo "=== bench_hashtree_kernel smoke ==="
+  (cd build-release/bench && ./bench_hashtree_kernel --smoke)
+  python3 - build-release/bench/BENCH_kernel.json <<'PYEOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+assert doc["smoke"] is True and doc["host_cpu_cores"] > 0, doc
+passes = doc["passes"]
+assert passes, "no passes"
+for row in passes:
+    assert row["counts_identical"] is True, f"k={row['k']}: counts differ"
+    assert row["stats_identical"] is True, f"k={row['k']}: stats differ"
+    for key in ("classic_seconds", "flat_seconds", "identity_seconds",
+                "default_seconds"):
+        assert row[key] > 0, (row["k"], key)
+    assert row["team"], f"k={row['k']}: no team sweep"
+print(f"BENCH_kernel.json: {len(passes)} passes, counts and stats exact: ok")
+PYEOF
+}
+
 # Smoke pass of the load-balancing benchmark: static vs adaptive IDD on a
 # tiny skewed-prefix workload (bench_balance exits non-zero if any variant
 # diverges from the serial reference), then checks the emitted
@@ -222,6 +249,7 @@ case "${1:-all}" in
     run_preset release
     run_bench_comm_smoke
     run_bench_serve_smoke
+    run_bench_kernel_smoke
     run_bench_balance_smoke
     run_traced_smoke
     run_serve_net_smoke
@@ -237,6 +265,7 @@ case "${1:-all}" in
     run_preset release
     run_bench_comm_smoke
     run_bench_serve_smoke
+    run_bench_kernel_smoke
     run_bench_balance_smoke
     run_traced_smoke
     run_serve_net_smoke

@@ -7,8 +7,8 @@ namespace pam {
 
 std::vector<Count> CountItems(const TransactionDatabase& db,
                               TransactionDatabase::Slice slice,
-                              Item num_items) {
-  const Item n = std::max(num_items, db.NumItems());
+                              std::size_t num_items) {
+  const std::size_t n = std::max(num_items, db.NumItems());
   std::vector<Count> counts(n, 0);
   for (std::size_t t = slice.begin; t < slice.end; ++t) {
     for (Item x : db.Transaction(t)) ++counts[x];

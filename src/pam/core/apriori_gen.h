@@ -14,7 +14,7 @@ namespace pam {
 /// local slices may not contain the globally largest item).
 std::vector<Count> CountItems(const TransactionDatabase& db,
                               TransactionDatabase::Slice slice,
-                              Item num_items = 0);
+                              std::size_t num_items = 0);
 
 /// Builds F_1 from per-item counts: all items with count >= minsup, in item
 /// order (which is lexicographic order for 1-itemsets).

@@ -25,7 +25,7 @@ CandidatePartition PartitionRoundRobin(std::size_t num_candidates,
 }
 
 CandidatePartition PartitionByPrefix(const ItemsetCollection& candidates,
-                                     Item num_items, int num_parts,
+                                     std::size_t num_items, int num_parts,
                                      PrefixStrategy strategy,
                                      bool split_heavy_prefixes,
                                      const std::vector<std::uint64_t>* item_cost) {

@@ -59,8 +59,8 @@ CandidatePartition PartitionRoundRobin(std::size_t num_candidates,
 /// (DESIGN.md §14) re-packs with measured weights: null reproduces the
 /// static candidate-count partition bit for bit.
 CandidatePartition PartitionByPrefix(
-    const ItemsetCollection& candidates, Item num_items, int num_parts,
-    PrefixStrategy strategy, bool split_heavy_prefixes = true,
+    const ItemsetCollection& candidates, std::size_t num_items,
+    int num_parts, PrefixStrategy strategy, bool split_heavy_prefixes = true,
     const std::vector<std::uint64_t>* item_cost = nullptr);
 
 /// FNV-1a fingerprint of a partition's candidate-to-part assignment

@@ -16,7 +16,9 @@ namespace pam {
 /// exact same tree (construction is shared) and produce bit-identical
 /// counts and SubsetStats; kFlat is the production kernel, kClassic is the
 /// original pointer-chasing recursive traversal, kept as a reference for
-/// differential tests and the old-vs-new microbenchmark.
+/// differential tests and the old-vs-new microbenchmark. It stays because
+/// it is the only independent check of SubsetStats (flat_kernel_test,
+/// bench_hashtree_kernel): CountBruteForce checks counts only.
 enum class HashTreeKernel {
   /// Frozen structure-of-arrays layout: one contiguous children array,
   /// CSR leaf candidate ids, leaf-ordered candidate tuples, iterative
@@ -29,7 +31,9 @@ enum class HashTreeKernel {
 
 /// Shape parameters of the candidate hash tree (paper Section II). The
 /// paper tunes the branching factor so that the average number of
-/// candidates per leaf is S; here both knobs are explicit.
+/// candidates per leaf is S; here both knobs are explicit. The defaults
+/// are the fastest measured shape (DESIGN.md §7); the figure benches pin
+/// the paper's hashed tree instead (bench::BenchTreeConfig).
 struct HashTreeConfig {
   /// Branching factor of internal nodes. Rounded up to the next power of
   /// two at construction so hashing is a bit mask; items hash as
@@ -37,21 +41,28 @@ struct HashTreeConfig {
   int fanout = 8;
   /// A leaf splits into an internal node when it would exceed this many
   /// candidates (unless its depth already equals k, where chaining is
-  /// unavoidable because the hash path is exhausted).
-  int leaf_capacity = 16;
+  /// unavoidable because the hash path is exhausted). The 8-lane AVX2
+  /// leaf check tests a large leaf for about what the extra traversal
+  /// levels of small leaves cost, so 64 beats 16 by 28-40% end to end;
+  /// 64 is where the measured curve flattens on the T15.I6 benchmark
+  /// workload (DESIGN.md §7 has the sweep).
+  int leaf_capacity = 64;
   /// Traversal kernel selection (see HashTreeKernel).
   HashTreeKernel kernel = HashTreeKernel::kFlat;
   /// When true the root level dispatches on the first item's value
-  /// directly (child index == item id, grown on demand) instead of
-  /// hashing it with the fanout mask. Every first item then owns a
-  /// disjoint subtree, which is the paper's IDD picture of the tree — and
-  /// it makes Subset's per-root-item work attribution exact: with a
-  /// hashed root, items sharing a root bucket are charged for each
-  /// other's candidates, so measured densities are partition-dependent
-  /// and useless for rebalancing. The adaptive balancer turns this on;
-  /// deeper levels hash exactly as before, and counts are unaffected
-  /// either way (only tree shape and stats change).
-  bool identity_root = false;
+  /// directly (child index == item id, sized by the largest first item;
+  /// the readers bound ids by kMaxItemId) instead of hashing it with the
+  /// fanout mask. Every first item then owns a disjoint subtree, which is
+  /// the paper's IDD picture of the tree (the root bitmap of Figure 8).
+  /// A transaction item never descends into a root subtree holding no
+  /// candidate that starts with it, where a hashed root sends it into a
+  /// bucket shared by about 1/fanout of all first items — the largest
+  /// single cut in counting work, so it is the default in every
+  /// formulation. It also makes Subset's per-root-item work attribution
+  /// exact, which is why the adaptive balancer forces it on. Deeper
+  /// levels hash exactly as before, and counts are unaffected either way
+  /// (only tree shape and stats change).
+  bool identity_root = true;
 
   /// The paper's tuning rule: "the desired value of S can be obtained by
   /// adjusting the branching factor". Returns a config whose fanout is
@@ -84,6 +95,8 @@ struct SubsetStats {
   /// Average distinct leaves visited per transaction (the y-axis of
   /// Figure 11).
   double AvgLeafVisitsPerTransaction() const;
+
+  friend bool operator==(const SubsetStats&, const SubsetStats&) = default;
 };
 
 /// The candidate hash tree of the Apriori algorithm: internal nodes hash

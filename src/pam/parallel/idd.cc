@@ -124,19 +124,19 @@ RankOutput RunIddRank(const TransactionDatabase& db, Comm& comm,
     std::vector<std::uint64_t> item_work;
     std::vector<std::uint64_t> leaf_visits;
     if (adaptive && !triangle) {
-      item_work.assign(static_cast<std::size_t>(db.NumItems()), 0);
+      item_work.assign(db.NumItems(), 0);
     }
     if (triangle) {
       tri.emplace(prev);
       tri_team.emplace(&pool, &*tri, &m.subset, &config.apriori.cancel);
     } else {
       obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild);
-      // Identity root dispatch keeps the per-first-item attribution exact
-      // (no co-bucket cross-charging) and skips false root descents into
-      // unowned subtrees; counts are shape-independent, so output stays
-      // byte-identical to the static hashed-root tree.
+      // Adaptive balancing needs identity root dispatch to keep the
+      // per-first-item attribution exact (no co-bucket cross-charging);
+      // counts are shape-independent, so output is byte-identical either
+      // way.
       HashTreeConfig tree_config = config.apriori.tree;
-      tree_config.identity_root = adaptive;
+      if (adaptive) tree_config.identity_root = true;
       tree.emplace(candidates, my_ids, tree_config);
       m.tree_build_inserts = tree->build_inserts();
       build_span.End();

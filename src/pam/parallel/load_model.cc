@@ -19,8 +19,7 @@ std::uint64_t ClampFixed(double value) {
 
 }  // namespace
 
-LoadModel::LoadModel(Item num_items)
-    : density_(static_cast<std::size_t>(num_items), 0.0) {}
+LoadModel::LoadModel(std::size_t num_items) : density_(num_items, 0.0) {}
 
 std::vector<Item> LoadModel::DistinctFirstItems(
     const ItemsetCollection& candidates) {

@@ -46,7 +46,7 @@ class LoadModel {
   /// so one noisy pass can never starve a part or overflow a weight.
   static constexpr std::uint64_t kMaxSkew = 64;
 
-  explicit LoadModel(Item num_items);
+  explicit LoadModel(std::size_t num_items);
 
   /// The distinct first items of `candidates`, ascending (candidates are
   /// sorted lexicographically, so this is one linear scan). This is the

@@ -24,7 +24,7 @@ void TransactionDatabase::AddSorted(ItemSpan items) {
   items_.insert(items_.end(), items.begin(), items.end());
   offsets_.push_back(items_.size());
   if (!items.empty()) {
-    num_items_ = std::max(num_items_, items.back() + 1);
+    num_items_ = std::max(num_items_, std::size_t{items.back()} + 1);
   }
 }
 

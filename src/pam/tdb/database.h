@@ -48,7 +48,8 @@ class TransactionDatabase {
 
   /// One larger than the largest item id present (0 for empty databases).
   /// This is the alphabet size assumed by F1 counting and bitmap sizing.
-  Item NumItems() const { return num_items_; }
+  /// std::size_t, not Item, so the largest Item id does not wrap to 0.
+  std::size_t NumItems() const { return num_items_; }
 
   /// Items of transaction `t`.
   ItemSpan Transaction(std::size_t t) const {
@@ -82,7 +83,7 @@ class TransactionDatabase {
  private:
   std::vector<Item> items_;
   std::vector<std::size_t> offsets_;  // size() + 1 entries, offsets_[0] == 0
-  Item num_items_ = 0;
+  std::size_t num_items_ = 0;
 };
 
 }  // namespace pam

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace pam {
@@ -38,7 +39,16 @@ Result<TransactionDatabase> ReadText(const std::string& path) {
     items.clear();
     std::istringstream ls(line);
     std::uint64_t v = 0;
-    while (ls >> v) items.push_back(static_cast<Item>(v));
+    while (ls >> v) {
+      // The stream parses "-1" as 2^64 - 1, so this bound also rejects
+      // negative ids.
+      if (v > kMaxItemId) {
+        return Status::Error("item id out of range [0, " +
+                             std::to_string(kMaxItemId) + "] in " + path +
+                             ": " + line);
+      }
+      items.push_back(static_cast<Item>(v));
+    }
     if (ls.fail() && !ls.eof()) {
       return Status::Error("malformed line in " + path + ": " + line);
     }
@@ -108,6 +118,11 @@ Result<TransactionDatabase> ReadBinary(const std::string& path) {
       if (span[i - 1] >= span[i]) {
         return Status::Error("unsorted transaction in " + path);
       }
+    }
+    // Strictly increasing, so the last item bounds the whole transaction.
+    if (!span.empty() && span.back() > kMaxItemId) {
+      return Status::Error("item id out of range [0, " +
+                           std::to_string(kMaxItemId) + "] in " + path);
     }
     db.AddSorted(span);
   }

@@ -65,18 +65,23 @@ TEST(FlatKernelTest, MatchesClassicAndBruteForceAcrossRandomShapes) {
       ItemsetCollection candidates =
           RandomCandidates(k, 180, 30, 7000 + seed * 10 + k);
       // Non-power-of-two fanouts exercise the construction-time rounding;
-      // both kernels must round identically.
+      // both kernels must round identically, under either root dispatch.
       for (int fanout : {3, 8, 17}) {
-        const HashTreeConfig config{fanout, 4};
-        const std::vector<std::uint32_t> ids = AllIds(candidates.size());
-        KernelOutput flat =
-            RunKernel(db, candidates, ids, config, HashTreeKernel::kFlat);
-        KernelOutput classic =
-            RunKernel(db, candidates, ids, config, HashTreeKernel::kClassic);
-        EXPECT_EQ(flat.counts, classic.counts)
-            << "seed=" << seed << " k=" << k << " fanout=" << fanout;
-        ExpectSameStats(flat.stats, classic.stats);
-        EXPECT_EQ(flat.counts, CountBruteForce(db, {0, db.size()}, candidates));
+        for (const bool identity_root : {false, true}) {
+          HashTreeConfig config{fanout, 4};
+          config.identity_root = identity_root;
+          const std::vector<std::uint32_t> ids = AllIds(candidates.size());
+          KernelOutput flat =
+              RunKernel(db, candidates, ids, config, HashTreeKernel::kFlat);
+          KernelOutput classic = RunKernel(db, candidates, ids, config,
+                                           HashTreeKernel::kClassic);
+          EXPECT_EQ(flat.counts, classic.counts)
+              << "seed=" << seed << " k=" << k << " fanout=" << fanout
+              << " identity_root=" << identity_root;
+          ExpectSameStats(flat.stats, classic.stats);
+          EXPECT_EQ(flat.counts,
+                    CountBruteForce(db, {0, db.size()}, candidates));
+        }
       }
     }
   }
@@ -96,14 +101,17 @@ TEST(FlatKernelTest, MatchesClassicWithRootFilter) {
     }
   }
   ASSERT_FALSE(owned.empty());
-  const HashTreeConfig config{4, 2};
-  KernelOutput flat =
-      RunKernel(db, candidates, owned, config, HashTreeKernel::kFlat, &filter);
-  KernelOutput classic =
-      RunKernel(db, candidates, owned, config, HashTreeKernel::kClassic, &filter);
-  EXPECT_EQ(flat.counts, classic.counts);
-  ExpectSameStats(flat.stats, classic.stats);
-  EXPECT_GT(flat.stats.root_items_skipped, 0u);
+  for (const bool identity_root : {false, true}) {
+    HashTreeConfig config{4, 2};
+    config.identity_root = identity_root;
+    KernelOutput flat = RunKernel(db, candidates, owned, config,
+                                  HashTreeKernel::kFlat, &filter);
+    KernelOutput classic = RunKernel(db, candidates, owned, config,
+                                     HashTreeKernel::kClassic, &filter);
+    EXPECT_EQ(flat.counts, classic.counts) << identity_root;
+    ExpectSameStats(flat.stats, classic.stats);
+    EXPECT_GT(flat.stats.root_items_skipped, 0u);
+  }
 }
 
 TEST(FlatKernelTest, MatchesClassicOnPartitionedChunks) {
@@ -128,9 +136,12 @@ TEST(FlatKernelTest, MatchesClassicOnPartitionedChunks) {
 TEST(FlatKernelTest, DegenerateSingleLeafTree) {
   // Capacity large enough that the root never splits: the degenerate
   // root-leaf path must agree between kernels (one check per transaction).
+  // Only a hashed root can be a leaf; the identity root is internal from
+  // the start.
   TransactionDatabase db = testing::RandomDb(120, 15, 8, 101);
   ItemsetCollection candidates = RandomCandidates(2, 40, 15, 102);
-  const HashTreeConfig config{4, 1000};
+  HashTreeConfig config{4, 1000};
+  config.identity_root = false;
   const std::vector<std::uint32_t> ids = AllIds(candidates.size());
   KernelOutput flat = RunKernel(db, candidates, ids, config, HashTreeKernel::kFlat);
   KernelOutput classic =

@@ -170,12 +170,32 @@ TEST(HashTreeTest, ShortTransactionsAreCheap) {
 
 TEST(HashTreeTest, SmallLeafCapacityForcesSplits) {
   ItemsetCollection candidates = RandomCandidates(3, 200, 30, 51);
-  HashTree split_tree(candidates, HashTreeConfig{4, 1});
-  HashTree flat_tree(candidates, HashTreeConfig{4, 1000});
+  // Hashed root: a tree that never splits is one root leaf.
+  HashTreeConfig split_shape{4, 1};
+  split_shape.identity_root = false;
+  HashTreeConfig flat_shape{4, 1000};
+  flat_shape.identity_root = false;
+  HashTree split_tree(candidates, split_shape);
+  HashTree flat_tree(candidates, flat_shape);
   EXPECT_GT(split_tree.num_leaves(), flat_tree.num_leaves());
   EXPECT_EQ(flat_tree.num_leaves(), 1u);
   EXPECT_EQ(split_tree.num_candidates(), 200u);
   EXPECT_EQ(split_tree.build_inserts(), 200u);
+
+  // Identity root: the root is internal from the start, so a tree that
+  // never splits has one leaf per distinct first item.
+  std::set<Item> first_items;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    first_items.insert(candidates.Get(i)[0]);
+  }
+  split_shape.identity_root = true;
+  flat_shape.identity_root = true;
+  HashTree identity_split(candidates, split_shape);
+  HashTree identity_flat(candidates, flat_shape);
+  EXPECT_EQ(identity_flat.num_leaves(), first_items.size());
+  EXPECT_GT(identity_split.num_leaves(), identity_flat.num_leaves());
+  EXPECT_EQ(identity_flat.num_candidates(), 200u);
+  EXPECT_EQ(identity_flat.build_inserts(), 200u);
 }
 
 TEST(HashTreeTest, DuplicateItemsBeyondDepthChainInLeaf) {

@@ -1,9 +1,9 @@
 // Randomized differential sweep: for each seed, draw mining configurations
 // from the cross product {minsup} x {num_ranks} x {page_bytes} x
-// {use_pass2_triangle} x {threads_per_rank} and check that CD, DD, IDD,
-// HD and HPA each produce the serial Apriori result byte-for-byte. Fault
-// injection is off here; the chaos harness (tests/testing/chaos_test.cc)
-// covers the faulty transport.
+// {use_pass2_triangle} x {threads_per_rank} x {adaptive_balance} x
+// {identity_root} and check that CD, DD, IDD, HD and HPA each produce the
+// serial Apriori result byte-for-byte. Fault injection is off here; the
+// chaos harness (tests/testing/chaos_test.cc) covers the faulty transport.
 //
 // The draw is deterministic per seed, so a failure report of the form
 // "seed=202 draw=3" is enough to reproduce a cell exactly.
@@ -26,6 +26,9 @@ class DifferentialSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DifferentialSweep, AllAlgorithmsMatchSerial) {
   const std::uint64_t seed = GetParam();
   Prng rng(seed);
+  // Tree shape draws from a stream of its own, so the draws of `rng` (and
+  // the cells they pick) do not depend on it.
+  Prng shape_rng(seed ^ 0x5eed7ee5ULL);
 
   // Workload varies with the seed so the sweep covers different candidate
   // populations, not just different configs over one database.
@@ -59,6 +62,10 @@ TEST_P(DifferentialSweep, AllAlgorithmsMatchSerial) {
     // Adaptive rebalancing must never change mined output: cross it with
     // everything else (only IDD/HD honor it; the rest must ignore it).
     cfg.adaptive_balance = rng.NextBounded(2) == 1;
+    // The serial reference keeps the default tree; the parallel runs
+    // cross the root dispatch with everything else (adaptive IDD/HD force
+    // the identity root whatever the draw).
+    cfg.apriori.tree.identity_root = shape_rng.NextBounded(2) == 1;
     for (Algorithm alg : {Algorithm::kCD, Algorithm::kDD, Algorithm::kIDD,
                           Algorithm::kHD, Algorithm::kHPA}) {
       const std::string label =
@@ -69,7 +76,8 @@ TEST_P(DifferentialSweep, AllAlgorithmsMatchSerial) {
           " page=" + std::to_string(page_bytes) + " tri=" +
           (serial_cfg.use_pass2_triangle ? "1" : "0") +
           " threads=" + std::to_string(serial_cfg.threads_per_rank) +
-          " adaptive=" + (cfg.adaptive_balance ? "1" : "0");
+          " adaptive=" + (cfg.adaptive_balance ? "1" : "0") +
+          " idroot=" + (cfg.apriori.tree.identity_root ? "1" : "0");
       ParallelResult result = MineParallel(alg, db, p, cfg);
       testing::ExpectMatchesSerial(result, serial_flat, label);
       EXPECT_EQ(result.metrics.TotalFaultsInjected(), 0u) << label;

@@ -168,6 +168,7 @@ TEST(AttributionTest, ItemWorkAndLeafVisitsAreExact) {
   std::iota(all_ids.begin(), all_ids.end(), 0);
 
   HashTreeConfig plain_cfg;
+  plain_cfg.identity_root = false;
   HashTreeConfig identity_cfg;
   identity_cfg.identity_root = true;
   HashTree plain(candidates, all_ids, plain_cfg);

@@ -1,7 +1,11 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "pam/api/session.h"
 #include "pam/datagen/quest_gen.h"
 #include "pam/parallel/driver.h"
+#include "testing/test_support.h"
 
 namespace pam {
 namespace {
@@ -254,6 +258,83 @@ TEST(ParallelBehaviorTest, DdCommVolumeMatchesDd) {
     EXPECT_EQ(dd.metrics.TotalDataBytes(static_cast<int>(pass)),
               ddc.metrics.TotalDataBytes(static_cast<int>(pass)))
         << "pass " << pass;
+  }
+}
+
+// The hash tree defaults (identity root, 64-candidate leaves) reach every
+// formulation: a default-config run does exactly the counting work of a
+// run pinning that shape, and less traversal than a run pinning the
+// paper's hashed root. Tree shape never changes what is mined.
+//
+// Traversal is compared rank by rank, since each rank builds its own tree.
+// Where the hashed root has split, the identity root never traverses more
+// (each of its subtrees holds a subset of the candidates of the hashed
+// bucket the same root item enters, so it splits no deeper). Where the
+// hashed tree is still one root leaf (at most leaf_capacity candidates) it
+// takes no traversal step at all, while the identity root probes once per
+// root item and goes no deeper. Summed over the run, the identity root
+// must do strictly fewer steps.
+TEST(ParallelBehaviorTest, TreeDefaultsReachEveryFormulation) {
+  const TransactionDatabase db = testing::SeededQuestDb(404);
+  const int p = 2;
+  ParallelConfig defaults = BaseConfig();
+  ParallelConfig pinned = defaults;
+  pinned.apriori.tree.identity_root = true;
+  pinned.apriori.tree.leaf_capacity = 64;
+  ParallelConfig hashed = defaults;
+  hashed.apriori.tree.identity_root = false;
+  auto mine = [&](MiningAlgorithm algorithm, const ParallelConfig& config) {
+    MiningRequest request;
+    request.algorithm = algorithm;
+    request.num_ranks = p;
+    request.config = config;
+    MiningSession session;
+    return session.Run(request, db);
+  };
+  for (const MiningAlgorithm alg :
+       {MiningAlgorithm::kSerial, MiningAlgorithm::kCD, MiningAlgorithm::kDD,
+        MiningAlgorithm::kDDComm, MiningAlgorithm::kIDD,
+        MiningAlgorithm::kHD}) {
+    const std::string name = MiningAlgorithmName(alg);
+    const MiningReport by_default = mine(alg, defaults);
+    const MiningReport by_pin = mine(alg, pinned);
+    const MiningReport by_hash = mine(alg, hashed);
+    EXPECT_EQ(testing::Flatten(by_default.frequent),
+              testing::Flatten(by_pin.frequent))
+        << name;
+    EXPECT_EQ(testing::Flatten(by_default.frequent),
+              testing::Flatten(by_hash.frequent))
+        << name;
+    const int passes = by_default.metrics.num_passes();
+    ASSERT_EQ(by_pin.metrics.num_passes(), passes) << name;
+    ASSERT_EQ(by_hash.metrics.num_passes(), passes) << name;
+    std::uint64_t default_steps = 0;
+    std::uint64_t hashed_steps = 0;
+    for (int pass = 1; pass < passes; ++pass) {
+      EXPECT_TRUE(by_default.metrics.PassSubsetStats(pass) ==
+                  by_pin.metrics.PassSubsetStats(pass))
+          << name << " pass " << pass;
+      const auto& rows =
+          by_default.metrics.per_pass[static_cast<std::size_t>(pass)];
+      const auto& hashed_rows =
+          by_hash.metrics.per_pass[static_cast<std::size_t>(pass)];
+      ASSERT_EQ(rows.size(), hashed_rows.size()) << name;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        if (rows[r].tree_build_inserts == 0) continue;  // no tree here
+        const std::string at = name + " pass " + std::to_string(pass) +
+                               " rank " + std::to_string(r);
+        const SubsetStats& d = rows[r].subset;
+        const SubsetStats& h = hashed_rows[r].subset;
+        if (h.traversal_steps == 0) {
+          EXPECT_EQ(d.traversal_steps, d.root_items_considered) << at;
+        } else {
+          EXPECT_LE(d.traversal_steps, h.traversal_steps) << at;
+        }
+        default_steps += d.traversal_steps;
+        hashed_steps += h.traversal_steps;
+      }
+    }
+    EXPECT_LT(default_steps, hashed_steps) << name;
   }
 }
 

@@ -37,6 +37,12 @@ TEST(DatabaseTest, NumItemsTracksLargestId) {
   EXPECT_EQ(db.NumItems(), 8u);
 }
 
+TEST(DatabaseTest, NumItemsDoesNotWrapAtLargestId) {
+  TransactionDatabase db;
+  db.Add({1, ~Item{0}});
+  EXPECT_EQ(db.NumItems(), std::size_t{1} << 32);
+}
+
 TEST(DatabaseTest, AverageLength) {
   TransactionDatabase db;
   db.Add({1, 2});

@@ -97,6 +97,49 @@ TEST_F(IoTest, BinaryRejectsTruncation) {
   EXPECT_FALSE(loaded.ok());
 }
 
+// Ids above kMaxItemId must be refused at the reader, because NumItems()
+// sizes per-item arrays: "-1" parses as 2^64 - 1, and 4000000000 or
+// 99999999999 (which does not fit an Item) would each ask for gigabytes.
+TEST_F(IoTest, TextRejectsOutOfRangeItems) {
+  for (const char* line : {"1 2 -1", "1 2 4000000000", "1 2 99999999999",
+                           "1 2 16777216"}) {
+    std::ofstream out(Path("bad.txt"));
+    out << "3 4\n" << line << "\n";
+    out.close();
+    auto loaded = ReadText(Path("bad.txt"));
+    ASSERT_FALSE(loaded.ok()) << line;
+    EXPECT_NE(loaded.status().message().find("item id out of range"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+  std::ofstream out(Path("edge.txt"));
+  out << "0 " << kMaxItemId << "\n";
+  out.close();
+  auto edge = ReadText(Path("edge.txt"));
+  ASSERT_TRUE(edge.ok()) << edge.status().message();
+  EXPECT_EQ(edge->NumItems(), std::size_t{kMaxItemId} + 1);
+}
+
+TEST_F(IoTest, BinaryRejectsOutOfRangeItems) {
+  for (const Item last : {kMaxItemId + 1, Item{4000000000u}, ~Item{0}}) {
+    TransactionDatabase db;
+    db.Add({1, 2});
+    db.Add({1, 2, last});
+    ASSERT_TRUE(WriteBinary(db, Path("bad.bin")).ok());
+    auto loaded = ReadBinary(Path("bad.bin"));
+    ASSERT_FALSE(loaded.ok()) << last;
+    EXPECT_NE(loaded.status().message().find("item id out of range"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+  TransactionDatabase edge;
+  edge.Add({0, kMaxItemId});
+  ASSERT_TRUE(WriteBinary(edge, Path("edge.bin")).ok());
+  auto loaded = ReadBinary(Path("edge.bin"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded->NumItems(), std::size_t{kMaxItemId} + 1);
+}
+
 TEST_F(IoTest, EmptyDatabaseRoundTrips) {
   TransactionDatabase db;
   ASSERT_TRUE(WriteBinary(db, Path("empty.bin")).ok());

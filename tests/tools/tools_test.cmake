@@ -48,6 +48,28 @@ if(bad_rc EQUAL 0)
   message(FATAL_ERROR "pam_mine accepted an unknown flag")
 endif()
 
+# Out-of-range item ids must fail the load with a message and exit code 1,
+# not a crash. A process killed by a signal shows up in RESULT_VARIABLE as
+# a string, not as the integer 1.
+set(BAD_TEXT "${WORKDIR}/tools_test_bad.txt")
+foreach(bad_line "1 2 -1" "1 2 4000000000" "1 2 99999999999")
+  file(WRITE "${BAD_TEXT}" "3 4\n${bad_line}\n")
+  execute_process(
+    COMMAND "${MINE}" --input "${BAD_TEXT}" --format text --minsup 1
+    RESULT_VARIABLE bad_item_rc OUTPUT_VARIABLE bad_item_out
+    ERROR_VARIABLE bad_item_err)
+  if(NOT bad_item_rc STREQUAL "1")
+    message(FATAL_ERROR
+            "pam_mine on '${bad_line}' exited '${bad_item_rc}', want 1: "
+            "${bad_item_out}${bad_item_err}")
+  endif()
+  if(NOT bad_item_err MATCHES "error: item id out of range")
+    message(FATAL_ERROR
+            "pam_mine on '${bad_line}' gave no range error: ${bad_item_err}")
+  endif()
+endforeach()
+file(REMOVE "${BAD_TEXT}")
+
 # DHP filter must preserve the mined itemset count.
 execute_process(
   COMMAND "${MINE}" --input "${DATA}" --minsup 1 --algorithm cd --ranks 2

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   std::printf(
       "wrote %zu transactions (%zu items, avg length %.2f) to %s in "
       "%.2fs\n",
-      db.size(), static_cast<std::size_t>(db.NumItems()),
-      db.AverageLength(), path.c_str(), timer.Seconds());
+      db.size(), db.NumItems(), db.AverageLength(), path.c_str(),
+      timer.Seconds());
   return 0;
 }

@@ -132,8 +132,7 @@ int main(int argc, char** argv) {
   }
   const pam::TransactionDatabase& db = loaded.value();
   std::printf("loaded %zu transactions, %zu items, avg length %.2f\n",
-              db.size(), static_cast<std::size_t>(db.NumItems()),
-              db.AverageLength());
+              db.size(), db.NumItems(), db.AverageLength());
   if (flags.GetBool("stats", false)) {
     std::printf("%s", pam::ComputeDbStats(db).ToString().c_str());
   }
