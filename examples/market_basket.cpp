@@ -45,11 +45,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.minsup_count),
               result.total_seconds);
 
-  std::printf("%4s %12s %12s %10s %14s %14s\n", "pass", "candidates",
-              "frequent", "leaves", "leaf visits", "time (s)");
+  std::printf("%4s %12s %12s %14s %14s\n", "pass", "candidates",
+              "frequent", "leaf visits", "time (s)");
   for (const pam::SerialPassInfo& pass : result.passes) {
-    std::printf("%4d %12zu %12zu %10zu %14llu %14.3f\n", pass.k,
-                pass.num_candidates, pass.num_frequent, pass.num_leaves,
+    std::printf("%4d %12zu %12zu %14llu %14.3f\n", pass.k,
+                pass.num_candidates, pass.num_frequent,
                 static_cast<unsigned long long>(
                     pass.subset.distinct_leaf_visits),
                 pass.seconds);

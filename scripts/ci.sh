@@ -221,8 +221,11 @@ run_traced_smoke() {
     echo "--- $alg ---"
     "$tools/pam_mine" --input "$scratch/smoke.bin" --minsup 2 \
       --algorithm "$alg" --ranks 4 \
+      --save-itemsets "$scratch/$alg.itemsets" \
       --trace-out "$scratch/$alg.trace.json" \
       --metrics-out "$scratch/$alg.metrics.json" > /dev/null
+    # Every miner must mine serial's itemsets, byte for byte.
+    cmp "$scratch/serial.itemsets" "$scratch/$alg.itemsets"
     python3 - "$scratch/$alg.trace.json" "$scratch/$alg.metrics.json" \
       "$alg" <<'PYEOF'
 import json, sys
@@ -239,6 +242,10 @@ with open(metrics_path) as f:
 assert metrics["algorithm"], f"{alg}: metrics missing algorithm"
 assert metrics["complete"] is True, f"{alg}: metrics run did not complete"
 assert metrics["passes"], f"{alg}: metrics missing passes"
+# One pass span per PassMetrics row on every rank.
+passes = sum(1 for e in spans if e["cat"] == "pass")
+expected = len(metrics["passes"]) * metrics["ranks"]
+assert passes == expected, f"{alg}: {passes} pass spans, expected {expected}"
 print(f"{alg}: {len(spans)} spans, {len(metrics['passes'])} passes: ok")
 PYEOF
   done

@@ -6,36 +6,6 @@
 #include "pam/util/timer.h"
 
 namespace pam {
-namespace {
-
-/// Folds a serial run's per-pass info into the unified metrics matrix
-/// (one rank), so every report exposes the same RunMetrics shape.
-RunMetrics SerialRunMetrics(const SerialResult& result,
-                            const TransactionDatabase& db) {
-  RunMetrics metrics;
-  metrics.per_pass.reserve(result.passes.size());
-  const TransactionDatabase::Slice whole{0, db.size()};
-  for (const SerialPassInfo& info : result.passes) {
-    PassMetrics m;
-    m.k = info.k;
-    m.num_candidates_global = info.num_candidates;
-    m.num_candidates_local = info.num_candidates;
-    m.num_frequent_global = info.num_frequent;
-    m.tree_build_inserts = info.tree_build_inserts;
-    m.subset = info.subset;
-    m.transactions_processed = db.size();
-    m.db_scans = info.db_scans;
-    m.local_db_wire_bytes = db.WireBytes(whole);
-    m.threads_per_rank = info.threads_per_rank;
-    m.shard_subset_work = info.shard_subset_work;
-    m.wall_seconds = info.seconds;
-    metrics.per_pass.push_back({m});
-  }
-  return metrics;
-}
-
-}  // namespace
-
 std::string MiningAlgorithmName(MiningAlgorithm algorithm) {
   if (algorithm == MiningAlgorithm::kSerial) return "serial";
   return AlgorithmName(ToParallelAlgorithm(algorithm));
@@ -59,8 +29,7 @@ bool IsParallel(MiningAlgorithm algorithm) {
 
 Algorithm ToParallelAlgorithm(MiningAlgorithm algorithm) {
   switch (algorithm) {
-    case MiningAlgorithm::kSerial:
-      break;  // no parallel counterpart; fall through to the assert
+    case MiningAlgorithm::kSerial:  // serial Apriori is CD on one rank
     case MiningAlgorithm::kCD:
       return Algorithm::kCD;
     case MiningAlgorithm::kDD:
@@ -147,6 +116,8 @@ MiningReport MiningSession::Run(const MiningRequest& request,
   MiningReport report;
   report.minsup_count = request.config.apriori.ResolveMinsup(db.size());
 
+  const int num_ranks = IsParallel(request.algorithm) ? request.num_ranks : 1;
+
   // Observer wiring. A null SessionObs* is the disabled fast path: the
   // run does no clock reads and no allocation beyond the mining itself.
   const bool observing = !trace_sinks_.empty() || !metrics_sinks_.empty() ||
@@ -165,7 +136,7 @@ MiningReport MiningSession::Run(const MiningRequest& request,
 
     obs::RunInfo info;
     info.algorithm = MiningAlgorithmName(request.algorithm);
-    info.num_ranks = IsParallel(request.algorithm) ? request.num_ranks : 1;
+    info.num_ranks = num_ranks;
     info.minsup_count = report.minsup_count;
     for (obs::MetricsSink* sink : metrics_sinks_) sink->OnRunBegin(info);
   }
@@ -191,32 +162,19 @@ MiningReport MiningSession::Run(const MiningRequest& request,
     }
   }
 
-  // The session-level tracer covers the run span and the serial path; the
-  // parallel rank threads install their own (thread-local, so the two
-  // never collide even though rank 0 shares this tracer's track id).
+  // The session-level tracer covers the run and rule-generation spans;
+  // the rank threads install their own (thread-local, so the two never
+  // collide even though rank 0 shares this tracer's track id).
   obs::RankTracer session_tracer(obs_ptr, /*rank=*/0);
   obs::ScopedTracerInstall install(&session_tracer);
   {
     obs::ScopedSpan run_span(obs::SpanKind::kRun, -1,
                              nullptr);
-    if (IsParallel(request.algorithm)) {
-      ParallelResult result =
-          MineParallelObserved(ToParallelAlgorithm(request.algorithm), db,
-                               request.num_ranks, config, obs_ptr);
-      report.frequent = std::move(result.frequent);
-      report.metrics = std::move(result.metrics);
-    } else {
-      SerialResult result = MineSerial(db, config.apriori);
-      report.metrics = SerialRunMetrics(result, db);
-      report.frequent = std::move(result.frequent);
-      // Serial passes stream post-hoc (the serial miner records
-      // SerialPassInfo; the matrix conversion happens here).
-      if (session_tracer.has_metrics_sinks()) {
-        for (const auto& pass : report.metrics.per_pass) {
-          session_tracer.EmitPassMetrics(pass[0]);
-        }
-      }
-    }
+    ParallelResult result =
+        MineParallel(ToParallelAlgorithm(request.algorithm), db, num_ranks,
+                     config, obs_ptr);
+    report.frequent = std::move(result.frequent);
+    report.metrics = std::move(result.metrics);
     if (request.generate_rules) {
       obs::ScopedSpan rule_span(obs::SpanKind::kRuleGen);
       report.rules =

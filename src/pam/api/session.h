@@ -33,7 +33,8 @@ bool ParseMiningAlgorithm(const std::string& name, MiningAlgorithm* out);
 
 bool IsParallel(MiningAlgorithm algorithm);
 
-/// The parallel formulation behind a non-serial MiningAlgorithm.
+/// The parallel formulation behind a MiningAlgorithm. Serial Apriori is
+/// Count Distribution on one rank, so kSerial maps to kCD.
 Algorithm ToParallelAlgorithm(MiningAlgorithm algorithm);
 
 /// The MiningAlgorithm wrapping a parallel formulation.
@@ -118,8 +119,8 @@ struct MiningReport {
 /// calls; the provided sinks (ChromeTraceWriter, JsonMetricsWriter,
 /// TimelineSink) are thread-safe as required. With no sinks attached and
 /// collect_timeline off, a run does no clock reads and no allocation on
-/// the subset-counting hot path — exactly the legacy MineSerial /
-/// MineParallel behaviour those wrappers now delegate here.
+/// the subset-counting hot path — the same path as a direct MineParallel
+/// call, which every request goes through (serial as CD on one rank).
 ///
 /// Runs under fault injection behave like MineParallel: recoverable
 /// faults are repaired (and visible as fault_retry trace events), and

@@ -1,15 +1,6 @@
 #include "pam/core/serial_apriori.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include "pam/core/apriori_gen.h"
-#include "pam/core/count_team.h"
-#include "pam/hashtree/counting_pool.h"
-#include "pam/hashtree/pair_counter.h"
-#include "pam/obs/trace.h"
-#include "pam/util/timer.h"
 
 namespace pam {
 
@@ -33,152 +24,6 @@ bool FrequentItemsets::Lookup(ItemSpan items, Count* count) const {
   if (idx == ItemsetCollection::npos) return false;
   if (count != nullptr) *count = level.count(idx);
   return true;
-}
-
-namespace {
-
-// Counts `candidates` over the slice, honoring the memory cap by chunking.
-// Returns the number of database scans performed and accumulates subset
-// stats and tree-build inserts. When `f1_for_triangle` is non-null (pass 2
-// with the triangle path enabled) and the triangular array fits the memory
-// cap, the hash tree is bypassed entirely.
-std::size_t CountCandidates(const TransactionDatabase& db,
-                            TransactionDatabase::Slice slice,
-                            ItemsetCollection& candidates,
-                            const AprioriConfig& config, CountingPool* pool,
-                            const ItemsetCollection* f1_for_triangle,
-                            SerialPassInfo* info) {
-  const std::size_t m = candidates.size();
-  if (f1_for_triangle != nullptr &&
-      TrianglePairCounter::Fits(f1_for_triangle->size(),
-                                config.max_candidates_in_memory)) {
-    TrianglePairCounter tri(*f1_for_triangle);
-    SubsetStats* stats = info != nullptr ? &info->subset : nullptr;
-    {
-      obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, /*index=*/0,
-                                 "triangle");
-      TriangleTeam team(pool, &tri, stats, &config.cancel);
-      team.CountSlice(db, slice);
-      team.Finish();
-      if (info != nullptr) {
-        AccumulateShardWork(info->shard_subset_work, team.shard_work());
-      }
-    }
-    std::vector<Count> counts(m, 0);
-    tri.Extract(candidates, std::span<Count>(counts));
-    candidates.counts() = std::move(counts);
-    return 1;
-  }
-  const std::size_t cap = config.max_candidates_in_memory == 0
-                              ? m
-                              : config.max_candidates_in_memory;
-  const std::size_t num_chunks = m == 0 ? 1 : (m + cap - 1) / cap;
-
-  std::vector<Count> counts(m, 0);
-  std::span<Count> counts_span(counts);
-  for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    const std::size_t lo = chunk * cap;
-    const std::size_t hi = std::min(m, lo + cap);
-    std::vector<std::uint32_t> ids(hi - lo);
-    std::iota(ids.begin(), ids.end(), static_cast<std::uint32_t>(lo));
-    obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild,
-                               static_cast<std::int64_t>(chunk));
-    HashTree tree(candidates, std::move(ids), config.tree);
-    if (info != nullptr) {
-      info->tree_build_inserts += tree.build_inserts();
-      if (chunk == 0) info->num_leaves = tree.num_leaves();
-    }
-    build_span.End();
-    obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount,
-                               static_cast<std::int64_t>(chunk));
-    TeamCounter team(pool, &tree, counts_span,
-                     info != nullptr ? &info->subset : nullptr,
-                     /*root_filter=*/nullptr, &config.cancel);
-    team.CountSlice(db, slice);
-    team.Finish();
-    if (info != nullptr) {
-      AccumulateShardWork(info->shard_subset_work, team.shard_work());
-    }
-    count_span.End();
-  }
-  candidates.counts() = std::move(counts);
-  return num_chunks;
-}
-
-}  // namespace
-
-SerialResult MineSerial(const TransactionDatabase& db,
-                        const AprioriConfig& config,
-                        std::optional<TransactionDatabase::Slice> slice_opt) {
-  const TransactionDatabase::Slice slice =
-      slice_opt.value_or(TransactionDatabase::Slice{0, db.size()});
-  WallTimer total_timer;
-  SerialResult result;
-  result.minsup_count = config.ResolveMinsup(slice.size());
-  CountingPool pool(config.threads_per_rank);
-
-  // Pass 1: direct counting array, no hash tree needed. With DHP enabled,
-  // the same scan also hashes every transaction pair into buckets.
-  std::vector<Count> dhp_buckets;
-  config.cancel.Checkpoint();
-  {
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, /*pass_k=*/1, -1,
-                              nullptr);
-    WallTimer timer;
-    SerialPassInfo info;
-    info.k = 1;
-    info.threads_per_rank = pool.num_threads();
-    std::vector<Count> item_counts = CountItems(db, slice);
-    if (config.dhp_buckets > 0) {
-      dhp_buckets = CountPairBuckets(db, slice, config.dhp_buckets);
-    }
-    info.num_candidates = item_counts.size();
-    ItemsetCollection f1 = MakeF1(item_counts, result.minsup_count);
-    info.num_frequent = f1.size();
-    info.seconds = timer.Seconds();
-    result.passes.push_back(info);
-    result.frequent.levels.push_back(std::move(f1));
-  }
-
-  for (int k = 2; config.max_k == 0 || k <= config.max_k; ++k) {
-    const ItemsetCollection& prev = result.frequent.levels.back();
-    if (prev.size() < 2) break;
-    config.cancel.Checkpoint();
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, k, -1, nullptr);
-    WallTimer timer;
-    SerialPassInfo info;
-    info.k = k;
-    info.threads_per_rank = pool.num_threads();
-    ItemsetCollection candidates = AprioriGen(prev);
-    if (k == 2 && !dhp_buckets.empty()) {
-      candidates =
-          FilterByBuckets(candidates, dhp_buckets, result.minsup_count);
-    }
-    info.num_candidates = candidates.size();
-    if (candidates.empty()) {
-      pass_span.Cancel();  // no SerialPassInfo row, so no pass span either
-      break;
-    }
-
-    const ItemsetCollection* f1_for_triangle =
-        (k == 2 && config.use_pass2_triangle) ? &prev : nullptr;
-    info.db_scans = CountCandidates(db, slice, candidates, config, &pool,
-                                    f1_for_triangle, &info);
-    candidates.PruneBelow(result.minsup_count);
-    info.num_frequent = candidates.size();
-    info.seconds = timer.Seconds();
-    result.passes.push_back(info);
-    if (candidates.empty()) break;
-    result.frequent.levels.push_back(std::move(candidates));
-  }
-
-  // Drop a trailing empty level if the loop appended one.
-  while (!result.frequent.levels.empty() &&
-         result.frequent.levels.back().empty()) {
-    result.frequent.levels.pop_back();
-  }
-  result.total_seconds = total_timer.Seconds();
-  return result;
 }
 
 }  // namespace pam

@@ -72,12 +72,12 @@ struct AprioriConfig {
   Count ResolveMinsup(std::size_t n) const;
 };
 
-/// Per-pass measurements of a serial run; the parallel metrics extend this.
+/// Per-pass measurements of a serial run: the fields of its one-rank
+/// PassMetrics row that a single processor has.
 struct SerialPassInfo {
   int k = 0;
   std::size_t num_candidates = 0;
   std::size_t num_frequent = 0;
-  std::size_t num_leaves = 0;
   std::uint64_t tree_build_inserts = 0;
   /// Number of full scans of the transactions in this pass (> 1 only when
   /// max_candidates_in_memory forces chunking).
@@ -113,7 +113,9 @@ struct SerialResult {
 
 /// The serial Apriori algorithm of the paper's Figure 1. Mines the whole
 /// database by default; pass `slice` to restrict the run to a transaction
-/// range (minsup resolves against the slice size).
+/// range (minsup resolves against the slice size). It runs Count
+/// Distribution on one rank, so it is defined with the formulations in
+/// pam_parallel (parallel/cd.cc).
 SerialResult MineSerial(
     const TransactionDatabase& db, const AprioriConfig& config,
     std::optional<TransactionDatabase::Slice> slice = std::nullopt);

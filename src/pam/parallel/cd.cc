@@ -1,70 +1,34 @@
+#include <algorithm>
 #include <numeric>
 
-#include "pam/core/apriori_gen.h"
+#include "pam/mp/runtime.h"
 #include "pam/obs/trace.h"
 #include "pam/parallel/algorithms.h"
 #include "pam/util/timer.h"
 
 namespace pam {
+namespace {
 
 // Count Distribution (paper Section III-A, Figure 4): every rank holds the
-// full candidate hash tree, counts over its local N/P transactions, and the
-// global counts are formed by one global reduction. When the candidate set
+// full candidate hash tree, counts over its local slice, and the global
+// counts are formed by one global reduction. When the candidate set
 // exceeds the configured memory cap, the tree is partitioned and the local
 // transactions are re-scanned once per partition — the behaviour Figure 12
-// charges with extra I/O.
-RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
-                     const ParallelConfig& config) {
-  using parallel_internal::ParallelPass1;
-
-  RankOutput out;
-  const TransactionDatabase::Slice slice =
-      db.RankSlice(comm.rank(), comm.size());
+// charges with extra I/O. On one rank this is the serial Apriori of the
+// paper's Figure 1 (the reductions are no-ops).
+RankOutput RunCd(const TransactionDatabase& db,
+                 TransactionDatabase::Slice slice, Comm& comm,
+                 const ParallelConfig& config) {
   const Count minsup = config.apriori.ResolveMinsup(db.size());
-  std::vector<Count> dhp_buckets;  // PDM-style DHP filter state (optional)
   const std::size_t cap = config.apriori.max_candidates_in_memory;
   CountingPool pool(config.apriori.threads_per_rank);
 
-  {
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, /*pass_k=*/1, -1,
-                              nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    m.grid_cols = comm.size();
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-    ItemsetCollection f1 = ParallelPass1(db, slice, comm, minsup, &m,
-                                         &config, &dhp_buckets);
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    out.frequent.levels.push_back(std::move(f1));
-  }
-
-  for (int k = 2; config.apriori.max_k == 0 || k <= config.apriori.max_k;
-       ++k) {
-    const ItemsetCollection& prev = out.frequent.levels.back();
-    if (prev.size() < 2) break;
-    config.apriori.cancel.Checkpoint(comm.rank());
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, k, -1, nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    m.k = k;
-    m.local_db_wire_bytes = db.WireBytes(slice);
-    m.grid_cols = comm.size();
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-
-    ItemsetCollection candidates =
-        parallel_internal::GenerateCandidates(prev, k, dhp_buckets, minsup);
+  const PassBody body = [&](int k, const ItemsetCollection& prev,
+                            ItemsetCollection candidates, PassMetrics& m) {
     const std::size_t num_candidates = candidates.size();
-    if (num_candidates == 0) {
-      pass_span.Cancel();  // no PassMetrics row, so no pass span either
-      break;
-    }
-    m.num_candidates_global = num_candidates;
+    m.grid_cols = comm.size();
     m.num_candidates_local = num_candidates;
     m.transactions_processed = slice.size();
-    m.threads_per_rank = pool.num_threads();
 
     std::vector<Count> counts(num_candidates, 0);
     if (parallel_internal::TryTrianglePass2(db, slice, prev, candidates, k,
@@ -109,19 +73,54 @@ RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
 
     candidates.counts() = std::move(counts);
     candidates.PruneBelow(minsup);
-    m.num_frequent_global = candidates.size();
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    if (candidates.empty()) break;
-    out.frequent.levels.push_back(std::move(candidates));
-  }
+    return candidates;
+  };
+  return RunPasses(db, slice, comm, config, body);
+}
 
-  while (!out.frequent.levels.empty() && out.frequent.levels.back().empty()) {
-    out.frequent.levels.pop_back();
+}  // namespace
+
+RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
+                     const ParallelConfig& config) {
+  return RunCd(db, db.RankSlice(comm.rank(), comm.size()), comm, config);
+}
+
+// Serial Apriori is CD on one rank over the slice, with minsup resolved
+// against the slice.
+SerialResult MineSerial(const TransactionDatabase& db,
+                        const AprioriConfig& config,
+                        std::optional<TransactionDatabase::Slice> slice_opt) {
+  const TransactionDatabase::Slice slice =
+      slice_opt.value_or(TransactionDatabase::Slice{0, db.size()});
+  WallTimer timer;
+  SerialResult result;
+  result.minsup_count = config.ResolveMinsup(slice.size());
+  ParallelConfig one_rank;
+  one_rank.apriori = config;
+  one_rank.apriori.minsup_count = result.minsup_count;
+
+  RankOutput out;
+  Runtime runtime(1);
+  runtime.SetCancelToken(config.cancel);
+  runtime.Run(
+      [&](Comm& comm) { out = RunCd(db, slice, comm, one_rank); });
+
+  result.frequent = std::move(out.frequent);
+  for (const PassMetrics& m : out.passes) {
+    SerialPassInfo info;
+    info.k = m.k;
+    info.num_candidates = m.num_candidates_global;
+    info.num_frequent = m.num_frequent_global;
+    info.tree_build_inserts = m.tree_build_inserts;
+    info.db_scans = m.db_scans;
+    info.subset = m.subset;
+    info.threads_per_rank = m.threads_per_rank;
+    info.shard_subset_work = m.shard_subset_work;
+    info.seconds = m.wall_seconds;
+    result.passes.push_back(std::move(info));
   }
-  return out;
+  result.total_seconds = timer.Seconds();
+  return result;
 }
 
 }  // namespace pam

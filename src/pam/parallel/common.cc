@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "pam/core/apriori_gen.h"
 #include "pam/hashtree/pair_counter.h"
@@ -33,16 +34,6 @@ ItemsetCollection ParallelPass1(const TransactionDatabase& db,
   ItemsetCollection f1 = MakeF1(counts, minsup);
   if (metrics != nullptr) metrics->num_frequent_global = f1.size();
   return f1;
-}
-
-ItemsetCollection GenerateCandidates(const ItemsetCollection& prev, int k,
-                                     const std::vector<Count>& dhp_buckets,
-                                     Count minsup) {
-  ItemsetCollection candidates = AprioriGen(prev);
-  if (k == 2 && !dhp_buckets.empty()) {
-    candidates = FilterByBuckets(candidates, dhp_buckets, minsup);
-  }
-  return candidates;
 }
 
 bool TriangleEligible(int k, const AprioriConfig& config,
@@ -180,38 +171,135 @@ int ChooseGridRows(std::size_t num_candidates, std::size_t threshold_m,
   return num_ranks;
 }
 
-BalanceSync ShareBalanceFeedback(
-    Comm& comm, const PassMetrics& m,
-    std::span<const std::uint64_t> local_item_work) {
-  const int p = comm.size();
-  const std::uint64_t my_work =
-      m.subset.traversal_steps + m.subset.leaf_candidates_checked;
-  std::vector<std::uint64_t> buf(
-      static_cast<std::size_t>(p) + 3 + local_item_work.size(), 0);
-  buf[static_cast<std::size_t>(comm.rank())] = my_work;
-  buf[static_cast<std::size_t>(p)] = m.transactions_processed;
-  buf[static_cast<std::size_t>(p) + 1] = m.subset.traversal_steps;
-  buf[static_cast<std::size_t>(p) + 2] = m.subset.leaf_candidates_checked;
-  std::copy(local_item_work.begin(), local_item_work.end(),
-            buf.begin() + p + 3);
-  comm.AllReduceSum(std::span<std::uint64_t>(buf));
-  BalanceSync out;
-  out.rank_work.assign(buf.begin(), buf.begin() + p);
-  out.item_work.assign(buf.begin() + p + 3, buf.end());
-  out.transactions = buf[static_cast<std::size_t>(p)];
-  out.traversal_steps = buf[static_cast<std::size_t>(p) + 1];
-  out.leaf_checks = buf[static_cast<std::size_t>(p) + 2];
-  out.words = buf.size();
-  return out;
+std::vector<Count> CountPageStream(const ItemsetCollection& prev,
+                                   const ItemsetCollection& candidates,
+                                   int k,
+                                   const std::vector<std::uint32_t>& owned_ids,
+                                   const Bitmap* root_filter,
+                                   const AprioriConfig& config,
+                                   CountingPool* pool,
+                                   std::vector<std::uint64_t>* item_work,
+                                   PassMetrics& m, const PageStream& stream) {
+  // Pass-2 triangle: every streamed transaction reaches this rank, so
+  // counting all F_1 pairs yields complete counts for the owned share
+  // without any hash tree (or root bitmap).
+  const bool triangle = TriangleEligible(k, config, prev.size());
+  std::optional<TrianglePairCounter> tri;
+  std::optional<TriangleTeam> tri_team;
+  std::optional<HashTree> tree;
+  std::optional<TeamCounter> tree_team;
+  std::vector<Count> counts(candidates.size(), 0);
+  std::vector<std::uint64_t> leaf_visits;
+  std::span<std::uint64_t> attribution;
+  if (item_work != nullptr && triangle) item_work->clear();
+  if (item_work != nullptr) attribution = std::span<std::uint64_t>(*item_work);
+  if (triangle) {
+    tri.emplace(prev);
+    tri_team.emplace(pool, &*tri, &m.subset, &config.cancel);
+  } else {
+    obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild);
+    // Per-first-item attribution needs identity root dispatch to stay
+    // exact (no co-bucket cross-charging); counts are shape-independent,
+    // so output is byte-identical either way.
+    HashTreeConfig tree_config = config.tree;
+    if (!attribution.empty()) tree_config.identity_root = true;
+    tree.emplace(candidates, owned_ids, tree_config);
+    m.tree_build_inserts = tree->build_inserts();
+    build_span.End();
+    if (!attribution.empty()) leaf_visits.assign(tree->num_leaves(), 0);
+    tree_team.emplace(pool, &*tree, std::span<Count>(counts), &m.subset,
+                      root_filter, &config.cancel, attribution,
+                      std::span<std::uint64_t>(leaf_visits));
+  }
+  std::int64_t page_index = 0;
+  stream([&](PageView page) {
+    obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, page_index++);
+    m.transactions_processed +=
+        triangle ? tri_team->CountPage(page) : tree_team->CountPage(page);
+  });
+  if (triangle) {
+    tri_team->Finish();
+    AccumulateShardWork(m.shard_subset_work, tri_team->shard_work());
+    tri->Extract(candidates, std::span<Count>(counts));
+  } else {
+    tree_team->Finish();
+    AccumulateShardWork(m.shard_subset_work, tree_team->shard_work());
+  }
+  return counts;
 }
 
-void RecordFaultDelta(const Comm& comm, const CommFaultStats& start,
-                      PassMetrics* metrics) {
-  if (metrics == nullptr) return;
-  const CommFaultStats now = comm.MyFaultStats();
-  metrics->comm_faults_injected += now.injected - start.injected;
-  metrics->comm_retries += now.retries - start.retries;
-  metrics->comm_faults_detected += now.detected - start.detected;
+CandidatePartition PartitionPass(const ItemsetCollection& candidates,
+                                 std::size_t num_items, int parts,
+                                 const ParallelConfig& config,
+                                 const LoadModel* model, PassMetrics& m) {
+  // Empty until the first measured hash-tree pass calibrates the model:
+  // before that the partition is the static candidate-count one.
+  const std::vector<std::uint64_t> item_costs =
+      model != nullptr ? model->ItemCosts(candidates)
+                       : std::vector<std::uint64_t>();
+  CandidatePartition partition = PartitionByPrefix(
+      candidates, num_items, parts, config.prefix_strategy,
+      config.split_heavy_prefixes,
+      item_costs.empty() ? nullptr : &item_costs);
+  m.partition_digest = PartitionDigest(partition);
+  if (!item_costs.empty()) {
+    // Repartition delta vs the static candidate-count packing the pass
+    // would have used without feedback.
+    const CandidatePartition static_partition = PartitionByPrefix(
+        candidates, num_items, parts, config.prefix_strategy,
+        config.split_heavy_prefixes);
+    m.rebalanced_candidates = PartitionMoves(static_partition, partition);
+  }
+  return partition;
+}
+
+void ObserveBalance(Comm& comm, const ItemsetCollection& candidates,
+                    const std::vector<std::uint64_t>& item_work, int rows,
+                    int cols, PassMetrics& m, LoadModel& model) {
+  LoadModel::PassFeedback feedback;
+  feedback.first_items = LoadModel::DistinctFirstItems(candidates);
+  feedback.item_candidates.assign(feedback.first_items.size(), 0);
+  for (std::size_t i = 0, run = 0; i < candidates.size(); ++i) {
+    while (feedback.first_items[run] != candidates.Get(i)[0]) ++run;
+    ++feedback.item_candidates[run];
+  }
+  const auto p = static_cast<std::size_t>(comm.size());
+  std::vector<std::uint64_t> buf(p + 3 + feedback.first_items.size(), 0);
+  buf[static_cast<std::size_t>(comm.rank())] =
+      m.subset.traversal_steps + m.subset.leaf_candidates_checked;
+  buf[p] = m.transactions_processed;
+  buf[p + 1] = m.subset.traversal_steps;
+  buf[p + 2] = m.subset.leaf_candidates_checked;
+  for (std::size_t i = 0; i < feedback.first_items.size(); ++i) {
+    buf[p + 3 + i] =
+        item_work[static_cast<std::size_t>(feedback.first_items[i])];
+  }
+  comm.AllReduceSum(std::span<std::uint64_t>(buf));
+  m.balance_sync_words = buf.size();
+  m.reduction_words += buf.size();
+
+  feedback.part_work.assign(static_cast<std::size_t>(rows), 0);
+  for (std::size_t r = 0; r < p; ++r) {
+    feedback.part_work[r / static_cast<std::size_t>(cols)] += buf[r];
+  }
+  feedback.transactions = buf[p];
+  feedback.traversal_steps = buf[p + 1];
+  feedback.leaf_checks = buf[p + 2];
+  feedback.item_work.assign(buf.begin() + static_cast<std::ptrdiff_t>(p + 3),
+                            buf.end());
+  feedback.num_candidates = candidates.size();
+  feedback.grid_rows = rows;
+  feedback.tree_pass = true;
+  model.Observe(feedback);
+}
+
+ItemsetCollection ExchangeOwnedFrequent(
+    Comm& comm, ItemsetCollection& candidates, std::vector<Count> counts,
+    const std::vector<std::uint32_t>& owned_ids, Count minsup,
+    PassMetrics& m) {
+  candidates.counts() = std::move(counts);
+  return ExchangeFrequent(comm, FrequentSubset(candidates, owned_ids, minsup),
+                          &m.broadcast_words);
 }
 
 }  // namespace parallel_internal

@@ -2,6 +2,7 @@
 #define PAM_PARALLEL_COMMON_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "pam/core/candidate_partition.h"
@@ -9,6 +10,7 @@
 #include "pam/core/serial_apriori.h"
 #include "pam/hashtree/counting_pool.h"
 #include "pam/mp/comm.h"
+#include "pam/parallel/load_model.h"
 #include "pam/parallel/metrics.h"
 #include "pam/tdb/database.h"
 #include "pam/tdb/page_buffer.h"
@@ -84,12 +86,6 @@ ItemsetCollection ParallelPass1(const TransactionDatabase& db,
                                 const ParallelConfig* config = nullptr,
                                 std::vector<Count>* dhp_buckets = nullptr);
 
-/// apriori_gen plus the optional DHP filter at k == 2. All ranks call
-/// this with identical inputs and obtain identical candidate sets.
-ItemsetCollection GenerateCandidates(const ItemsetCollection& prev, int k,
-                                     const std::vector<Count>& dhp_buckets,
-                                     Count minsup);
-
 /// True when pass k may use the pass-2 triangle kernel instead of a hash
 /// tree: k == 2, the flag is on, and the R*(R-1)/2 counter array fits the
 /// candidate-memory cap. Deterministic from replicated inputs, so every
@@ -142,32 +138,65 @@ std::uint64_t RingShiftAll(Comm& comm, const std::vector<Page>& local_pages,
 int ChooseGridRows(std::size_t num_candidates, std::size_t threshold_m,
                    int num_ranks);
 
-/// Globally-reduced counting feedback for the adaptive balancer: each
-/// rank's measured subset work, the global transaction / traversal /
-/// leaf-check totals, and the globally-summed per-first-item measured
-/// work (`local_item_work`, the kernel's attribution vector compacted by
-/// the caller to the pass's distinct first items — identical layout on
-/// every rank), all identical on every rank after one AllReduceSum of a
-/// (P + 3 + |first items|)-word vector. `words` is that collective's size
-/// (charged to PassMetrics::{reduction_words, balance_sync_words}). Only
-/// deterministic work counters travel — never wall time — so every rank
-/// folds identical feedback into its LoadModel and recomputes identical
-/// decisions, even under (recoverable) transport faults.
-struct BalanceSync {
-  std::vector<std::uint64_t> rank_work;
-  std::vector<std::uint64_t> item_work;  // summed, caller's compact layout
-  std::uint64_t transactions = 0;
-  std::uint64_t traversal_steps = 0;
-  std::uint64_t leaf_checks = 0;
-  std::uint64_t words = 0;
-};
-BalanceSync ShareBalanceFeedback(Comm& comm, const PassMetrics& m,
-                                 std::span<const std::uint64_t> local_item_work);
+/// Delivers pages to a counter: calls `process` once per page that reaches
+/// this rank (its own included), e.g. by running a ring pipeline.
+using PageStream =
+    std::function<void(const std::function<void(PageView)>& process)>;
 
-/// Adds the fault activity since `start` (a snapshot of
-/// comm.MyFaultStats() taken at pass start) to this pass's metrics.
-void RecordFaultDelta(const Comm& comm, const CommFaultStats& start,
-                      PassMetrics* metrics);
+/// The counting step of the formulations that move transactions (DD,
+/// DD+comm, IDD, HD). Sets up the pass-2 triangle when TriangleEligible,
+/// else a hash tree over `owned_ids` (root-filtered by `root_filter` when
+/// non-null), counts every page `stream` delivers through the counting
+/// team, and returns counts indexed by candidate id: complete over the
+/// streamed pages for the owned ids. A non-null, non-empty `item_work`
+/// (sized to the item count, zeroed) turns on the adaptive balancer's
+/// per-first-item work attribution, which needs the identity root; a
+/// triangle pass has no tree to attribute, so it empties `item_work`.
+/// Fills the row's tree inserts, subset stats, shard work and
+/// transactions processed.
+std::vector<Count> CountPageStream(const ItemsetCollection& prev,
+                                   const ItemsetCollection& candidates,
+                                   int k,
+                                   const std::vector<std::uint32_t>& owned_ids,
+                                   const Bitmap* root_filter,
+                                   const AprioriConfig& config,
+                                   CountingPool* pool,
+                                   std::vector<std::uint64_t>* item_work,
+                                   PassMetrics& m, const PageStream& stream);
+
+/// IDD's and HD's candidate partition: PartitionByPrefix of `candidates`
+/// into `parts`, weighted by `model`'s measured item costs once it is
+/// calibrated (null `model` = static candidate-count weights). Records
+/// the partition digest, and how many candidates the weighting moved
+/// against the static packing, in `m`.
+CandidatePartition PartitionPass(const ItemsetCollection& candidates,
+                                 std::size_t num_items, int parts,
+                                 const ParallelConfig& config,
+                                 const LoadModel* model, PassMetrics& m);
+
+/// The adaptive balancer's feedback step: shares this rank's measured
+/// subset work, its transaction / traversal / leaf-check counts and its
+/// per-first-item work (`item_work` from CountPageStream, compacted to the
+/// pass's distinct first items, a layout identical on every rank) with
+/// one AllReduceSum of P + 3 + |first items| words over `comm`, and folds
+/// the global totals into `model`. Rank r counted for part r / cols of a
+/// `rows` x `cols` grid (IDD is cols = 1). Only deterministic work
+/// counters travel, never wall time, so every rank folds identical
+/// feedback and recomputes identical decisions, even under recoverable
+/// transport faults. Charges the collective to the row's reduction and
+/// balance-sync words.
+void ObserveBalance(Comm& comm, const ItemsetCollection& candidates,
+                    const std::vector<std::uint64_t>& item_work, int rows,
+                    int cols, PassMetrics& m, LoadModel& model);
+
+/// F_k of a formulation that partitions candidates: stores `counts`
+/// (global for the owned ids) into `candidates`, keeps the owned frequent
+/// ones, and all-gathers them over `comm` (FrequentSubset +
+/// ExchangeFrequent, charged to the row's broadcast words).
+ItemsetCollection ExchangeOwnedFrequent(
+    Comm& comm, ItemsetCollection& candidates, std::vector<Count> counts,
+    const std::vector<std::uint32_t>& owned_ids, Count minsup,
+    PassMetrics& m);
 
 }  // namespace parallel_internal
 }  // namespace pam

@@ -1,17 +1,11 @@
-#include <cstring>
-#include <optional>
-
-#include "pam/core/apriori_gen.h"
 #include "pam/obs/trace.h"
 #include "pam/parallel/algorithms.h"
-#include "pam/util/timer.h"
 
 namespace pam {
 namespace {
 
-using parallel_internal::ExchangeFrequent;
-using parallel_internal::FrequentSubset;
-using parallel_internal::ParallelPass1;
+using parallel_internal::CountPageStream;
+using parallel_internal::ExchangeOwnedFrequent;
 using parallel_internal::RingShiftAll;
 
 // DD's data movement (paper Section III-B): every rank pushes each of its
@@ -78,122 +72,40 @@ void DdAllToAllMovement(Comm& comm, const std::vector<Page>& local_pages,
 // hence DD's redundant subset work).
 RankOutput RunDdRank(const TransactionDatabase& db, Comm& comm,
                      const ParallelConfig& config, bool ring_movement) {
-  RankOutput out;
   const int p = comm.size();
   const int rank = comm.rank();
   const TransactionDatabase::Slice slice = db.RankSlice(rank, p);
   const Count minsup = config.apriori.ResolveMinsup(db.size());
-  std::vector<Count> dhp_buckets;  // PDM-style DHP filter state (optional)
   CountingPool pool(config.apriori.threads_per_rank);
 
-  {
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, /*pass_k=*/1, -1,
-                              nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-    ItemsetCollection f1 = ParallelPass1(db, slice, comm, minsup, &m,
-                                         &config, &dhp_buckets);
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    out.frequent.levels.push_back(std::move(f1));
-  }
-
-  for (int k = 2; config.apriori.max_k == 0 || k <= config.apriori.max_k;
-       ++k) {
-    const ItemsetCollection& prev = out.frequent.levels.back();
-    if (prev.size() < 2) break;
-    config.apriori.cancel.Checkpoint(rank);
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, k, -1, nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    m.k = k;
-    m.local_db_wire_bytes = db.WireBytes(slice);
+  const PassBody body = [&](int k, const ItemsetCollection& prev,
+                            ItemsetCollection candidates, PassMetrics& m) {
     m.grid_rows = p;
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-
     // Every rank regenerates the full candidate set, then keeps its
     // round-robin share in its hash tree.
-    ItemsetCollection candidates =
-        parallel_internal::GenerateCandidates(prev, k, dhp_buckets, minsup);
-    if (candidates.empty()) {
-      pass_span.Cancel();  // no PassMetrics row, so no pass span either
-      break;
-    }
-    m.num_candidates_global = candidates.size();
-    m.threads_per_rank = pool.num_threads();
-    CandidatePartition partition =
-        PartitionRoundRobin(candidates.size(), p);
-    std::vector<std::uint32_t> my_ids =
-        partition.ids_per_part[static_cast<std::size_t>(rank)];
+    const std::vector<std::uint32_t> my_ids = std::move(
+        PartitionRoundRobin(candidates.size(), p)
+            .ids_per_part[static_cast<std::size_t>(rank)]);
     m.num_candidates_local = my_ids.size();
-
-    // Pass-2 triangle: every transaction circulates through every rank, so
-    // counting all F1 pairs locally yields complete counts for the owned
-    // round-robin share without any hash tree.
-    const bool triangle = parallel_internal::TriangleEligible(
-        k, config.apriori, prev.size());
-    std::optional<TrianglePairCounter> tri;
-    std::optional<TriangleTeam> tri_team;
-    std::optional<HashTree> tree;
-    std::optional<TeamCounter> tree_team;
-    std::vector<Count> counts(candidates.size(), 0);
-    if (triangle) {
-      tri.emplace(prev);
-      tri_team.emplace(&pool, &*tri, &m.subset, &config.apriori.cancel);
-    } else {
-      obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild);
-      tree.emplace(candidates, my_ids, config.apriori.tree);
-      m.tree_build_inserts = tree->build_inserts();
-      build_span.End();
-      tree_team.emplace(&pool, &*tree, std::span<Count>(counts), &m.subset,
-                        /*root_filter=*/nullptr, &config.apriori.cancel);
-    }
-    std::int64_t page_index = 0;
-    auto process = [&](PageView page) {
-      obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, page_index++);
-      m.transactions_processed +=
-          triangle ? tri_team->CountPage(page) : tree_team->CountPage(page);
-    };
-    const std::vector<Page> local_pages =
-        Paginate(db, slice, config.page_bytes);
-    if (ring_movement) {
-      m.data_bytes_sent +=
-          RingShiftAll(comm, local_pages, process, &m.data_messages_sent);
-    } else {
-      DdAllToAllMovement(comm, local_pages, process, &m);
-    }
-    if (triangle) {
-      tri_team->Finish();
-      AccumulateShardWork(m.shard_subset_work, tri_team->shard_work());
-      tri->Extract(candidates, std::span<Count>(counts));
-    } else {
-      tree_team->Finish();
-      AccumulateShardWork(m.shard_subset_work, tree_team->shard_work());
-    }
-
+    std::vector<Count> counts = CountPageStream(
+        prev, candidates, k, my_ids, /*root_filter=*/nullptr,
+        config.apriori, &pool, /*item_work=*/nullptr, m,
+        [&](const std::function<void(PageView)>& process) {
+          const std::vector<Page> local_pages =
+              Paginate(db, slice, config.page_bytes);
+          if (ring_movement) {
+            m.data_bytes_sent += RingShiftAll(comm, local_pages, process,
+                                              &m.data_messages_sent);
+          } else {
+            DdAllToAllMovement(comm, local_pages, process, &m);
+          }
+        });
     // Counts of owned candidates are complete (every transaction passed
     // through this rank): select local frequent sets and exchange them.
-    candidates.counts() = std::move(counts);
-    ItemsetCollection local_frequent =
-        FrequentSubset(candidates, my_ids, minsup);
-    ItemsetCollection frequent =
-        ExchangeFrequent(comm, local_frequent, &m.broadcast_words);
-    m.num_frequent_global = frequent.size();
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    if (frequent.empty()) break;
-    out.frequent.levels.push_back(std::move(frequent));
-  }
-
-  while (!out.frequent.levels.empty() && out.frequent.levels.back().empty()) {
-    out.frequent.levels.pop_back();
-  }
-  return out;
+    return ExchangeOwnedFrequent(comm, candidates, std::move(counts), my_ids,
+                                 minsup, m);
+  };
+  return RunPasses(db, slice, comm, config, body);
 }
 
 }  // namespace pam

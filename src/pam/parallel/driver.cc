@@ -1,9 +1,12 @@
 #include "pam/parallel/driver.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
+#include "pam/core/apriori_gen.h"
 #include "pam/mp/runtime.h"
+#include "pam/obs/trace.h"
 #include "pam/util/timer.h"
 
 namespace pam {
@@ -26,18 +29,64 @@ std::string AlgorithmName(Algorithm algorithm) {
   return "?";
 }
 
-ParallelResult MineParallel(Algorithm algorithm,
-                            const TransactionDatabase& db, int num_ranks,
-                            const ParallelConfig& config) {
-  return MineParallelObserved(algorithm, db, num_ranks, config,
-                              /*observers=*/nullptr);
+RankOutput RunPasses(const TransactionDatabase& db,
+                     TransactionDatabase::Slice slice, Comm& comm,
+                     const ParallelConfig& config, const PassBody& body) {
+  const AprioriConfig& apriori = config.apriori;
+  const Count minsup = apriori.ResolveMinsup(db.size());
+  std::vector<Count> dhp_buckets;  // PDM-style DHP filter state (optional)
+  RankOutput out;
+  // Pass 1 runs whatever max_k says; every later pass needs two sets in
+  // F_{k-1} to join.
+  for (int k = 1; k == 1 || apriori.max_k == 0 || k <= apriori.max_k; ++k) {
+    if (k > 1 && out.frequent.levels.back().size() < 2) break;
+    apriori.cancel.Checkpoint(comm.rank());
+    obs::ScopedSpan pass_span(obs::SpanKind::kPass, k, -1, nullptr);
+    WallTimer timer;
+    PassMetrics m;
+    m.k = k;
+    m.local_db_wire_bytes = db.WireBytes(slice);
+    m.threads_per_rank = std::max(1, apriori.threads_per_rank);
+    const CommFaultStats faults_at_start = comm.MyFaultStats();
+
+    ItemsetCollection frequent(k);
+    if (k == 1) {
+      // Every formulation counts pass 1 CD-style: a 1 x P grid.
+      m.grid_cols = comm.size();
+      frequent = parallel_internal::ParallelPass1(db, slice, comm, minsup, &m,
+                                                  &config, &dhp_buckets);
+    } else {
+      // Every rank generates the same C_k from the same F_{k-1}.
+      const ItemsetCollection& prev = out.frequent.levels.back();
+      ItemsetCollection candidates = AprioriGen(prev);
+      if (k == 2 && !dhp_buckets.empty()) {
+        candidates = FilterByBuckets(candidates, dhp_buckets, minsup);
+      }
+      if (candidates.empty()) {
+        pass_span.Cancel();  // no PassMetrics row, so no pass span either
+        break;
+      }
+      m.num_candidates_global = candidates.size();
+      frequent = body(k, prev, std::move(candidates), m);
+      m.num_frequent_global = frequent.size();
+    }
+    const CommFaultStats faults = comm.MyFaultStats();
+    m.comm_faults_injected = faults.injected - faults_at_start.injected;
+    m.comm_retries = faults.retries - faults_at_start.retries;
+    m.comm_faults_detected = faults.detected - faults_at_start.detected;
+    m.wall_seconds = timer.Seconds();
+    obs::EmitPassMetrics(m);
+    out.passes.push_back(m);
+    if (frequent.empty()) break;
+    out.frequent.levels.push_back(std::move(frequent));
+  }
+  return out;
 }
 
-ParallelResult MineParallelObserved(Algorithm algorithm,
-                                    const TransactionDatabase& db,
-                                    int num_ranks,
-                                    const ParallelConfig& config,
-                                    obs::SessionObs* observers) {
+ParallelResult MineParallel(Algorithm algorithm,
+                            const TransactionDatabase& db, int num_ranks,
+                            const ParallelConfig& config,
+                            obs::SessionObs* observers) {
   WallTimer timer;
   Runtime runtime(num_ranks);
   runtime.SetFaultConfig(config.fault);

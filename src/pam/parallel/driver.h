@@ -27,25 +27,16 @@ struct ParallelResult {
 /// schedule: it either completes with the exact same frequent itemsets
 /// (recoverable faults are repaired by the communicator) or throws a
 /// CommError — never returns silently wrong counts.
-/// Thin wrapper over MineParallelObserved with observers disabled. New
+///
+/// When `observers` is non-null, each rank thread installs a RankTracer
+/// for it, so the pass loop's and the formulations' spans and per-pass
+/// metrics reach the session's sinks; null is the zero-overhead path. New
 /// code should prefer the MiningSession facade in pam/api/session.h,
-/// which fronts both this and the serial miner and can attach trace and
-/// metrics sinks.
+/// which fronts every miner and wires the observers.
 ParallelResult MineParallel(Algorithm algorithm,
                             const TransactionDatabase& db, int num_ranks,
-                            const ParallelConfig& config);
-
-/// MineParallel with observer wiring: when `observers` is non-null, each
-/// rank thread installs a RankTracer for it, so the formulations' span
-/// emission (pass / tree build / ring round / collective / subset count)
-/// and per-pass metrics streaming reach the session's sinks. A null
-/// `observers` is the exact zero-overhead path of MineParallel. Driven by
-/// MiningSession; callers outside the api layer should not need it.
-ParallelResult MineParallelObserved(Algorithm algorithm,
-                                    const TransactionDatabase& db,
-                                    int num_ranks,
-                                    const ParallelConfig& config,
-                                    obs::SessionObs* observers);
+                            const ParallelConfig& config,
+                            obs::SessionObs* observers = nullptr);
 
 }  // namespace pam
 

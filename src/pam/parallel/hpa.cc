@@ -1,9 +1,5 @@
-#include <cstring>
-
-#include "pam/core/apriori_gen.h"
 #include "pam/obs/trace.h"
 #include "pam/parallel/algorithms.h"
-#include "pam/util/timer.h"
 
 namespace pam {
 namespace {
@@ -144,54 +140,15 @@ class SubsetRouter {
 // than |t|.
 RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
                       const ParallelConfig& config) {
-  using parallel_internal::ExchangeFrequent;
-  using parallel_internal::FrequentSubset;
-  using parallel_internal::ParallelPass1;
-
-  RankOutput out;
   const int p = comm.size();
   const int rank = comm.rank();
   const TransactionDatabase::Slice slice = db.RankSlice(rank, p);
   const Count minsup = config.apriori.ResolveMinsup(db.size());
-  std::vector<Count> dhp_buckets;  // PDM-style DHP filter state (optional)
   CountingPool pool(config.apriori.threads_per_rank);
 
-  {
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, /*pass_k=*/1, -1,
-                              nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-    ItemsetCollection f1 = ParallelPass1(db, slice, comm, minsup, &m,
-                                         &config, &dhp_buckets);
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    out.frequent.levels.push_back(std::move(f1));
-  }
-
-  for (int k = 2; config.apriori.max_k == 0 || k <= config.apriori.max_k;
-       ++k) {
-    const ItemsetCollection& prev = out.frequent.levels.back();
-    if (prev.size() < 2) break;
-    config.apriori.cancel.Checkpoint(rank);
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, k, -1, nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    m.k = k;
-    m.local_db_wire_bytes = db.WireBytes(slice);
+  const PassBody body = [&](int k, const ItemsetCollection& prev,
+                            ItemsetCollection candidates, PassMetrics& m) {
     m.grid_rows = p;
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-
-    ItemsetCollection candidates =
-        parallel_internal::GenerateCandidates(prev, k, dhp_buckets, minsup);
-    if (candidates.empty()) {
-      pass_span.Cancel();  // no PassMetrics row, so no pass span either
-      break;
-    }
-    m.num_candidates_global = candidates.size();
-
     // Hash ownership; the collection stays sorted so owners can probe
     // incoming subsets with one binary search.
     std::vector<std::uint32_t> my_ids;
@@ -203,7 +160,6 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
       }
     }
     m.num_candidates_local = my_ids.size();
-    m.threads_per_rank = pool.num_threads();
 
     std::vector<Count> counts(candidates.size(), 0);
     if (parallel_internal::TryTrianglePass2(db, slice, prev, candidates, k,
@@ -244,25 +200,10 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
       comm.Barrier();
       m.subset.transactions = m.transactions_processed;
     }
-
-    candidates.counts() = std::move(counts);
-    ItemsetCollection local_frequent =
-        FrequentSubset(candidates, my_ids, minsup);
-    ItemsetCollection frequent =
-        ExchangeFrequent(comm, local_frequent, &m.broadcast_words);
-    m.num_frequent_global = frequent.size();
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    if (frequent.empty()) break;
-    out.frequent.levels.push_back(std::move(frequent));
-  }
-
-  while (!out.frequent.levels.empty() && out.frequent.levels.back().empty()) {
-    out.frequent.levels.pop_back();
-  }
-  return out;
+    return parallel_internal::ExchangeOwnedFrequent(
+        comm, candidates, std::move(counts), my_ids, minsup, m);
+  };
+  return RunPasses(db, slice, comm, config, body);
 }
 
 }  // namespace pam

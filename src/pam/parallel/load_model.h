@@ -57,7 +57,7 @@ class LoadModel {
       const ItemsetCollection& candidates);
 
   /// Globally-reduced counters of one completed counting pass. Identical
-  /// on every rank (see ShareBalanceFeedback).
+  /// on every rank (see parallel_internal::ObserveBalance).
   struct PassFeedback {
     /// Measured subset work (traversal steps + leaf candidate checks) per
     /// candidate-partition part: per rank for IDD, summed per grid row for

@@ -88,6 +88,8 @@ struct PassMetrics {
 
   /// Local wall-clock (informational only; figures use the cost model).
   double wall_seconds = 0.0;
+
+  friend bool operator==(const PassMetrics&, const PassMetrics&) = default;
 };
 
 /// Metrics for a whole run: per_pass[p][r] is pass p (0-based; pass k =

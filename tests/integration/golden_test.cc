@@ -4,6 +4,8 @@
 // the hash tree, or the parallel protocols that alters behavior shows up
 // here immediately.
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "pam/api/session.h"
@@ -82,6 +84,111 @@ TEST(GoldenTest, EveryFormulationReproducesTheGoldenCounts) {
     }
     EXPECT_EQ(counts, golden.frequent_per_level) << AlgorithmName(alg);
   }
+}
+
+// FNV-1a over a sequence of counters, for pinning work counters compactly.
+class CounterDigest {
+ public:
+  void Fold(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (word >> (i * 8)) & 0xff;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void Fold(const SubsetStats& s) {
+    for (std::uint64_t w :
+         {s.transactions, s.root_items_considered, s.root_items_skipped,
+          s.traversal_steps, s.distinct_leaf_visits,
+          s.leaf_candidates_checked}) {
+      Fold(w);
+    }
+  }
+  void Fold(const std::vector<std::uint64_t>& words) {
+    Fold(words.size());
+    for (std::uint64_t w : words) Fold(w);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 1469598103934665603ull;
+};
+
+// Every PassMetrics field except wall_seconds, for every rank of every
+// pass k >= 2 (pass 1 is the shared count-and-reduce of ParallelPass1).
+std::uint64_t WorkCounterDigest(const RunMetrics& metrics) {
+  CounterDigest d;
+  for (const auto& pass : metrics.per_pass) {
+    for (const PassMetrics& m : pass) {
+      if (m.k < 2) continue;
+      d.Fold(static_cast<std::uint64_t>(m.k));
+      d.Fold(m.num_candidates_global);
+      d.Fold(m.num_candidates_local);
+      d.Fold(m.num_frequent_global);
+      d.Fold(m.tree_build_inserts);
+      d.Fold(m.subset);
+      d.Fold(m.transactions_processed);
+      d.Fold(m.data_bytes_sent);
+      d.Fold(m.data_messages_sent);
+      d.Fold(m.reduction_words);
+      d.Fold(m.broadcast_words);
+      d.Fold(m.db_scans);
+      d.Fold(m.local_db_wire_bytes);
+      d.Fold(m.comm_faults_injected);
+      d.Fold(m.comm_retries);
+      d.Fold(m.comm_faults_detected);
+      d.Fold(static_cast<std::uint64_t>(m.grid_rows));
+      d.Fold(static_cast<std::uint64_t>(m.grid_cols));
+      d.Fold(m.partition_digest);
+      d.Fold(m.rebalanced_candidates);
+      d.Fold(m.balance_sync_words);
+      d.Fold(static_cast<std::uint64_t>(m.threads_per_rank));
+      d.Fold(m.shard_subset_work);
+    }
+  }
+  return d.value();
+}
+
+// The itemset counts above would not notice a change to the work counters
+// the cost model and the figure benches read, so these pin them too. A
+// refactor must leave them unchanged; a change that alters the work on
+// purpose re-captures them.
+TEST(GoldenTest, EveryMinerReproducesTheGoldenWorkCounters) {
+  TransactionDatabase db = GoldenDb();
+  ParallelConfig cfg;
+  cfg.apriori.minsup_fraction = 0.02;
+  const struct {
+    Algorithm algorithm;
+    std::uint64_t digest;
+  } golden[] = {
+      {Algorithm::kCD, 0x7b16ad2d55ccaea9ull},
+      {Algorithm::kDD, 0x80c0379664f13a77ull},
+      {Algorithm::kDDComm, 0x094b77841afc38e2ull},
+      {Algorithm::kIDD, 0x1b6459a91095f344ull},
+      {Algorithm::kHD, 0x71f2e2d3711f8776ull},
+      {Algorithm::kHPA, 0xd11360064df3578dull},
+  };
+  for (const auto& g : golden) {
+    const ParallelResult result = MineParallel(g.algorithm, db, 3, cfg);
+    EXPECT_EQ(WorkCounterDigest(result.metrics), g.digest)
+        << AlgorithmName(g.algorithm) << " digest 0x" << std::hex
+        << WorkCounterDigest(result.metrics);
+  }
+
+  const SerialResult serial = MineSerial(db, cfg.apriori);
+  CounterDigest d;
+  for (const SerialPassInfo& info : serial.passes) {
+    d.Fold(static_cast<std::uint64_t>(info.k));
+    d.Fold(info.num_candidates);
+    d.Fold(info.num_frequent);
+    d.Fold(info.tree_build_inserts);
+    d.Fold(info.db_scans);
+    d.Fold(info.subset);
+    d.Fold(static_cast<std::uint64_t>(info.threads_per_rank));
+    d.Fold(info.shard_subset_work);
+  }
+  EXPECT_EQ(serial.passes.size(), 6u);
+  EXPECT_EQ(d.value(), 0x0098384f2d6a55c1ull)
+      << "serial digest 0x" << std::hex << d.value();
 }
 
 }  // namespace

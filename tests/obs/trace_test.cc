@@ -266,9 +266,10 @@ TEST(TraceTest, SpanCountsMatchRunMetrics) {
     MiningAlgorithm algorithm;
     int ranks;
   } cases[] = {
-      {MiningAlgorithm::kSerial, 1},
-      {MiningAlgorithm::kCD, 4},
-      {MiningAlgorithm::kHD, 4},
+      {MiningAlgorithm::kSerial, 1}, {MiningAlgorithm::kCD, 4},
+      {MiningAlgorithm::kDD, 4},     {MiningAlgorithm::kDDComm, 4},
+      {MiningAlgorithm::kIDD, 4},    {MiningAlgorithm::kHD, 4},
+      {MiningAlgorithm::kHPA, 4},
   };
   for (const auto& c : cases) {
     obs::ChromeTraceWriter writer;

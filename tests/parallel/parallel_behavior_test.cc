@@ -4,6 +4,8 @@
 
 #include "pam/api/session.h"
 #include "pam/datagen/quest_gen.h"
+#include "pam/model/cost_model.h"
+#include "pam/model/machine.h"
 #include "pam/parallel/driver.h"
 #include "testing/test_support.h"
 
@@ -54,6 +56,44 @@ TEST(ParallelBehaviorTest, IddVisitsFewerLeavesThanDd) {
   EXPECT_LT(idd_stats.distinct_leaf_visits, dd_stats.distinct_leaf_visits);
   EXPECT_LT(idd_stats.traversal_steps, dd_stats.traversal_steps);
   EXPECT_GT(idd_stats.root_items_skipped, 0u);
+}
+
+// Pass 1 is CD's count-and-reduce in every formulation, so every miner
+// records CD's pass-1 row: a 1 x P grid, the slice's wire bytes and the
+// configured team size. The cost model then prices every formulation's
+// pass-1 reduction over all P ranks, HD's included.
+TEST(ParallelBehaviorTest, PassOneIsTheSameInEveryFormulation) {
+  const TransactionDatabase db = TestDb();
+  const int p = 4;
+  ParallelConfig cfg = BaseConfig();
+  cfg.apriori.threads_per_rank = 2;
+  auto pass_one = [&](Algorithm algorithm) {
+    std::vector<PassMetrics> rows =
+        MineParallel(algorithm, db, p, cfg).metrics.per_pass.at(0);
+    for (PassMetrics& m : rows) m.wall_seconds = 0.0;
+    return rows;
+  };
+  const std::vector<PassMetrics> cd = pass_one(Algorithm::kCD);
+  ASSERT_EQ(cd.size(), static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    const PassMetrics& m = cd[static_cast<std::size_t>(r)];
+    EXPECT_EQ(m.k, 1);
+    EXPECT_EQ(m.grid_rows, 1);
+    EXPECT_EQ(m.grid_cols, p);
+    EXPECT_EQ(m.local_db_wire_bytes, db.WireBytes(db.RankSlice(r, p)));
+    EXPECT_EQ(m.threads_per_rank, 2);
+  }
+
+  const CostModel t3e(MachineModel::CrayT3E());
+  const double cd_reduction = t3e.PassTime(Algorithm::kCD, cd).reduction;
+  EXPECT_GT(cd_reduction, 0.0);
+  for (Algorithm alg : {Algorithm::kDD, Algorithm::kDDComm, Algorithm::kIDD,
+                        Algorithm::kHD, Algorithm::kHPA}) {
+    const std::vector<PassMetrics> rows = pass_one(alg);
+    EXPECT_TRUE(rows == cd) << AlgorithmName(alg);
+    EXPECT_EQ(t3e.PassTime(alg, rows).reduction, cd_reduction)
+        << AlgorithmName(alg);
+  }
 }
 
 // CD performs no redundant work: its total leaf visits match a P=1 run.
