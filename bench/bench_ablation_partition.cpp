@@ -90,6 +90,8 @@ int main() {
   for (const Variant& v : variants) {
     ParallelConfig cfg;
     cfg.apriori.minsup_fraction = 0.0025;
+    // Partition pass 2 too: a triangle pass is CD's in every formulation.
+    cfg.apriori.use_pass2_triangle = false;
     cfg.prefix_strategy = v.strategy;
     cfg.idd_use_bitmap = v.bitmap;
     cfg.split_heavy_prefixes = v.split_heavy;
@@ -146,6 +148,7 @@ int main() {
     for (int i = 0; i < 3; ++i) {
       ParallelConfig cfg;
       cfg.apriori.minsup_fraction = 0.01;
+      cfg.apriori.use_pass2_triangle = false;
       cfg.prefix_strategy = skew_variants[i].strategy;
       cfg.split_heavy_prefixes = skew_variants[i].split_heavy;
       cfg.adaptive_balance = i == 2;

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -209,13 +210,16 @@ int main(int argc, char** argv) {
                  "{\n"
                  "  \"bench\": \"balance\",\n"
                  "  \"smoke\": %s,\n"
+                 "  \"build_type\": \"%s\",\n"
+                 "  \"host_cpu_cores\": %u,\n"
                  "  \"ranks\": %d,\n"
                  "  \"transactions\": %zu,\n"
                  "  \"minsup_fraction\": %.4f,\n"
                  "  \"hot_items\": 40,\n"
                  "  \"hot_item_mass\": 0.3,\n"
                  "  \"variants\": [\n",
-                 smoke ? "true" : "false", p, db.size(), minsup);
+                 smoke ? "true" : "false", PAM_BUILD_TYPE,
+                 std::thread::hardware_concurrency(), p, db.size(), minsup);
     for (std::size_t i = 0; i < results.size(); ++i) {
       const VariantResult& r = results[i];
       std::fprintf(f,

@@ -21,6 +21,8 @@ int main() {
   ParallelConfig cfg;
   cfg.apriori.minsup_fraction = 0.0075;
   cfg.apriori.tree = bench::BenchTreeConfig();
+  // Route pass 2's pairs too (Section III-E): a triangle pass sends none.
+  cfg.apriori.use_pass2_triangle = false;
 
   MiningReport dd = bench::Mine(Algorithm::kDD, db, p, cfg);
   MiningReport idd = bench::Mine(Algorithm::kIDD, db, p, cfg);

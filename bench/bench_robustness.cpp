@@ -77,6 +77,8 @@ int main() {
     ParallelConfig clean_cfg;
     clean_cfg.apriori.minsup_fraction = 0.02;
     clean_cfg.apriori.tree = bench::BenchTreeConfig();
+    // Move pages on pass 2 too: a triangle pass sends no data.
+    clean_cfg.apriori.use_pass2_triangle = false;
     ParallelConfig faulty_cfg = clean_cfg;
     faulty_cfg.fault = FaultConfig::Mixed(0.3, /*seed=*/1997,
                                           /*max_retries=*/8);

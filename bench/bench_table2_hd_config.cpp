@@ -24,6 +24,9 @@ int main() {
   cfg.apriori.minsup_fraction = 0.004;
   // Scale the paper's m = 50K to this workload's candidate magnitudes.
   cfg.hd_threshold_m = 1500;
+  // Grid pass 2 through the tree, as the paper does: a triangle pass is
+  // CD's 1 x P pass in every formulation.
+  cfg.apriori.use_pass2_triangle = false;
 
   std::printf("P = %d, m = %zu, N = %zu, minsup = %.2f%%\n\n", p,
               cfg.hd_threshold_m, db.size(),

@@ -187,6 +187,7 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc["bench"] == "balance", doc
 assert doc["smoke"] is True and doc["ranks"] > 0, doc
+assert doc["host_cpu_cores"] > 0 and doc["build_type"], doc
 assert doc["all_exact"] is True, "a variant diverged from serial"
 variants = {v["name"]: v for v in doc["variants"]}
 assert set(variants) == {"static-contiguous", "static-binpack", "adaptive"}
@@ -246,6 +247,17 @@ assert metrics["passes"], f"{alg}: metrics missing passes"
 passes = sum(1 for e in spans if e["cat"] == "pass")
 expected = len(metrics["passes"]) * metrics["ranks"]
 assert passes == expected, f"{alg}: {passes} pass spans, expected {expected}"
+# The pass-2 triangle is Count Distribution in every formulation: its rows
+# send no data, and the ranks count pass 1's transactions between them.
+def counted(p):
+    return sum(r["transactions_processed"] for r in p["per_rank"])
+two = [p for p in metrics["passes"] if p["per_rank"][0]["k"] == 2]
+assert two, f"{alg}: no pass 2"
+for p in two:
+    sent = sum(r["data_bytes_sent"] for r in p["per_rank"])
+    assert sent == 0, f"{alg}: pass 2 sent {sent} data bytes"
+    assert counted(p) == counted(metrics["passes"][0]), \
+        f"{alg}: pass 2 counted {counted(p)} transactions"
 print(f"{alg}: {len(spans)} spans, {len(metrics['passes'])} passes: ok")
 PYEOF
   done

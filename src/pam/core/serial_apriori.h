@@ -46,12 +46,11 @@ struct AprioriConfig {
   /// same counts and frequent itemsets, much faster — but no tree means no
   /// traversal/leaf-visit stats for pass 2, so the Figure 11/12
   /// instrumentation runs disable it. Only taken when the triangle fits
-  /// max_candidates_in_memory. Used by the serial miner and every parallel
-  /// formulation: CD counts the full triangle and reduces it, DD/IDD/HD
-  /// count the full triangle over the circulating pages and extract only
-  /// their candidate partition, HPA counts locally and reduces (its subset
-  /// routing has nothing to route when every rank already holds the
-  /// triangle).
+  /// max_candidates_in_memory. Such a pass is Count Distribution in every
+  /// miner (the pass loop runs it, DESIGN.md §16): each rank counts its
+  /// own slice into the whole triangle, one reduction completes the
+  /// counts, and no transaction moves. With the flag off, pass 2 runs each
+  /// formulation's own tree pass.
   bool use_pass2_triangle = true;
   /// Size of the intra-rank counting team (DESIGN.md §11): the counting
   /// hot path of every pass splits its transactions across this many

@@ -77,14 +77,14 @@ PassTimeBreakdown CostModel::PassTime(
   // Frequent-set exchange: ring all-gather within each exchange group
   // (whole machine for DD/IDD, grid columns for HD; the groups proceed in
   // parallel, so the per-group volume is the summed contribution divided
-  // by the number of groups).
-  if (sum_broadcast_words > 0) {
-    int group_members = p;
-    int num_groups = 1;
-    if (algorithm == Algorithm::kHD) {
-      group_members = ranks[0].grid_rows;
-      num_groups = ranks[0].grid_cols;
-    }
+  // by the number of groups). A one-member group sends nothing.
+  int group_members = p;
+  int num_groups = 1;
+  if (algorithm == Algorithm::kHD) {
+    group_members = ranks[0].grid_rows;
+    num_groups = ranks[0].grid_cols;
+  }
+  if (sum_broadcast_words > 0 && group_members > 1) {
     const double group_words = static_cast<double>(sum_broadcast_words) /
                                static_cast<double>(num_groups);
     out.broadcast = static_cast<double>(group_members - 1) *

@@ -33,27 +33,31 @@ struct RankOutput {
   std::vector<PassMetrics> passes;
 };
 
-/// One formulation's pass k >= 2 (DESIGN.md §16): given F_{k-1} (`prev`)
-/// and C_k (`candidates`, non-empty and identical on every rank), it
-/// decides which candidates this rank owns, brings the transactions to
-/// them, turns the counts into F_k, and fills the formulation's fields of
-/// this rank's row `m`. The returned F_k, with global counts, must be
-/// identical on every rank. Per-run state (counting pool, load model)
-/// lives in the body's capturing scope.
+/// One formulation's tree pass k >= 2 (DESIGN.md §16): given C_k
+/// (`candidates`, non-empty and identical on every rank), it decides which
+/// candidates this rank owns, brings the transactions to them, turns the
+/// counts into F_k, and fills the formulation's fields of this rank's row
+/// `m`. The returned F_k, with global counts, must be identical on every
+/// rank. Per-run state (load model, grid inputs) lives in the body's
+/// capturing scope. The loop never calls it on a triangle pass.
 using PassBody = std::function<ItemsetCollection(
-    int k, const ItemsetCollection& prev, ItemsetCollection candidates,
-    PassMetrics& m)>;
+    int k, ItemsetCollection candidates, PassMetrics& m)>;
 
 /// The Figure-1 Apriori pass loop every miner shares. It runs pass 1
 /// (ParallelPass1 over `slice`, plus the DHP buckets) and then, for each
 /// k >= 2 until F_{k-1} has fewer than two sets or max_k is reached: the
-/// cancel checkpoint, the pass span, candidate generation, `body`, and
-/// the row's common fields (k, |C_k|, |F_k|, slice wire bytes, team size,
-/// fault delta, wall time), which it streams to the rank's tracer.
-/// Minsup resolves against the whole database.
+/// cancel checkpoint, the pass span, candidate generation, the pass
+/// itself, and the row's common fields (k, |C_k|, |F_k|, slice wire
+/// bytes, team size, fault delta, wall time), which it streams to the
+/// rank's tracer. A pass the pass-2 triangle can count is Count
+/// Distribution in every formulation: the loop counts `slice` into the
+/// triangle with `pool`, reduces the counts over all ranks and prunes,
+/// and `body` runs only on the other passes. Minsup resolves against the
+/// whole database.
 RankOutput RunPasses(const TransactionDatabase& db,
                      TransactionDatabase::Slice slice, Comm& comm,
-                     const ParallelConfig& config, const PassBody& body);
+                     const ParallelConfig& config, CountingPool& pool,
+                     const PassBody& body);
 
 /// Rank programs. Each must be executed by every rank of `comm` (the
 /// driver wires them into Runtime::Run); `db` is the shared read-only

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 
 #include "pam/core/apriori_gen.h"
-#include "pam/hashtree/pair_counter.h"
 #include "pam/obs/trace.h"
 
 namespace pam {
@@ -34,36 +32,6 @@ ItemsetCollection ParallelPass1(const TransactionDatabase& db,
   ItemsetCollection f1 = MakeF1(counts, minsup);
   if (metrics != nullptr) metrics->num_frequent_global = f1.size();
   return f1;
-}
-
-bool TriangleEligible(int k, const AprioriConfig& config,
-                      std::size_t f1_size) {
-  return k == 2 && config.use_pass2_triangle &&
-         TrianglePairCounter::Fits(f1_size,
-                                   config.max_candidates_in_memory);
-}
-
-bool TryTrianglePass2(const TransactionDatabase& db,
-                      TransactionDatabase::Slice slice,
-                      const ItemsetCollection& f1,
-                      const ItemsetCollection& candidates, int k,
-                      const AprioriConfig& config, CountingPool* pool,
-                      std::span<Count> counts, SubsetStats* stats,
-                      PassMetrics* metrics) {
-  if (!TriangleEligible(k, config, f1.size())) return false;
-  TrianglePairCounter tri(f1);
-  {
-    obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, /*index=*/0,
-                               "triangle");
-    TriangleTeam team(pool, &tri, stats, &config.cancel);
-    team.CountSlice(db, slice);
-    team.Finish();
-    if (metrics != nullptr) {
-      AccumulateShardWork(metrics->shard_subset_work, team.shard_work());
-    }
-  }
-  tri.Extract(candidates, counts);
-  return true;
 }
 
 ItemsetCollection ExchangeFrequent(Comm& comm, const ItemsetCollection& sets,
@@ -171,60 +139,35 @@ int ChooseGridRows(std::size_t num_candidates, std::size_t threshold_m,
   return num_ranks;
 }
 
-std::vector<Count> CountPageStream(const ItemsetCollection& prev,
-                                   const ItemsetCollection& candidates,
-                                   int k,
+std::vector<Count> CountPageStream(const ItemsetCollection& candidates,
                                    const std::vector<std::uint32_t>& owned_ids,
                                    const Bitmap* root_filter,
                                    const AprioriConfig& config,
                                    CountingPool* pool,
-                                   std::vector<std::uint64_t>* item_work,
+                                   std::span<std::uint64_t> item_work,
                                    PassMetrics& m, const PageStream& stream) {
-  // Pass-2 triangle: every streamed transaction reaches this rank, so
-  // counting all F_1 pairs yields complete counts for the owned share
-  // without any hash tree (or root bitmap).
-  const bool triangle = TriangleEligible(k, config, prev.size());
-  std::optional<TrianglePairCounter> tri;
-  std::optional<TriangleTeam> tri_team;
-  std::optional<HashTree> tree;
-  std::optional<TeamCounter> tree_team;
+  obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild);
+  // Per-first-item attribution needs identity root dispatch to stay exact
+  // (no co-bucket cross-charging); counts are shape-independent, so output
+  // is byte-identical either way.
+  HashTreeConfig tree_config = config.tree;
+  if (!item_work.empty()) tree_config.identity_root = true;
+  HashTree tree(candidates, owned_ids, tree_config);
+  m.tree_build_inserts = tree.build_inserts();
+  build_span.End();
   std::vector<Count> counts(candidates.size(), 0);
-  std::vector<std::uint64_t> leaf_visits;
-  std::span<std::uint64_t> attribution;
-  if (item_work != nullptr && triangle) item_work->clear();
-  if (item_work != nullptr) attribution = std::span<std::uint64_t>(*item_work);
-  if (triangle) {
-    tri.emplace(prev);
-    tri_team.emplace(pool, &*tri, &m.subset, &config.cancel);
-  } else {
-    obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild);
-    // Per-first-item attribution needs identity root dispatch to stay
-    // exact (no co-bucket cross-charging); counts are shape-independent,
-    // so output is byte-identical either way.
-    HashTreeConfig tree_config = config.tree;
-    if (!attribution.empty()) tree_config.identity_root = true;
-    tree.emplace(candidates, owned_ids, tree_config);
-    m.tree_build_inserts = tree->build_inserts();
-    build_span.End();
-    if (!attribution.empty()) leaf_visits.assign(tree->num_leaves(), 0);
-    tree_team.emplace(pool, &*tree, std::span<Count>(counts), &m.subset,
-                      root_filter, &config.cancel, attribution,
-                      std::span<std::uint64_t>(leaf_visits));
-  }
+  std::vector<std::uint64_t> leaf_visits(
+      item_work.empty() ? 0 : tree.num_leaves(), 0);
+  TeamCounter team(pool, &tree, std::span<Count>(counts), &m.subset,
+                   root_filter, &config.cancel, item_work,
+                   std::span<std::uint64_t>(leaf_visits));
   std::int64_t page_index = 0;
   stream([&](PageView page) {
     obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, page_index++);
-    m.transactions_processed +=
-        triangle ? tri_team->CountPage(page) : tree_team->CountPage(page);
+    m.transactions_processed += team.CountPage(page);
   });
-  if (triangle) {
-    tri_team->Finish();
-    AccumulateShardWork(m.shard_subset_work, tri_team->shard_work());
-    tri->Extract(candidates, std::span<Count>(counts));
-  } else {
-    tree_team->Finish();
-    AccumulateShardWork(m.shard_subset_work, tree_team->shard_work());
-  }
+  team.Finish();
+  AccumulateShardWork(m.shard_subset_work, team.shard_work());
   return counts;
 }
 

@@ -86,29 +86,6 @@ ItemsetCollection ParallelPass1(const TransactionDatabase& db,
                                 const ParallelConfig* config = nullptr,
                                 std::vector<Count>* dhp_buckets = nullptr);
 
-/// True when pass k may use the pass-2 triangle kernel instead of a hash
-/// tree: k == 2, the flag is on, and the R*(R-1)/2 counter array fits the
-/// candidate-memory cap. Deterministic from replicated inputs, so every
-/// rank takes the same branch.
-bool TriangleEligible(int k, const AprioriConfig& config,
-                      std::size_t f1_size);
-
-/// Pass-2 specialization of the common counting path (CD and HPA count the
-/// full candidate set over their local slice): when TriangleEligible,
-/// counts all pairs of frequent items into a flat triangular array over
-/// F_1 ranks — through the intra-rank counting team of `pool` — and
-/// scatters the result into `counts`, bypassing the hash tree (see
-/// TrianglePairCounter). Records per-shard work into `metrics` when
-/// non-null. Returns false when ineligible; the caller falls back to
-/// chunked hash-tree counting.
-bool TryTrianglePass2(const TransactionDatabase& db,
-                      TransactionDatabase::Slice slice,
-                      const ItemsetCollection& f1,
-                      const ItemsetCollection& candidates, int k,
-                      const AprioriConfig& config, CountingPool* pool,
-                      std::span<Count> counts, SubsetStats* stats,
-                      PassMetrics* metrics);
-
 /// Serializes `sets`, all-gathers across `comm`, and returns the
 /// lexicographically sorted union (partitions must be disjoint). Adds the
 /// exchanged words to `broadcast_words`.
@@ -143,25 +120,21 @@ int ChooseGridRows(std::size_t num_candidates, std::size_t threshold_m,
 using PageStream =
     std::function<void(const std::function<void(PageView)>& process)>;
 
-/// The counting step of the formulations that move transactions (DD,
-/// DD+comm, IDD, HD). Sets up the pass-2 triangle when TriangleEligible,
-/// else a hash tree over `owned_ids` (root-filtered by `root_filter` when
-/// non-null), counts every page `stream` delivers through the counting
-/// team, and returns counts indexed by candidate id: complete over the
-/// streamed pages for the owned ids. A non-null, non-empty `item_work`
-/// (sized to the item count, zeroed) turns on the adaptive balancer's
-/// per-first-item work attribution, which needs the identity root; a
-/// triangle pass has no tree to attribute, so it empties `item_work`.
-/// Fills the row's tree inserts, subset stats, shard work and
-/// transactions processed.
-std::vector<Count> CountPageStream(const ItemsetCollection& prev,
-                                   const ItemsetCollection& candidates,
-                                   int k,
+/// The counting step of the formulations that move transactions on a
+/// tree pass (DD, DD+comm, IDD, HD): builds a hash tree over `owned_ids`
+/// (root-filtered by `root_filter` when non-null), counts every page
+/// `stream` delivers through the counting team, and returns counts
+/// indexed by candidate id: complete over the streamed pages for the
+/// owned ids. A non-empty `item_work` (sized to the item count, zeroed)
+/// turns on the adaptive balancer's per-first-item work attribution,
+/// which needs the identity root. Fills the row's tree inserts, subset
+/// stats, shard work and transactions processed.
+std::vector<Count> CountPageStream(const ItemsetCollection& candidates,
                                    const std::vector<std::uint32_t>& owned_ids,
                                    const Bitmap* root_filter,
                                    const AprioriConfig& config,
                                    CountingPool* pool,
-                                   std::vector<std::uint64_t>* item_work,
+                                   std::span<std::uint64_t> item_work,
                                    PassMetrics& m, const PageStream& stream);
 
 /// IDD's and HD's candidate partition: PartitionByPrefix of `candidates`

@@ -78,8 +78,8 @@ RankOutput RunDdRank(const TransactionDatabase& db, Comm& comm,
   const Count minsup = config.apriori.ResolveMinsup(db.size());
   CountingPool pool(config.apriori.threads_per_rank);
 
-  const PassBody body = [&](int k, const ItemsetCollection& prev,
-                            ItemsetCollection candidates, PassMetrics& m) {
+  const PassBody body = [&](int /*k*/, ItemsetCollection candidates,
+                            PassMetrics& m) {
     m.grid_rows = p;
     // Every rank regenerates the full candidate set, then keeps its
     // round-robin share in its hash tree.
@@ -88,8 +88,8 @@ RankOutput RunDdRank(const TransactionDatabase& db, Comm& comm,
             .ids_per_part[static_cast<std::size_t>(rank)]);
     m.num_candidates_local = my_ids.size();
     std::vector<Count> counts = CountPageStream(
-        prev, candidates, k, my_ids, /*root_filter=*/nullptr,
-        config.apriori, &pool, /*item_work=*/nullptr, m,
+        candidates, my_ids, /*root_filter=*/nullptr, config.apriori, &pool,
+        /*item_work=*/{}, m,
         [&](const std::function<void(PageView)>& process) {
           const std::vector<Page> local_pages =
               Paginate(db, slice, config.page_bytes);
@@ -105,7 +105,7 @@ RankOutput RunDdRank(const TransactionDatabase& db, Comm& comm,
     return ExchangeOwnedFrequent(comm, candidates, std::move(counts), my_ids,
                                  minsup, m);
   };
-  return RunPasses(db, slice, comm, config, body);
+  return RunPasses(db, slice, comm, config, pool, body);
 }
 
 }  // namespace pam

@@ -5,11 +5,58 @@
 #include <vector>
 
 #include "pam/core/apriori_gen.h"
+#include "pam/hashtree/pair_counter.h"
 #include "pam/mp/runtime.h"
 #include "pam/obs/trace.h"
 #include "pam/util/timer.h"
 
 namespace pam {
+namespace {
+
+// True when pass k may count with the pass-2 triangle kernel instead of a
+// hash tree: k == 2, the flag is on, and the R*(R-1)/2 counter array fits
+// the candidate-memory cap. Deterministic from replicated inputs, so every
+// rank takes the same branch.
+bool TriangleEligible(int k, const AprioriConfig& config,
+                      std::size_t f1_size) {
+  return k == 2 && config.use_pass2_triangle &&
+         TrianglePairCounter::Fits(f1_size,
+                                   config.max_candidates_in_memory);
+}
+
+// A triangle pass is Count Distribution in every formulation (DESIGN.md
+// §16): the whole F_1 x F_1 triangle fits on every rank, so each rank
+// counts its own slice into it with its counting team, one AllReduceSum
+// of |C_2| words completes the counts, and every rank prunes the same
+// global counts. No transaction moves and nothing is exchanged.
+ItemsetCollection TrianglePass(const TransactionDatabase& db,
+                               TransactionDatabase::Slice slice, Comm& comm,
+                               const ItemsetCollection& f1,
+                               ItemsetCollection candidates, Count minsup,
+                               const AprioriConfig& config,
+                               CountingPool& pool, PassMetrics& m) {
+  m.grid_cols = comm.size();
+  m.num_candidates_local = candidates.size();
+  m.transactions_processed = slice.size();
+  TrianglePairCounter tri(f1);
+  {
+    obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, /*index=*/0,
+                               "triangle");
+    TriangleTeam team(&pool, &tri, &m.subset, &config.cancel);
+    team.CountSlice(db, slice);
+    team.Finish();
+    AccumulateShardWork(m.shard_subset_work, team.shard_work());
+  }
+  std::vector<Count> counts(candidates.size(), 0);
+  tri.Extract(candidates, std::span<Count>(counts));
+  comm.AllReduceSum(std::span<std::uint64_t>(counts));
+  m.reduction_words += counts.size();
+  candidates.counts() = std::move(counts);
+  candidates.PruneBelow(minsup);
+  return candidates;
+}
+
+}  // namespace
 
 std::string AlgorithmName(Algorithm algorithm) {
   switch (algorithm) {
@@ -31,7 +78,8 @@ std::string AlgorithmName(Algorithm algorithm) {
 
 RankOutput RunPasses(const TransactionDatabase& db,
                      TransactionDatabase::Slice slice, Comm& comm,
-                     const ParallelConfig& config, const PassBody& body) {
+                     const ParallelConfig& config, CountingPool& pool,
+                     const PassBody& body) {
   const AprioriConfig& apriori = config.apriori;
   const Count minsup = apriori.ResolveMinsup(db.size());
   std::vector<Count> dhp_buckets;  // PDM-style DHP filter state (optional)
@@ -67,7 +115,11 @@ RankOutput RunPasses(const TransactionDatabase& db,
         break;
       }
       m.num_candidates_global = candidates.size();
-      frequent = body(k, prev, std::move(candidates), m);
+      frequent = TriangleEligible(k, apriori, prev.size())
+                     ? TrianglePass(db, slice, comm, prev,
+                                    std::move(candidates), minsup, apriori,
+                                    pool, m)
+                     : body(k, std::move(candidates), m);
       m.num_frequent_global = frequent.size();
     }
     const CommFaultStats faults = comm.MyFaultStats();

@@ -36,8 +36,8 @@ RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
       db.WireBytes(TransactionDatabase::Slice{0, db.size()}) /
       static_cast<std::uint64_t>(p);
 
-  const PassBody body = [&](int k, const ItemsetCollection& prev,
-                            ItemsetCollection candidates, PassMetrics& m) {
+  const PassBody body = [&](int k, ItemsetCollection candidates,
+                            PassMetrics& m) {
     // Dynamic grid configuration (Table II), unless pinned by the caller.
     // With adaptive_balance, a calibrated LoadModel overrides the static
     // threshold heuristic using the measured compute/comm ratio; until the
@@ -88,13 +88,12 @@ RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
     m.num_candidates_local = my_ids.size();
 
     // Step 1: IDD within the column — each rank sees the G * N/P
-    // transactions of its column. On a triangle pass the local triangle
-    // holds this column's partial counts.
+    // transactions of its column.
     std::vector<std::uint64_t> item_work(adaptive ? db.NumItems() : 0, 0);
     std::vector<Count> counts = parallel_internal::CountPageStream(
-        prev, candidates, k, my_ids,
+        candidates, my_ids,
         config.idd_use_bitmap ? &partition.first_item_filter[part] : nullptr,
-        config.apriori, &pool, &item_work, m,
+        config.apriori, &pool, std::span<std::uint64_t>(item_work), m,
         [&](const std::function<void(PageView)>& process) {
           m.data_bytes_sent +=
               RingShiftAll(col_comm, Paginate(db, slice, config.page_bytes),
@@ -105,7 +104,7 @@ RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
     // once per column, and the union of the columns' rings covers the
     // whole database exactly once, so the sums are the items' true global
     // work.
-    if (!item_work.empty()) {
+    if (adaptive) {
       parallel_internal::ObserveBalance(comm, candidates, item_work, rows,
                                         cols, m, model);
     }
@@ -129,7 +128,7 @@ RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
     return parallel_internal::ExchangeOwnedFrequent(
         col_comm, candidates, std::move(counts), my_ids, minsup, m);
   };
-  return RunPasses(db, slice, comm, config, body);
+  return RunPasses(db, slice, comm, config, pool, body);
 }
 
 }  // namespace pam

@@ -146,8 +146,8 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
   const Count minsup = config.apriori.ResolveMinsup(db.size());
   CountingPool pool(config.apriori.threads_per_rank);
 
-  const PassBody body = [&](int k, const ItemsetCollection& prev,
-                            ItemsetCollection candidates, PassMetrics& m) {
+  const PassBody body = [&](int k, ItemsetCollection candidates,
+                            PassMetrics& m) {
     m.grid_rows = p;
     // Hash ownership; the collection stays sorted so owners can probe
     // incoming subsets with one binary search.
@@ -162,48 +162,36 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
     m.num_candidates_local = my_ids.size();
 
     std::vector<Count> counts(candidates.size(), 0);
-    if (parallel_internal::TryTrianglePass2(db, slice, prev, candidates, k,
-                                            config.apriori, &pool,
-                                            std::span<Count>(counts),
-                                            &m.subset, &m)) {
-      // Pass-2 triangle: count the full pair set over the local slice and
-      // reduce CD-style — no subsets move on the wire at k == 2. Hash
-      // ownership (my_ids) still partitions the frequent-set exchange.
-      m.transactions_processed = slice.size();
-      comm.AllReduceSum(std::span<std::uint64_t>(counts));
-      m.reduction_words += counts.size();
-    } else {
-      m.tree_build_inserts = my_ids.size();
-      SubsetRouter router(
-          comm, k, config.page_bytes / sizeof(Item),
-          [&](ItemSpan subset) {
-            ++m.subset.leaf_candidates_checked;
-            const std::size_t idx = candidates.Find(subset);
-            if (idx != ItemsetCollection::npos) ++counts[idx];
-          },
-          &m);
-      {
-        // The routing loop and the closing drain are HPA's all-to-all: the
-        // potential candidates themselves move, interleaved with local
-        // probes.
-        obs::ScopedSpan exchange_span(obs::SpanKind::kAllToAll, -1,
-                                      "hpa_subsets");
-        for (std::size_t t = slice.begin; t < slice.end; ++t) {
-          if ((t - slice.begin) % kCancelCheckStride == 0) {
-            config.apriori.cancel.Checkpoint(rank);
-          }
-          router.RouteTransaction(db.Transaction(t));
-          ++m.transactions_processed;
+    m.tree_build_inserts = my_ids.size();
+    SubsetRouter router(
+        comm, k, config.page_bytes / sizeof(Item),
+        [&](ItemSpan subset) {
+          ++m.subset.leaf_candidates_checked;
+          const std::size_t idx = candidates.Find(subset);
+          if (idx != ItemsetCollection::npos) ++counts[idx];
+        },
+        &m);
+    {
+      // The routing loop and the closing drain are HPA's all-to-all: the
+      // potential candidates themselves move, interleaved with local
+      // probes.
+      obs::ScopedSpan exchange_span(obs::SpanKind::kAllToAll, -1,
+                                    "hpa_subsets");
+      for (std::size_t t = slice.begin; t < slice.end; ++t) {
+        if ((t - slice.begin) % kCancelCheckStride == 0) {
+          config.apriori.cancel.Checkpoint(rank);
         }
-        router.Finish();
+        router.RouteTransaction(db.Transaction(t));
+        ++m.transactions_processed;
       }
-      comm.Barrier();
-      m.subset.transactions = m.transactions_processed;
+      router.Finish();
     }
+    comm.Barrier();
+    m.subset.transactions = m.transactions_processed;
     return parallel_internal::ExchangeOwnedFrequent(
         comm, candidates, std::move(counts), my_ids, minsup, m);
   };
-  return RunPasses(db, slice, comm, config, body);
+  return RunPasses(db, slice, comm, config, pool, body);
 }
 
 }  // namespace pam

@@ -38,8 +38,8 @@ RankOutput RunIddRank(const TransactionDatabase& db, Comm& comm,
                         config.prefix_strategy == PrefixStrategy::kBinPacked;
   LoadModel model(db.NumItems());
 
-  const PassBody body = [&](int k, const ItemsetCollection& prev,
-                            ItemsetCollection candidates, PassMetrics& m) {
+  const PassBody body = [&](int /*k*/, ItemsetCollection candidates,
+                            PassMetrics& m) {
     m.grid_rows = p;
     // Keep only the bin-packed share of C_k; the paper's implementation
     // likewise computes the first-item histogram, bin-packs, and
@@ -52,26 +52,25 @@ RankOutput RunIddRank(const TransactionDatabase& db, Comm& comm,
 
     std::vector<std::uint64_t> item_work(adaptive ? db.NumItems() : 0, 0);
     std::vector<Count> counts = parallel_internal::CountPageStream(
-        prev, candidates, k, my_ids,
+        candidates, my_ids,
         config.idd_use_bitmap ? &partition.first_item_filter[part] : nullptr,
-        config.apriori, &pool, &item_work, m,
+        config.apriori, &pool, std::span<std::uint64_t>(item_work), m,
         [&](const std::function<void(PageView)>& process) {
           m.data_bytes_sent +=
               RingShiftAll(comm, Paginate(db, slice, config.page_bytes),
                            process, &m.data_messages_sent);
         });
-    // Feed the measured per-first-item subset work back into the model (a
-    // triangle pass measures none); every rank folds identical totals, so
-    // the next pass's partition is recomputed identically with no decision
-    // broadcast.
-    if (!item_work.empty()) {
+    // Feed the measured per-first-item subset work back into the model;
+    // every rank folds identical totals, so the next pass's partition is
+    // recomputed identically with no decision broadcast.
+    if (adaptive) {
       parallel_internal::ObserveBalance(comm, candidates, item_work, p,
                                         /*cols=*/1, m, model);
     }
     return parallel_internal::ExchangeOwnedFrequent(
         comm, candidates, std::move(counts), my_ids, minsup, m);
   };
-  return RunPasses(db, slice, comm, config, body);
+  return RunPasses(db, slice, comm, config, pool, body);
 }
 
 }  // namespace pam

@@ -74,8 +74,8 @@ class LoadModel {
     std::uint64_t leaf_checks = 0;      // global
     std::size_t num_candidates = 0;     // |C_k|
     int grid_rows = 1;                  // parts the pass counted with
-    /// False for the pass-2 triangle kernel, which counts all pairs with
-    /// no hash tree — there is no per-item attribution to fold, so such
+    /// False for a pass counted without a hash tree (the pass-2
+    /// triangle) — there is no per-item attribution to fold, so such
     /// passes are ignored.
     bool tree_pass = false;
   };

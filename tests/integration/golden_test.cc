@@ -161,11 +161,11 @@ TEST(GoldenTest, EveryMinerReproducesTheGoldenWorkCounters) {
     std::uint64_t digest;
   } golden[] = {
       {Algorithm::kCD, 0x7b16ad2d55ccaea9ull},
-      {Algorithm::kDD, 0x80c0379664f13a77ull},
-      {Algorithm::kDDComm, 0x094b77841afc38e2ull},
-      {Algorithm::kIDD, 0x1b6459a91095f344ull},
-      {Algorithm::kHD, 0x71f2e2d3711f8776ull},
-      {Algorithm::kHPA, 0xd11360064df3578dull},
+      {Algorithm::kDD, 0xff651b16745499aaull},
+      {Algorithm::kDDComm, 0x10292c6f3f55a14eull},
+      {Algorithm::kIDD, 0x8865085a8ccc4dc0ull},
+      {Algorithm::kHD, 0x239dba7b82bbb1d8ull},
+      {Algorithm::kHPA, 0x8594a06588d67276ull},
   };
   for (const auto& g : golden) {
     const ParallelResult result = MineParallel(g.algorithm, db, 3, cfg);

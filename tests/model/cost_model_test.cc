@@ -159,6 +159,15 @@ TEST(CostModelTest, BroadcastUsesGroupGeometry) {
   EXPECT_DOUBLE_EQ(model.PassTime(Algorithm::kIDD, ranks).broadcast, 20.0);
   // HD: 2 column groups exchanging in parallel -> per-group 10 words.
   EXPECT_DOUBLE_EQ(model.PassTime(Algorithm::kHD, ranks).broadcast, 10.0);
+  // A one-member group sends nothing: HD's columns on a 1 x P grid, and
+  // the whole machine at P = 1.
+  for (PassMetrics& r : ranks) {
+    r.grid_rows = 1;
+    r.grid_cols = 2;
+  }
+  EXPECT_DOUBLE_EQ(model.PassTime(Algorithm::kHD, ranks).broadcast, 0.0);
+  const std::vector<PassMetrics> one_rank(1, m);
+  EXPECT_DOUBLE_EQ(model.PassTime(Algorithm::kIDD, one_rank).broadcast, 0.0);
 }
 
 }  // namespace

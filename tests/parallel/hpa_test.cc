@@ -55,6 +55,8 @@ TEST(HpaTest, CandidateOwnershipPartitionsCandidates) {
   TransactionDatabase db = testing::RandomDb(200, 20, 8, 43);
   ParallelConfig cfg;
   cfg.apriori.minsup_count = 4;
+  // A triangle pass owns all of C_2 on every rank; hash pass 2 too.
+  cfg.apriori.use_pass2_triangle = false;
   const int p = 5;
   ParallelResult hpa = MineParallel(Algorithm::kHPA, db, p, cfg);
   for (std::size_t pass = 1; pass < hpa.metrics.per_pass.size(); ++pass) {

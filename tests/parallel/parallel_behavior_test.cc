@@ -96,6 +96,55 @@ TEST(ParallelBehaviorTest, PassOneIsTheSameInEveryFormulation) {
   }
 }
 
+// A pass-2 triangle fits on every rank, so it is Count Distribution in
+// every formulation: each rank counts its own slice, one reduction of |C_2|
+// words completes the counts, and no transaction moves. Every miner records
+// CD's pass-2 row, and the cost model prices it as CD's. Single-source IDD
+// counts where the data lives: rank 0 counts the whole database.
+TEST(ParallelBehaviorTest, TrianglePassIsCountDistributionInEveryFormulation) {
+  const TransactionDatabase db = TestDb();
+  const CostModel t3e(MachineModel::CrayT3E());
+  auto pass_two = [&](Algorithm algorithm, int p, const ParallelConfig& cfg) {
+    std::vector<PassMetrics> rows =
+        MineParallel(algorithm, db, p, cfg).metrics.per_pass.at(1);
+    std::uint64_t transactions = 0;
+    for (PassMetrics& m : rows) {
+      EXPECT_EQ(m.k, 2);
+      EXPECT_EQ(m.data_bytes_sent, 0u) << AlgorithmName(algorithm);
+      transactions += m.transactions_processed;
+      m.wall_seconds = 0.0;
+    }
+    EXPECT_EQ(transactions, db.size()) << AlgorithmName(algorithm);
+    return rows;
+  };
+  for (int p : {1, 3, 4}) {
+    const std::vector<PassMetrics> cd =
+        pass_two(Algorithm::kCD, p, BaseConfig());
+    ASSERT_EQ(cd.size(), static_cast<std::size_t>(p));
+    EXPECT_EQ(cd[0].tree_build_inserts, 0u);  // the triangle, not a tree
+    EXPECT_EQ(cd[0].reduction_words, cd[0].num_candidates_global);
+    for (Algorithm alg : {Algorithm::kDD, Algorithm::kDDComm,
+                          Algorithm::kIDD, Algorithm::kHD, Algorithm::kHPA}) {
+      const std::vector<PassMetrics> rows = pass_two(alg, p, BaseConfig());
+      EXPECT_TRUE(rows == cd) << AlgorithmName(alg) << " P=" << p;
+      EXPECT_EQ(t3e.PassTime(alg, rows).Total(),
+                t3e.PassTime(Algorithm::kCD, cd).Total())
+          << AlgorithmName(alg) << " P=" << p;
+    }
+  }
+
+  ParallelConfig single_source = BaseConfig();
+  single_source.single_source = true;
+  const std::vector<PassMetrics> rows =
+      pass_two(Algorithm::kIDD, 4, single_source);
+  EXPECT_EQ(rows[0].transactions_processed, db.size());
+  for (const PassMetrics& m : rows) {
+    EXPECT_EQ(m.grid_cols, 4);
+    EXPECT_EQ(m.reduction_words, m.num_candidates_global);
+    EXPECT_EQ(m.broadcast_words, 0u);
+  }
+}
+
 // CD performs no redundant work: its total leaf visits match a P=1 run.
 TEST(ParallelBehaviorTest, CdTotalWorkIndependentOfP) {
   TransactionDatabase db = TestDb();
@@ -138,7 +187,10 @@ TEST(ParallelBehaviorTest, DdRedundantWorkGrowsWithP) {
 TEST(ParallelBehaviorTest, RingShipsExpectedVolume) {
   TransactionDatabase db = TestDb();
   const int p = 4;
-  ParallelResult idd = MineParallel(Algorithm::kIDD, db, p, BaseConfig());
+  ParallelConfig cfg = BaseConfig();
+  // A triangle pass moves no pages; count pass 2 through the tree too.
+  cfg.apriori.use_pass2_triangle = false;
+  ParallelResult idd = MineParallel(Algorithm::kIDD, db, p, cfg);
   const std::uint64_t db_bytes = db.WireBytes({0, db.size()});
   const std::size_t passes = idd.metrics.per_pass.size();
   ASSERT_GT(passes, 1u);
@@ -168,6 +220,8 @@ TEST(ParallelBehaviorTest, TransactionsProcessedPerAlgorithm) {
   const int p = 4;
   ParallelConfig cfg = BaseConfig();
   cfg.hd_threshold_m = 1;  // force G = P (IDD-like)
+  // A triangle pass counts N/P per rank in every formulation.
+  cfg.apriori.use_pass2_triangle = false;
 
   ParallelResult cd = MineParallel(Algorithm::kCD, db, p, cfg);
   ParallelResult idd = MineParallel(Algorithm::kIDD, db, p, cfg);
@@ -209,6 +263,8 @@ TEST(ParallelBehaviorTest, HdDegeneratesToIddWithThresholdOne) {
   TransactionDatabase db = TestDb();
   ParallelConfig cfg = BaseConfig();
   cfg.hd_threshold_m = 1;
+  // A triangle pass is CD's 1 x P pass; grid the tree passes only.
+  cfg.apriori.use_pass2_triangle = false;
   ParallelResult hd = MineParallel(Algorithm::kHD, db, 4, cfg);
   for (std::size_t pass = 1; pass < hd.metrics.per_pass.size(); ++pass) {
     const auto& row = hd.metrics.per_pass[pass];
@@ -250,6 +306,8 @@ TEST(ParallelBehaviorTest, HpaVolumeGrowsWithKUnlikeIdd) {
   const int p = 4;
   ParallelConfig cfg = BaseConfig();
   cfg.apriori.minsup_fraction = 0.01;  // deep enough for several passes
+  // Route pass 2's subsets too, rather than count the triangle.
+  cfg.apriori.use_pass2_triangle = false;
   ParallelResult hpa = MineParallel(Algorithm::kHPA, db, p, cfg);
   ParallelResult idd = MineParallel(Algorithm::kIDD, db, p, cfg);
   ASSERT_GE(hpa.metrics.num_passes(), 4);
@@ -272,7 +330,10 @@ TEST(ParallelBehaviorTest, HpaVolumeGrowsWithKUnlikeIdd) {
 // within a loose band.
 TEST(ParallelBehaviorTest, HpaHashOwnershipRoughlyEven) {
   TransactionDatabase db = TestDb();
-  ParallelResult hpa = MineParallel(Algorithm::kHPA, db, 4, BaseConfig());
+  ParallelConfig cfg = BaseConfig();
+  // A triangle pass owns all of C_2 on every rank; hash pass 2 too.
+  cfg.apriori.use_pass2_triangle = false;
+  ParallelResult hpa = MineParallel(Algorithm::kHPA, db, 4, cfg);
   for (std::size_t pass = 1; pass < hpa.metrics.per_pass.size(); ++pass) {
     const auto& row = hpa.metrics.per_pass[pass];
     const std::size_t m = row[0].num_candidates_global;

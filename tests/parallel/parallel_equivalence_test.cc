@@ -138,6 +138,8 @@ TEST(ParallelEquivalenceExtra, SingleSourceOnlyRankZeroReadsLocally) {
   ParallelConfig cfg;
   cfg.apriori.minsup_fraction = 0.02;
   cfg.single_source = true;
+  // A triangle pass counts where the data lives; ring-feed pass 2 too.
+  cfg.apriori.use_pass2_triangle = false;
   ParallelResult idd = MineParallel(Algorithm::kIDD, db, 4, cfg);
   // Every rank still processes the full database per pass (ring feed).
   for (std::size_t pass = 1; pass < idd.metrics.per_pass.size(); ++pass) {
