@@ -251,13 +251,9 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "]},\n"
                  "  \"adaptive_excess_imbalance_cut\": %.4f,\n"
-                 "  \"adaptive_wall_improved\": %s,\n"
                  "  \"all_exact\": %s\n"
                  "}\n",
-                 adaptive_excess_cut,
-                 results[2].wall_seconds < results[1].wall_seconds ? "true"
-                                                                  : "false",
-                 all_exact ? "true" : "false");
+                 adaptive_excess_cut, all_exact ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote BENCH_balance.json\n");
   }

@@ -48,6 +48,14 @@ run_chaos_sanitized() {
   ctest --preset sanitize -L 'chaos|serve|balance' --timeout "$test_timeout"
 }
 
+# The reader fuzz driver (label `fuzz`: mutants of tests/tdb/corpus fed
+# to ReadText and ReadBinary) gets its own pass under ASan/UBSan, where a
+# read past a buffer is a failure rather than luck.
+run_fuzz_sanitized() {
+  echo "=== reader fuzz driver under ASan/UBSan ==="
+  ctest --preset sanitize -L fuzz --timeout "$test_timeout"
+}
+
 run_tsan() {
   echo "=== threaded + chaos + serve + balance suites under TSan ==="
   cmake --preset tsan
@@ -276,6 +284,7 @@ case "${1:-all}" in
   sanitize)
     run_preset sanitize
     run_chaos_sanitized
+    run_fuzz_sanitized
     ;;
   tsan)
     run_tsan
@@ -290,6 +299,7 @@ case "${1:-all}" in
     run_serve_net_smoke
     run_preset sanitize
     run_chaos_sanitized
+    run_fuzz_sanitized
     run_tsan
     ;;
   *)

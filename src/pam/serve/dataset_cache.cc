@@ -1,10 +1,8 @@
 #include "pam/serve/dataset_cache.h"
 
-#include <span>
 #include <utility>
 
 #include "pam/obs/trace.h"
-#include "pam/tdb/page_buffer.h"
 
 namespace pam::serve {
 
@@ -24,7 +22,7 @@ void DatasetCache::Register(const std::string& id, Loader loader) {
   auto it = entries_.find(id);
   if (it != entries_.end() && it->second->loaded != nullptr) {
     // Replacement drops the old resident copy (handles keep it alive).
-    resident_bytes_ -= it->second->loaded->wire_bytes;
+    resident_bytes_ -= it->second->loaded->resident_bytes;
   }
   entries_[id] = std::move(entry);
 }
@@ -33,8 +31,8 @@ void DatasetCache::RegisterLoaded(const std::string& id,
                                   TransactionDatabase db) {
   auto shared = std::make_shared<TransactionDatabase>(std::move(db));
   Register(id, [shared]() -> Result<TransactionDatabase> {
-    // The loader hands out a copy; the cache decodes it once and the copy
-    // is what all requests share thereafter.
+    // The loader hands out a copy, and that copy is what all requests
+    // share thereafter.
     return Result<TransactionDatabase>(TransactionDatabase(*shared));
   });
 }
@@ -47,7 +45,7 @@ bool DatasetCache::Contains(const std::string& id) const {
 void DatasetCache::EvictLocked(const std::string& id, Entry& entry,
                                const char* why) {
   (void)id;
-  resident_bytes_ -= entry.loaded->wire_bytes;
+  resident_bytes_ -= entry.loaded->resident_bytes;
   entry.loaded.reset();
   ++evictions_;
   EmitCacheInstant(why);
@@ -124,22 +122,18 @@ Result<DatasetHandle> DatasetCache::Get(const std::string& id) {
   auto dataset = std::make_shared<CachedDataset>();
   dataset->id = id;
   auto db = std::make_shared<TransactionDatabase>(std::move(loaded.value()));
-  dataset->db = db;
-  const TransactionDatabase::Slice whole{0, db->size()};
-  for (Page& page : Paginate(*db, whole, page_bytes_)) {
-    dataset->wire_bytes += PageBytes(page);
-    dataset->pages.push_back(Payload::Copy(std::as_bytes(
-        std::span<const std::uint32_t>(page.data(), page.size()))));
-  }
+  dataset->resident_bytes = db->items().size() * sizeof(Item) +
+                            db->offsets().size() * sizeof(std::size_t);
+  dataset->db = std::move(db);
 
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;
   auto it = entries_.find(id);
   const bool current = it != entries_.end() && it->second == entry;
-  if (current && MakeRoomLocked(dataset->wire_bytes)) {
+  if (current && MakeRoomLocked(dataset->resident_bytes)) {
     entry->loaded = dataset;
     entry->last_use = now;
-    resident_bytes_ += dataset->wire_bytes;
+    resident_bytes_ += dataset->resident_bytes;
   } else {
     // Load-through: the request gets its dataset, the cache keeps no
     // reference, and the budget is never exceeded. The bytes die with the

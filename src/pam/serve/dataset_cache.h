@@ -9,30 +9,22 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
-#include "pam/mp/payload.h"
 #include "pam/tdb/database.h"
 #include "pam/util/status.h"
 
 namespace pam::serve {
 
-/// One resident dataset: the decoded CSR database every request mines
-/// over, plus its wire image as immutable refcounted Payload pages (the
-/// same page format DD/IDD circulate). Both are built exactly once per
-/// load; every concurrent request over the dataset shares the one copy
-/// through the handle's refcount — a cache hit moves zero bytes, which
-/// the serve suite pins with a BufferPool::CopyCount guard.
+/// One resident dataset: the CSR database every request mines over, built
+/// exactly once per load. Every concurrent request over the dataset shares
+/// the one copy through the handle's refcount, so a cache hit moves zero
+/// bytes, which the serve suite pins with a BufferPool::CopyCount guard.
 struct CachedDataset {
   std::string id;
   std::shared_ptr<const TransactionDatabase> db;
-  /// The dataset serialized into wire pages, each wrapped in a shared
-  /// Payload handle (one Payload::Copy per page, at load time only).
-  /// Ready to feed the transport — e.g. a single-source IDD run ships
-  /// these without re-paginating — and the unit of cross-request sharing.
-  std::vector<Payload> pages;
-  /// Total wire bytes across `pages`.
-  std::size_t wire_bytes = 0;
+  /// Bytes the CSR holds: 4 per item plus 8 per offset. The cache budget
+  /// counts this.
+  std::size_t resident_bytes = 0;
 
   std::size_t num_transactions() const { return db == nullptr ? 0 : db->size(); }
 };
@@ -40,13 +32,13 @@ struct CachedDataset {
 /// Shared handle to a cached dataset. Requests hold one for the duration
 /// of their run, so eviction/replacement can never pull a database out
 /// from under an in-flight miner — eviction only drops the cache's own
-/// reference; the pages die when the last in-flight handle does.
+/// reference; the database dies when the last in-flight handle does.
 using DatasetHandle = std::shared_ptr<const CachedDataset>;
 
 /// Keyed, lazily-loading dataset cache of the mining server. Datasets are
 /// registered up front (by id) with either a loader or an already-decoded
-/// database; the first Get() materializes the entry — loader, CSR decode,
-/// wire paging — and every later Get() of the same id is a refcount bump.
+/// database; the first Get() runs the loader, whose CSR becomes the entry,
+/// and every later Get() of the same id is a refcount bump.
 ///
 /// Keying is by caller-chosen id, not by content: two ids backed by the
 /// same file are two entries (the server's datasets are a small static
@@ -54,7 +46,7 @@ using DatasetHandle = std::shared_ptr<const CachedDataset>;
 /// §12 "cache keying").
 ///
 /// Graceful degradation (DESIGN.md §13): with a nonzero `budget_bytes`
-/// the cache never keeps more than that many resident wire bytes. Before
+/// the cache never keeps more than that many resident CSR bytes. Before
 /// caching a fresh load it evicts least-recently-used unpinned entries
 /// (pinned = some request still holds the handle; use_count > 1) until
 /// the newcomer fits; if it cannot fit — the dataset alone exceeds the
@@ -71,14 +63,10 @@ class DatasetCache {
  public:
   using Loader = std::function<Result<TransactionDatabase>()>;
 
-  /// `page_bytes` sizes the wire pages of every cached dataset's image.
-  /// `budget_bytes` caps resident wire bytes (0 = unlimited); `ttl_ms`
+  /// `budget_bytes` caps resident CSR bytes (0 = unlimited); `ttl_ms`
   /// drops entries idle longer than this (0 = never).
-  explicit DatasetCache(std::size_t page_bytes = 64 * 1024,
-                        std::size_t budget_bytes = 0, double ttl_ms = 0)
-      : page_bytes_(page_bytes),
-        budget_bytes_(budget_bytes),
-        ttl_ms_(ttl_ms) {}
+  explicit DatasetCache(std::size_t budget_bytes = 0, double ttl_ms = 0)
+      : budget_bytes_(budget_bytes), ttl_ms_(ttl_ms) {}
 
   /// Registers dataset `id`, loaded lazily by `loader` on first Get.
   /// Re-registering an id replaces its loader and drops any loaded entry
@@ -101,7 +89,7 @@ class DatasetCache {
   std::uint64_t Misses() const;
   /// Entries dropped from residency by the budget or the TTL.
   std::uint64_t Evictions() const;
-  /// Total wire bytes resident across loaded entries; <= budget_bytes
+  /// Total CSR bytes resident across loaded entries; <= budget_bytes
   /// whenever a budget is set.
   std::size_t ResidentBytes() const;
   std::size_t BudgetBytes() const { return budget_bytes_; }
@@ -126,7 +114,6 @@ class DatasetCache {
   /// budget; returns false when they cannot (caller holds mu_).
   bool MakeRoomLocked(std::size_t needed);
 
-  const std::size_t page_bytes_;
   const std::size_t budget_bytes_;
   const double ttl_ms_;
   mutable std::mutex mu_;

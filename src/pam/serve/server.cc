@@ -91,8 +91,7 @@ void EmitCancelInstant(const char* detail) {
 MiningServer::MiningServer(const ServerConfig& config)
     : config_(config),
       pool_(config.pool_ranks),
-      cache_(config.cache_page_bytes, config.cache_budget_bytes,
-             config.cache_ttl_ms),
+      cache_(config.cache_budget_bytes, config.cache_ttl_ms),
       results_(config.result_cache_budget_bytes, config.result_cache_ttl_ms) {
   serve_obs_.origin = std::chrono::steady_clock::now();
   const int workers = config_.workers > 0 ? config_.workers : 1;

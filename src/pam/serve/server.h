@@ -77,8 +77,6 @@ struct ServerConfig {
   /// Quota applied to tenants without an explicit entry below.
   TenantQuota default_quota;
   std::map<std::string, TenantQuota> tenant_quotas;
-  /// Wire page size of the dataset cache's payload image.
-  std::size_t cache_page_bytes = 64 * 1024;
   /// Deadline applied to requests that carry none, in milliseconds
   /// (0 = none). Armed at admission, so queue time counts against it.
   double default_deadline_ms = 0;
@@ -114,7 +112,7 @@ struct ServeResponse {
   MiningReport report;
   /// The cached dataset served (kOk and kMiningFault; lets callers verify
   /// cross-request sharing — same dataset id means the same handle and the
-  /// same underlying Payload pages).
+  /// same underlying database).
   DatasetHandle dataset;
   /// Seconds spent queued before a worker picked the request up.
   double queue_seconds = 0.0;

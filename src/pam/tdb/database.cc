@@ -2,8 +2,45 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
+#include <utility>
 
 namespace pam {
+
+Result<TransactionDatabase> TransactionDatabase::FromCsr(
+    std::vector<std::size_t> offsets, std::vector<Item> items) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != items.size()) {
+    return Status::Error("corrupt offsets");
+  }
+  // With both ends pinned, a monotone array keeps every row inside
+  // `items`; it is checked whole before any row is read.
+  if (!std::is_sorted(offsets.begin(), offsets.end())) {
+    return Status::Error("non-monotone offsets");
+  }
+  std::size_t num_items = 0;
+  for (std::size_t t = 0; t + 1 < offsets.size(); ++t) {
+    const std::size_t begin = offsets[t];
+    const std::size_t end = offsets[t + 1];
+    if (begin == end) continue;
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      if (items[i - 1] >= items[i]) {
+        return Status::Error("unsorted transaction");
+      }
+    }
+    // Strictly increasing, so the last item bounds the whole row.
+    if (items[end - 1] > kMaxItemId) {
+      return Status::Error("item id out of range [0, " +
+                           std::to_string(kMaxItemId) + "]");
+    }
+    num_items = std::max(num_items, std::size_t{items[end - 1]} + 1);
+  }
+  TransactionDatabase db;
+  db.offsets_ = std::move(offsets);
+  db.items_ = std::move(items);
+  db.num_items_ = num_items;
+  return db;
+}
 
 void TransactionDatabase::Add(std::vector<Item> items) {
   std::sort(items.begin(), items.end());

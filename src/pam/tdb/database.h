@@ -6,9 +6,18 @@
 #include <initializer_list>
 #include <vector>
 
+#include "pam/util/status.h"
 #include "pam/util/types.h"
 
 namespace pam {
+
+/// The largest item id a database may hold: FromCsr, and so both readers,
+/// return an error for any id above it. Consumers size per-item arrays by
+/// NumItems() (F1 counts, root bitmaps, the hash tree's identity root), so
+/// an unbounded id in an untrusted file would become an unbounded
+/// allocation. 2^24 - 1 leaves four orders of magnitude over the largest
+/// item space in the repository's workloads (2000 items).
+inline constexpr Item kMaxItemId = (Item{1} << 24) - 1;
 
 /// An in-memory transaction database in CSR (compressed sparse row) layout:
 /// one flat array of items plus an offsets array. Transactions always store
@@ -22,6 +31,17 @@ namespace pam {
 class TransactionDatabase {
  public:
   TransactionDatabase() : offsets_{0} {}
+
+  /// Builds a database from a CSR image, taking both arrays over without a
+  /// copy. This is the one place the CSR invariants are checked, in this
+  /// order: `offsets` is non-empty, starts at 0 and ends at items.size()
+  /// ("corrupt offsets"); the whole array is monotone, so no row reaches
+  /// past `items` ("non-monotone offsets"); then row by row, the row is
+  /// strictly increasing ("unsorted transaction") and its last item is at
+  /// most kMaxItemId ("item id out of range [0, 16777215]"). Messages name
+  /// no file; the readers append it.
+  static Result<TransactionDatabase> FromCsr(std::vector<std::size_t> offsets,
+                                             std::vector<Item> items);
 
   /// Appends a transaction. Items are copied, sorted, and deduplicated.
   void Add(std::vector<Item> items);

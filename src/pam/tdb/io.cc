@@ -1,15 +1,34 @@
 #include "pam/tdb/io.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pam {
 namespace {
 
 constexpr std::uint64_t kBinaryMagic = 0x50414d5442303146ULL;  // "PAMTB01F"
+
+// The image's u64 offsets are read and written as the CSR's own array.
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+
+// C-locale whitespace: space, \t, \n, \v, \f, \r.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// FromCsr with the file named in its error.
+Result<TransactionDatabase> FromCsrIn(std::vector<std::size_t> offsets,
+                                      std::vector<Item> items,
+                                      const std::string& path) {
+  Result<TransactionDatabase> db =
+      TransactionDatabase::FromCsr(std::move(offsets), std::move(items));
+  if (!db.ok()) return Status::Error(db.status().message() + " in " + path);
+  return db;
+}
 
 }  // namespace
 
@@ -30,43 +49,64 @@ Status WriteText(const TransactionDatabase& db, const std::string& path) {
 }
 
 Result<TransactionDatabase> ReadText(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::Error("cannot open for reading: " + path);
-  TransactionDatabase db;
-  std::string line;
+  // In chunks, not by the file's size: a pipe has none.
+  std::string text;
+  std::vector<char> chunk(1 << 20);
+  while (in.read(chunk.data(), static_cast<std::streamsize>(chunk.size())),
+         in.gcount() > 0) {
+    text.append(chunk.data(), static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) return Status::Error("read failed: " + path);
+
+  std::vector<std::size_t> offsets{0};
   std::vector<Item> items;
-  while (std::getline(in, line)) {
-    items.clear();
-    std::istringstream ls(line);
-    std::uint64_t v = 0;
-    while (ls >> v) {
-      // The stream parses "-1" as 2^64 - 1, so this bound also rejects
-      // negative ids.
-      if (v > kMaxItemId) {
-        return Status::Error("item id out of range [0, " +
-                             std::to_string(kMaxItemId) + "] in " + path +
-                             ": " + line);
+  const char* const end = text.data() + text.size();
+  for (const char* line = text.data(); line < end;) {
+    const char* eol =
+        static_cast<const char*>(std::memchr(line, '\n', end - line));
+    if (eol == nullptr) eol = end;
+    const auto fail = [&](const std::string& what) {
+      return Status::Error(what + " in " + path + ": " +
+                           std::string(line, eol));
+    };
+    const std::size_t row = items.size();
+    for (const char* p = line;;) {
+      while (p < eol && IsSpace(*p)) ++p;
+      if (p == eol) break;
+      const char* token = p;
+      while (p < eol && !IsSpace(*p)) ++p;
+      const bool negative = *token == '-';
+      const char* digits = token + (negative || *token == '+' ? 1 : 0);
+      std::uint64_t v = 0;
+      const auto [stop, ec] = std::from_chars(digits, p, v);
+      if (ec == std::errc::invalid_argument || stop != p) {
+        return fail("malformed line");
+      }
+      if (negative || ec == std::errc::result_out_of_range || v > kMaxItemId) {
+        return fail("item id out of range [0, " + std::to_string(kMaxItemId) +
+                    "]");
       }
       items.push_back(static_cast<Item>(v));
     }
-    if (ls.fail() && !ls.eof()) {
-      return Status::Error("malformed line in " + path + ": " + line);
-    }
-    if (!items.empty()) db.Add(items);
+    std::sort(items.begin() + row, items.end());
+    items.erase(std::unique(items.begin() + row, items.end()), items.end());
+    if (items.size() > row) offsets.push_back(items.size());
+    line = eol + 1;
   }
-  return db;
+  return FromCsrIn(std::move(offsets), std::move(items), path);
 }
 
 Status WriteBinary(const TransactionDatabase& db, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Error("cannot open for writing: " + path);
-  auto put_u64 = [&out](std::uint64_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_u64(kBinaryMagic);
-  put_u64(db.size());
-  put_u64(db.items().size());
-  for (std::size_t off : db.offsets()) put_u64(off);
+  const std::uint64_t header[] = {kBinaryMagic, db.size(),
+                                  db.items().size()};
+  out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  out.write(reinterpret_cast<const char*>(db.offsets().data()),
+            static_cast<std::streamsize>(db.offsets().size() *
+                                         sizeof(std::size_t)));
   out.write(reinterpret_cast<const char*>(db.items().data()),
             static_cast<std::streamsize>(db.items().size() * sizeof(Item)));
   out.flush();
@@ -99,34 +139,15 @@ Result<TransactionDatabase> ReadBinary(const std::string& path) {
     return Status::Error("size header does not match file length in " +
                          path);
   }
-  std::vector<std::uint64_t> offsets(num_tx + 1);
-  for (auto& off : offsets) off = get_u64();
+  // Two bulk reads straight into the arrays the database keeps.
+  std::vector<std::size_t> offsets(num_tx + 1);
   std::vector<Item> items(num_items);
+  in.read(reinterpret_cast<char*>(offsets.data()),
+          static_cast<std::streamsize>(offsets.size() * sizeof(std::size_t)));
   in.read(reinterpret_cast<char*>(items.data()),
-          static_cast<std::streamsize>(num_items * sizeof(Item)));
+          static_cast<std::streamsize>(items.size() * sizeof(Item)));
   if (!in) return Status::Error("truncated file: " + path);
-  if (offsets.front() != 0 || offsets.back() != num_items) {
-    return Status::Error("corrupt offsets in " + path);
-  }
-  TransactionDatabase db;
-  for (std::uint64_t t = 0; t < num_tx; ++t) {
-    if (offsets[t] > offsets[t + 1]) {
-      return Status::Error("non-monotone offsets in " + path);
-    }
-    ItemSpan span(items.data() + offsets[t], offsets[t + 1] - offsets[t]);
-    for (std::size_t i = 1; i < span.size(); ++i) {
-      if (span[i - 1] >= span[i]) {
-        return Status::Error("unsorted transaction in " + path);
-      }
-    }
-    // Strictly increasing, so the last item bounds the whole transaction.
-    if (!span.empty() && span.back() > kMaxItemId) {
-      return Status::Error("item id out of range [0, " +
-                           std::to_string(kMaxItemId) + "] in " + path);
-    }
-    db.AddSorted(span);
-  }
-  return db;
+  return FromCsrIn(std::move(offsets), std::move(items), path);
 }
 
 }  // namespace pam

@@ -403,18 +403,18 @@ TEST(ServeCancelTest, ShutdownDuringCancellationDrainsTyped) {
 }
 
 TEST(CacheBudgetTest, LruEvictionKeepsResidencyUnderBudget) {
-  // Measure one dataset's wire image, then budget for ~1.5 of them:
+  // Measure one dataset's resident CSR, then budget for ~1.5 of them:
   // loading a second dataset must evict the first, never exceed budget.
   std::size_t wire = 0;
   {
-    DatasetCache probe(4096);
+    DatasetCache probe;
     probe.Register("a", [] { return Result<TransactionDatabase>(
                                  testing::TinyQuestDb()); });
-    wire = probe.Get("a").value()->wire_bytes;
+    wire = probe.Get("a").value()->resident_bytes;
     ASSERT_GT(wire, 0u);
   }
 
-  DatasetCache cache(4096, /*budget_bytes=*/wire + wire / 2);
+  DatasetCache cache(/*budget_bytes=*/wire + wire / 2);
   for (const char* id : {"a", "b", "c"}) {
     cache.Register(id, [] { return Result<TransactionDatabase>(
                                 testing::TinyQuestDb()); });
@@ -435,13 +435,13 @@ TEST(CacheBudgetTest, LruEvictionKeepsResidencyUnderBudget) {
 TEST(CacheBudgetTest, PinnedEntriesSurviveAndOverflowLoadsThrough) {
   std::size_t wire = 0;
   {
-    DatasetCache probe(4096);
+    DatasetCache probe;
     probe.Register("a", [] { return Result<TransactionDatabase>(
                                  testing::TinyQuestDb()); });
-    wire = probe.Get("a").value()->wire_bytes;
+    wire = probe.Get("a").value()->resident_bytes;
   }
 
-  DatasetCache cache(4096, /*budget_bytes=*/wire);
+  DatasetCache cache(/*budget_bytes=*/wire);
   for (const char* id : {"a", "b"}) {
     cache.Register(id, [] { return Result<TransactionDatabase>(
                                 testing::TinyQuestDb()); });
@@ -461,7 +461,7 @@ TEST(CacheBudgetTest, PinnedEntriesSurviveAndOverflowLoadsThrough) {
 }
 
 TEST(CacheBudgetTest, TtlDropsIdleEntries) {
-  DatasetCache cache(4096, /*budget_bytes=*/0, /*ttl_ms=*/1.0);
+  DatasetCache cache(/*budget_bytes=*/0, /*ttl_ms=*/1.0);
   for (const char* id : {"a", "b"}) {
     cache.Register(id, [] { return Result<TransactionDatabase>(
                                 testing::TinyQuestDb()); });
@@ -556,18 +556,17 @@ TEST(ServeCancelSoakTest, DeadlineMixEveryResponseTyped) {
     references.push_back(testing::SerialReference(db, ref_cfg));
   }
 
-  // Budget = 2 datasets' wire image -> working set (4 datasets) is 2x.
+  // Budget = 2 datasets' resident CSR -> working set (4 datasets) is 2x.
   std::size_t wire = 0;
   {
-    DatasetCache probe(4096);
+    DatasetCache probe;
     probe.RegisterLoaded("p", TransactionDatabase(dbs[0]));
-    wire = probe.Get("p").value()->wire_bytes;
+    wire = probe.Get("p").value()->resident_bytes;
   }
   ServerConfig config;
   config.pool_ranks = 8;
   config.workers = 4;
   config.max_queue = 256;
-  config.cache_page_bytes = 4096;
   config.cache_budget_bytes = 2 * wire + wire / 2;
   MiningServer server(config);
   for (int d = 0; d < kDatasets; ++d) {

@@ -7,8 +7,8 @@
 //   - admission control rejects synchronously with a typed status
 //     (bounded queue, per-tenant in-flight and rank-seconds quotas,
 //     unknown dataset, malformed request, shutdown);
-//   - the dataset cache hands every request the same immutable Payload
-//     pages — a cache hit moves zero bytes (BufferPool::CopyCount guard);
+//   - the dataset cache hands every request the same immutable database
+//     — a cache hit moves zero bytes (BufferPool::CopyCount guard);
 //   - every rank lease is back in the pool after Shutdown.
 
 #include <algorithm>
@@ -273,28 +273,25 @@ TEST(ServeTest, DatasetCacheServesOneSharedCopy) {
   MiningServer server(ServerConfig{});
   server.datasets().RegisterLoaded("quest", testing::SmallQuestDb());
 
-  // First request pays the one-time load (CSR copy + wire paging)...
+  // First request pays the one-time load (one CSR copy)...
   ServeResponse first =
       server.Execute(Request("a", "quest", MiningAlgorithm::kSerial, 1));
   ASSERT_TRUE(first.ok()) << first.error;
   ASSERT_NE(first.dataset, nullptr);
-  ASSERT_FALSE(first.dataset->pages.empty());
   const std::uint64_t copies_after_load = BufferPool::CopyCount();
 
   // ...and every later request over the dataset moves zero bytes: same
-  // handle, same underlying payload buffers, no new Payload::Copy.
+  // handle, no new Payload::Copy.
   ServeResponse second =
       server.Execute(Request("b", "quest", MiningAlgorithm::kSerial, 1));
   ASSERT_TRUE(second.ok()) << second.error;
   EXPECT_EQ(BufferPool::CopyCount(), copies_after_load);
   EXPECT_EQ(first.dataset, second.dataset);
-  EXPECT_TRUE(
-      first.dataset->pages[0].SharesBufferWith(second.dataset->pages[0]));
 
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(server.datasets().ResidentBytes(), first.dataset->wire_bytes);
+  EXPECT_EQ(server.datasets().ResidentBytes(), first.dataset->resident_bytes);
 }
 
 TEST(ServeTest, RejectsUnknownDatasetAndMalformedRequests) {

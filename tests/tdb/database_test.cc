@@ -119,5 +119,45 @@ TEST(DatabaseTest, AddSortedPreservesInput) {
   EXPECT_EQ(std::vector<Item>(tx.begin(), tx.end()), items);
 }
 
+TEST(DatabaseTest, FromCsrTakesTheArrays) {
+  auto db = TransactionDatabase::FromCsr({0, 2, 2, 5}, {1, 4, 0, 3, 9});
+  ASSERT_TRUE(db.ok()) << db.status().message();
+  ASSERT_EQ(db->size(), 3u);
+  EXPECT_TRUE(db->Transaction(1).empty());
+  ItemSpan tx = db->Transaction(2);
+  EXPECT_EQ(std::vector<Item>(tx.begin(), tx.end()),
+            (std::vector<Item>{0, 3, 9}));
+  EXPECT_EQ(db->NumItems(), 10u);
+  EXPECT_EQ(TransactionDatabase::FromCsr({0}, {})->NumItems(), 0u);
+}
+
+// Each input passes every check before the one it names. Rows are checked
+// in order, each for sortedness and then for its range, so the last case
+// reports row 0's range before row 1's order.
+TEST(DatabaseTest, FromCsrChecksInvariantsInOrder) {
+  struct Case {
+    std::vector<std::size_t> offsets;
+    std::vector<Item> items;
+    const char* error;
+  };
+  const Case cases[] = {
+      {{}, {}, "corrupt offsets"},
+      {{1, 2}, {1, 2}, "corrupt offsets"},
+      {{0, 1}, {1, 2}, "corrupt offsets"},
+      // Row 0 would run past the items; the whole array is refused first.
+      {{0, 9, 2}, {2, 1}, "non-monotone offsets"},
+      {{0, 2, 1, 2}, {1, 2}, "non-monotone offsets"},
+      {{0, 2}, {2, 2}, "unsorted transaction"},
+      {{0, 1, 3},
+       {kMaxItemId + 1, 5, 4},
+       "item id out of range [0, 16777215]"},
+  };
+  for (const Case& c : cases) {
+    auto db = TransactionDatabase::FromCsr(c.offsets, c.items);
+    ASSERT_FALSE(db.ok()) << c.error;
+    EXPECT_EQ(db.status().message(), c.error);
+  }
+}
+
 }  // namespace
 }  // namespace pam

@@ -102,7 +102,7 @@ TEST_F(IoTest, BinaryRejectsTruncation) {
 // 99999999999 (which does not fit an Item) would each ask for gigabytes.
 TEST_F(IoTest, TextRejectsOutOfRangeItems) {
   for (const char* line : {"1 2 -1", "1 2 4000000000", "1 2 99999999999",
-                           "1 2 16777216"}) {
+                           "1 2 16777216", "1 2 99999999999999999999999"}) {
     std::ofstream out(Path("bad.txt"));
     out << "3 4\n" << line << "\n";
     out.close();
@@ -138,6 +138,22 @@ TEST_F(IoTest, BinaryRejectsOutOfRangeItems) {
   auto loaded = ReadBinary(Path("edge.bin"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded->NumItems(), std::size_t{kMaxItemId} + 1);
+}
+
+// A middle offset past the items passes the size checks; the whole offset
+// array must be refused before row 0 is read as 1000 items of a 5-item
+// buffer.
+TEST_F(IoTest, BinaryRejectsOffsetPastItems) {
+  std::ofstream out(Path("stretched.bin"), std::ios::binary);
+  const std::uint64_t words[] = {0x50414d5442303146ULL, 2, 5, 0, 1000, 5};
+  const std::uint32_t items[] = {1, 2, 3, 4, 5};
+  out.write(reinterpret_cast<const char*>(words), sizeof(words));
+  out.write(reinterpret_cast<const char*>(items), sizeof(items));
+  out.close();
+  auto loaded = ReadBinary(Path("stretched.bin"));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(),
+            "non-monotone offsets in " + Path("stretched.bin"));
 }
 
 TEST_F(IoTest, EmptyDatabaseRoundTrips) {

@@ -40,6 +40,37 @@ if(NOT EXISTS "${ITEMSETS}")
   message(FATAL_ERROR "itemset file not written")
 endif()
 
+# The text image of the same draw must mine the same itemsets, byte for
+# byte.
+set(DATA_TEXT "${WORKDIR}/tools_test.txt")
+set(ITEMSETS_TEXT "${WORKDIR}/tools_test_text.fi")
+execute_process(
+  COMMAND "${GEN}" --transactions 2000 --items 150 --avg-len 8
+          --patterns 60 --seed 9 --output "${DATA_TEXT}" --text
+  RESULT_VARIABLE gen_text_rc OUTPUT_VARIABLE gen_text_out
+  ERROR_VARIABLE gen_text_err)
+if(NOT gen_text_rc EQUAL 0)
+  message(FATAL_ERROR "pam_gen --text failed (${gen_text_rc}): "
+                      "${gen_text_out}${gen_text_err}")
+endif()
+execute_process(
+  COMMAND "${MINE}" --input "${DATA_TEXT}" --format text --minsup 1
+          --algorithm hd --ranks 4 --save-itemsets "${ITEMSETS_TEXT}" --top 0
+  RESULT_VARIABLE mine_text_rc OUTPUT_VARIABLE mine_text_out
+  ERROR_VARIABLE mine_text_err)
+if(NOT mine_text_rc EQUAL 0)
+  message(FATAL_ERROR
+          "pam_mine --format text failed (${mine_text_rc}): "
+          "${mine_text_out}${mine_text_err}")
+endif()
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E compare_files "${ITEMSETS}" "${ITEMSETS_TEXT}"
+  RESULT_VARIABLE same_rc)
+if(NOT same_rc EQUAL 0)
+  message(FATAL_ERROR "text and binary images mined different itemsets")
+endif()
+file(REMOVE "${DATA_TEXT}" "${ITEMSETS_TEXT}")
+
 # Unknown flags must be rejected with a non-zero exit.
 execute_process(
   COMMAND "${MINE}" --input "${DATA}" --no-such-flag
@@ -52,7 +83,8 @@ endif()
 # not a crash. A process killed by a signal shows up in RESULT_VARIABLE as
 # a string, not as the integer 1.
 set(BAD_TEXT "${WORKDIR}/tools_test_bad.txt")
-foreach(bad_line "1 2 -1" "1 2 4000000000" "1 2 99999999999")
+foreach(bad_line "1 2 -1" "1 2 4000000000" "1 2 99999999999"
+                 "1 2 99999999999999999999999")
   file(WRITE "${BAD_TEXT}" "3 4\n${bad_line}\n")
   execute_process(
     COMMAND "${MINE}" --input "${BAD_TEXT}" --format text --minsup 1

@@ -1,8 +1,9 @@
 // pam_serve: mining-as-a-service — a long-lived multi-tenant daemon over
-// the MiningSession facade. Datasets are registered up front and cached as
-// shared immutable payload pages; requests are admission-controlled
-// against the bounded queue and per-tenant quotas, scheduled by weighted
-// fair queueing, and execute concurrently over the shared rank pool.
+// the MiningSession facade. Datasets are registered up front and each is
+// cached as one shared immutable CSR database; requests are
+// admission-controlled against the bounded queue and per-tenant quotas,
+// scheduled by weighted fair queueing, and execute concurrently over the
+// shared rank pool.
 //
 // Two front-ends over the same server and the same protocol module
 // (src/pam/serve/protocol.h):
@@ -53,7 +54,6 @@ constexpr const char* kUsage = R"(usage: pam_serve [flags] < requests
   --tenant-inflight N  per-tenant max in-flight requests (default 0 = off)
   --tenant-budget S  per-tenant rank-seconds budget (default 0 = off)
   --tenant-weights L fair-queueing weights NAME=W[,NAME=W...] (default 1)
-  --page-bytes B     dataset cache wire-page size (default 65536)
   --default-deadline-ms D  deadline for requests carrying none (0 = off)
   --cache-budget-mb M  dataset cache resident budget in MiB (0 = off)
   --watchdog-ms W    cancel runs with no progress heartbeat for W ms (0 = off)
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> known = {
       "datasets", "format", "ranks",    "workers",   "queue",
       "tenant-inflight",    "tenant-budget",         "tenant-weights",
-      "page-bytes",         "default-deadline-ms",   "cache-budget-mb",
+      "default-deadline-ms",                         "cache-budget-mb",
       "watchdog-ms",        "result-cache",          "result-cache-budget-mb",
       "result-cache-ttl-ms",
       "listen",   "bind",   "port",     "port-file", "allow-shutdown",
@@ -222,8 +222,6 @@ int main(int argc, char** argv) {
   config.default_quota.max_in_flight =
       static_cast<int>(flags.GetInt("tenant-inflight", 0));
   config.default_quota.rank_seconds = flags.GetDouble("tenant-budget", 0.0);
-  config.cache_page_bytes =
-      static_cast<std::size_t>(flags.GetInt("page-bytes", 64 * 1024));
   config.default_deadline_ms = flags.GetDouble("default-deadline-ms", 0.0);
   config.cache_budget_bytes = static_cast<std::size_t>(
       flags.GetDouble("cache-budget-mb", 0.0) * 1024.0 * 1024.0);
