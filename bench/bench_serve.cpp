@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
           } else {
             // Exactness: the served result must equal the solo run.
             std::map<std::vector<pam::Item>, pam::Count> flat;
-            for (const auto& level : response.report.frequent.levels) {
+            for (const auto& level : response.report->frequent.levels) {
               for (std::size_t s = 0; s < level.size(); ++s) {
                 pam::ItemSpan span = level.Get(s);
                 flat[std::vector<pam::Item>(span.begin(), span.end())] =
@@ -411,7 +411,7 @@ int main(int argc, char** argv) {
       }
       // Hits must be byte-identical to the solo reference, like misses.
       std::map<std::vector<pam::Item>, pam::Count> flat;
-      for (const auto& level : response.report.frequent.levels) {
+      for (const auto& level : response.report->frequent.levels) {
         for (std::size_t s = 0; s < level.size(); ++s) {
           pam::ItemSpan span = level.Get(s);
           flat[std::vector<pam::Item>(span.begin(), span.end())] =
@@ -513,11 +513,13 @@ int main(int argc, char** argv) {
   if (f != nullptr) {
     std::fprintf(f,
                  "{\n  \"bench\": \"serve\",\n  \"smoke\": %s,\n"
+                 "  \"build_type\": \"%s\",\n  \"host_cpu_cores\": %u,\n"
                  "  \"pool_ranks\": %d,\n  \"workers\": %d,\n"
                  "  \"tenants\": 4,\n  \"datasets\": 2,\n"
                  "  \"retail_transactions\": %zu,\n"
                  "  \"web_transactions\": %zu,\n  \"sections\": [\n",
-                 smoke ? "true" : "false", config.pool_ranks,
+                 smoke ? "true" : "false", PAM_BUILD_TYPE,
+                 std::thread::hardware_concurrency(), config.pool_ranks,
                  config.workers, retail.size(), web.size());
     for (std::size_t i = 0; i < sections.size(); ++i) {
       const SectionResult& s = sections[i];

@@ -48,11 +48,12 @@ run_chaos_sanitized() {
   ctest --preset sanitize -L 'chaos|serve|balance' --timeout "$test_timeout"
 }
 
-# The reader fuzz driver (label `fuzz`: mutants of tests/tdb/corpus fed
-# to ReadText and ReadBinary) gets its own pass under ASan/UBSan, where a
-# read past a buffer is a failure rather than luck.
+# The fuzz drivers (label `fuzz`: mutants of tests/tdb/corpus fed to
+# ReadText and ReadBinary, and mutants of every encoder's frames fed to the
+# FrameReader and the frame decoders) get their own pass under ASan/UBSan,
+# where a read past a buffer is a failure rather than luck.
 run_fuzz_sanitized() {
-  echo "=== reader fuzz driver under ASan/UBSan ==="
+  echo "=== reader and frame fuzz drivers under ASan/UBSan ==="
   ctest --preset sanitize -L fuzz --timeout "$test_timeout"
 }
 
@@ -83,6 +84,7 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc["bench"] == "serve", doc
+assert doc["host_cpu_cores"] > 0 and doc["build_type"], doc
 assert doc["pool_ranks"] > 0 and doc["workers"] > 0
 sections = doc["sections"]
 assert sections, "no sections"

@@ -3,10 +3,26 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <utility>
 
 namespace pam {
 
 ItemsetCollection::ItemsetCollection(int k) : k_(k) { assert(k >= 1); }
+
+ItemsetCollection::ItemsetCollection(int k, std::vector<Item> items,
+                                     std::vector<Count> counts)
+    : k_(k), items_(std::move(items)), counts_(std::move(counts)) {
+  assert(k >= 1);
+  assert(items_.size() == static_cast<std::size_t>(k_) * counts_.size());
+#ifndef NDEBUG
+  for (std::size_t i = 0; i < size(); ++i) {
+    ItemSpan s = Get(i);
+    for (std::size_t j = 1; j < s.size(); ++j) {
+      assert(s[j - 1] < s[j] && "itemset must be sorted ascending");
+    }
+  }
+#endif
+}
 
 void ItemsetCollection::Add(ItemSpan items) { AddWithCount(items, 0); }
 
@@ -64,6 +80,11 @@ void ItemsetCollection::PruneBelow(Count minsup) {
   }
   items_.resize(static_cast<std::size_t>(k_) * out);
   counts_.resize(out);
+}
+
+void ItemsetCollection::ShrinkToFit() {
+  items_.shrink_to_fit();
+  counts_.shrink_to_fit();
 }
 
 std::size_t ItemsetCollection::Find(ItemSpan items) const {

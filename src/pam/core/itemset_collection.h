@@ -18,6 +18,10 @@ class ItemsetCollection {
   /// Creates an empty collection of k-itemsets. k must be >= 1.
   explicit ItemsetCollection(int k);
 
+  /// Takes over flat arrays: k items per itemset, each itemset sorted
+  /// ascending, and one count per itemset.
+  ItemsetCollection(int k, std::vector<Item> items, std::vector<Count> counts);
+
   int k() const { return k_; }
   std::size_t size() const { return counts_.size(); }
   bool empty() const { return counts_.empty(); }
@@ -39,6 +43,9 @@ class ItemsetCollection {
   void set_count(std::size_t i, Count c) { counts_[i] = c; }
   void add_count(std::size_t i, Count delta) { counts_[i] += delta; }
 
+  /// All itemsets' items, k per itemset, in itemset order.
+  const std::vector<Item>& items() const { return items_; }
+
   /// Mutable access to all counts (used by global reductions).
   std::vector<Count>& counts() { return counts_; }
   const std::vector<Count>& counts() const { return counts_; }
@@ -52,8 +59,20 @@ class ItemsetCollection {
   bool IsSortedUnique() const;
 
   /// Keeps only itemsets with count >= minsup (the F_k = {c in C_k |
-  /// c.count >= minsup} pruning step), preserving order.
+  /// c.count >= minsup} pruning step), preserving order. The capacity C_k
+  /// needed stays; ShrinkToFit releases it.
   void PruneBelow(Count minsup);
+
+  /// Releases capacity beyond size(). A run calls it once on every F_k it
+  /// returns, because F_k outlives the run (in reports and in the serving
+  /// result cache) while the passes' own buffers come and go.
+  void ShrinkToFit();
+
+  /// Bytes the two arrays hold, capacity included.
+  std::size_t ResidentBytes() const {
+    return items_.capacity() * sizeof(Item) +
+           counts_.capacity() * sizeof(Count);
+  }
 
   /// Index of `items` via binary search, or npos. Requires IsSortedUnique().
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -132,6 +132,10 @@ RankOutput RunPasses(const TransactionDatabase& db,
     if (frequent.empty()) break;
     out.frequent.levels.push_back(std::move(frequent));
   }
+  // F_k outlives the run; C_k's capacity need not. Released here, once,
+  // rather than in every pass's prune: freeing C_k mid-run let the
+  // allocator trim the heap that the next pass then faulted back in.
+  for (ItemsetCollection& level : out.frequent.levels) level.ShrinkToFit();
   return out;
 }
 

@@ -18,6 +18,19 @@ void EmitCacheInstant(const char* detail) {
 void DatasetCache::Register(const std::string& id, Loader loader) {
   auto entry = std::make_shared<Entry>();
   entry->loader = std::move(loader);
+  Install(id, std::move(entry));
+}
+
+void DatasetCache::RegisterLoaded(const std::string& id,
+                                  TransactionDatabase db) {
+  auto entry = std::make_shared<Entry>();
+  entry->registered =
+      std::make_shared<const TransactionDatabase>(std::move(db));
+  Install(id, std::move(entry));
+}
+
+void DatasetCache::Install(const std::string& id,
+                           std::shared_ptr<Entry> entry) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(id);
   if (it != entries_.end() && it->second->loaded != nullptr) {
@@ -25,16 +38,6 @@ void DatasetCache::Register(const std::string& id, Loader loader) {
     resident_bytes_ -= it->second->loaded->resident_bytes;
   }
   entries_[id] = std::move(entry);
-}
-
-void DatasetCache::RegisterLoaded(const std::string& id,
-                                  TransactionDatabase db) {
-  auto shared = std::make_shared<TransactionDatabase>(std::move(db));
-  Register(id, [shared]() -> Result<TransactionDatabase> {
-    // The loader hands out a copy, and that copy is what all requests
-    // share thereafter.
-    return Result<TransactionDatabase>(TransactionDatabase(*shared));
-  });
 }
 
 bool DatasetCache::Contains(const std::string& id) const {
@@ -116,12 +119,16 @@ Result<DatasetHandle> DatasetCache::Get(const std::string& id) {
     }
   }
 
-  Result<TransactionDatabase> loaded = entry->loader();
-  if (!loaded.ok()) return Result<DatasetHandle>(loaded.status());
+  std::shared_ptr<const TransactionDatabase> db = entry->registered;
+  if (db == nullptr) {
+    Result<TransactionDatabase> loaded = entry->loader();
+    if (!loaded.ok()) return Result<DatasetHandle>(loaded.status());
+    db = std::make_shared<const TransactionDatabase>(
+        std::move(loaded.value()));
+  }
 
   auto dataset = std::make_shared<CachedDataset>();
   dataset->id = id;
-  auto db = std::make_shared<TransactionDatabase>(std::move(loaded.value()));
   dataset->resident_bytes = db->items().size() * sizeof(Item) +
                             db->offsets().size() * sizeof(std::size_t);
   dataset->db = std::move(db);

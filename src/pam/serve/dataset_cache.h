@@ -73,7 +73,10 @@ class DatasetCache {
   /// (outstanding handles stay valid — they own the old copy).
   void Register(const std::string& id, Loader loader);
 
-  /// Registers an already-decoded database under `id`.
+  /// Registers an already-decoded database under `id`. The entry keeps
+  /// this one copy for as long as the id stays registered, and every load
+  /// hands it out as is: no loader runs and nothing is copied. The budget
+  /// counts it while it is cached.
   void RegisterLoaded(const std::string& id, TransactionDatabase db);
 
   /// True if `id` has been registered (loaded or not).
@@ -101,11 +104,16 @@ class DatasetCache {
     /// cache-wide mu_ (they are cheap shared_ptr / time_point ops), which
     /// is what lets eviction scan entries without taking every load_mu.
     std::mutex load_mu;
+    /// How a load gets the database: the loader, or, for RegisterLoaded,
+    /// the registered database itself. Both are fixed at registration.
     Loader loader;
+    std::shared_ptr<const TransactionDatabase> registered;
     DatasetHandle loaded;
     std::chrono::steady_clock::time_point last_use{};
   };
 
+  /// Puts `entry` under `id`, dropping any entry registered before.
+  void Install(const std::string& id, std::shared_ptr<Entry> entry);
   /// Drops `entry`'s resident dataset (caller holds mu_).
   void EvictLocked(const std::string& id, Entry& entry, const char* why);
   /// Applies the TTL to every unpinned resident entry (caller holds mu_).

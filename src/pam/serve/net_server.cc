@@ -443,7 +443,7 @@ void NetServer::HandleMine(Connection& conn,
         Completion completion;
         completion.conn_id = conn_id;
         completion.tag = tag;
-        completion.frame = EncodeResponse(ToResponseFrame(tag, response));
+        completion.frame = EncodeResponse(tag, response);
         state->Push(std::move(completion));
       });
 }

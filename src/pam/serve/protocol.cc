@@ -1,5 +1,6 @@
 #include "pam/serve/protocol.h"
 
+#include <bit>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -9,89 +10,99 @@ namespace {
 
 // --- little-endian primitive writer / reader over std::byte buffers.
 
+// The wire is little-endian, and so is every host this builds for (the
+// basket-file image makes the same assumption), so a primitive is one copy
+// of its host bytes.
+static_assert(std::endian::native == std::endian::little);
+
+constexpr std::size_t kHeaderBytes = 5;  // u32 body length + u8 type
+
+/// Builds one frame in one buffer: the header's 5 bytes are reserved up
+/// front and written in place by Finish, and every primitive is one
+/// bounded insert. `body_bytes` sizes the one reservation (the default
+/// holds every frame but a response, which is sized exactly); a frame that
+/// outgrows it still encodes correctly, it just reallocates.
 class Writer {
  public:
-  void U8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
-  void U16(std::uint16_t v) {
-    U8(static_cast<std::uint8_t>(v));
-    U8(static_cast<std::uint8_t>(v >> 8));
+  explicit Writer(std::size_t body_bytes = 256) {
+    out_.reserve(kHeaderBytes + body_bytes);
+    out_.resize(kHeaderBytes);
   }
-  void U32(std::uint32_t v) {
-    U16(static_cast<std::uint16_t>(v));
-    U16(static_cast<std::uint16_t>(v >> 16));
-  }
-  void U64(std::uint64_t v) {
-    U32(static_cast<std::uint32_t>(v));
-    U32(static_cast<std::uint32_t>(v >> 32));
-  }
-  void F64(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    U64(bits);
-  }
+
+  void U8(std::uint8_t v) { Raw(&v, sizeof v); }
+  void U16(std::uint16_t v) { Raw(&v, sizeof v); }
+  void U32(std::uint32_t v) { Raw(&v, sizeof v); }
+  void U64(std::uint64_t v) { Raw(&v, sizeof v); }
+  void F64(double v) { Raw(&v, sizeof v); }
   void Str(const std::string& s) {
     U32(static_cast<std::uint32_t>(s.size()));
-    const auto* p = reinterpret_cast<const std::byte*>(s.data());
-    out_.insert(out_.end(), p, p + s.size());
+    Raw(s.data(), s.size());
+  }
+  /// The words of `v` back to back, with no length.
+  template <typename T>
+  void Array(const std::vector<T>& v) {
+    Raw(v.data(), v.size() * sizeof(T));
   }
   void Items(const std::vector<Item>& items) {
     U32(static_cast<std::uint32_t>(items.size()));
-    for (Item item : items) U32(item);
+    Array(items);
   }
 
-  std::vector<std::byte>& bytes() { return out_; }
+  /// The frame: the header written over the reserved bytes, no copy.
+  std::vector<std::byte> Finish(FrameType type) && {
+    const auto body = static_cast<std::uint32_t>(out_.size() - kHeaderBytes);
+    std::memcpy(out_.data(), &body, sizeof body);
+    out_[4] = static_cast<std::byte>(type);
+    return std::move(out_);
+  }
 
  private:
+  void Raw(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::byte*>(data);
+    out_.insert(out_.end(), p, p + n);
+  }
+
   std::vector<std::byte> out_;
 };
 
+/// Reads primitives off a body with one bounds check each. The first
+/// failed check latches: every later read returns zeros, and Done() is
+/// false.
 class Reader {
  public:
   explicit Reader(std::span<const std::byte> data) : data_(data) {}
 
-  std::uint8_t U8() {
-    if (!Need(1)) return 0;
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint16_t U16() {
-    const std::uint16_t lo = U8();
-    return static_cast<std::uint16_t>(lo | (std::uint16_t{U8()} << 8));
-  }
-  std::uint32_t U32() {
-    const std::uint32_t lo = U16();
-    return lo | (std::uint32_t{U16()} << 16);
-  }
-  std::uint64_t U64() {
-    const std::uint64_t lo = U32();
-    return lo | (std::uint64_t{U32()} << 32);
-  }
-  double F64() {
-    const std::uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
+  std::uint8_t U8() { return Get<std::uint8_t>(); }
+  std::uint16_t U16() { return Get<std::uint16_t>(); }
+  std::uint32_t U32() { return Get<std::uint32_t>(); }
+  std::uint64_t U64() { return Get<std::uint64_t>(); }
+  double F64() { return Get<double>(); }
   std::string Str() {
     const std::uint32_t n = U32();
-    if (!Need(n)) return {};
+    if (!Fits(n, 1)) return {};
     std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;
   }
+  /// `n` words, read after Fits(n, sizeof(T)) has bounded them.
+  template <typename T>
+  std::vector<T> Array(std::size_t n) {
+    std::vector<T> v(n);
+    if (n > 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+    return v;
+  }
   std::vector<Item> Items() {
     const std::uint32_t n = U32();
-    // Bound the reserve by what the buffer could actually hold so a
-    // corrupt length cannot force a huge allocation before Need() fails.
-    if (!Need(static_cast<std::size_t>(n) * 4)) return {};
-    std::vector<Item> items;
-    items.reserve(n);
-    for (std::uint32_t i = 0; i < n && ok_; ++i) items.push_back(U32());
-    return items;
+    if (!Fits(n, sizeof(Item))) return {};
+    return Array<Item>(n);
   }
 
-  bool Need(std::size_t n) {
-    if (!ok_ || data_.size() - pos_ < n) {
+  /// Whether `count` records of at least `unit` bytes each fit in what is
+  /// left of the body; a corrupt count fails here, before any allocation
+  /// sized by it.
+  bool Fits(std::uint64_t count, std::size_t unit) {
+    if (!ok_ || count > (data_.size() - pos_) / unit) {
       ok_ = false;
       return false;
     }
@@ -99,25 +110,67 @@ class Reader {
   }
   /// True iff nothing failed and every byte was consumed.
   bool Done() const { return ok_ && pos_ == data_.size(); }
-  bool ok() const { return ok_; }
 
  private:
+  template <typename T>
+  T Get() {
+    T v{};
+    if (Fits(1, sizeof v)) {
+      std::memcpy(&v, data_.data() + pos_, sizeof v);
+      pos_ += sizeof v;
+    }
+    return v;
+  }
+
   std::span<const std::byte> data_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
 
-std::vector<std::byte> Finish(FrameType type, Writer&& body) {
-  Writer frame;
-  frame.U32(static_cast<std::uint32_t>(body.bytes().size()));
-  frame.U8(static_cast<std::uint8_t>(type));
-  frame.bytes().insert(frame.bytes().end(), body.bytes().begin(),
-                       body.bytes().end());
-  return std::move(frame.bytes());
-}
-
 Status Malformed(const char* what) {
   return Status::Error(std::string("malformed ") + what + " frame");
+}
+
+/// The kResponse frame both EncodeResponse overloads write, sized exactly
+/// before the one reservation.
+std::vector<std::byte> EncodeResponseFrame(
+    std::uint64_t tag, ServeStatus status, const std::string& error,
+    double queue_seconds, double service_seconds, bool from_result_cache,
+    Count minsup_count, const FrequentItemsets& frequent,
+    const std::vector<Rule>& rules) {
+  std::size_t body_bytes = 50 + error.size();
+  for (const ItemsetCollection& level : frequent.levels) {
+    body_bytes += 12 + level.items().size() * sizeof(Item) +
+                  level.size() * sizeof(Count);
+  }
+  for (const Rule& rule : rules) {
+    body_bytes += 32 + (rule.antecedent.size() + rule.consequent.size()) *
+                           sizeof(Item);
+  }
+  Writer w(body_bytes);
+  w.U64(tag);
+  w.U8(static_cast<std::uint8_t>(status));
+  w.Str(error);
+  w.F64(queue_seconds);
+  w.F64(service_seconds);
+  w.U8(from_result_cache ? 1 : 0);
+  w.U64(minsup_count);
+  w.U32(static_cast<std::uint32_t>(frequent.levels.size()));
+  for (const ItemsetCollection& level : frequent.levels) {
+    w.U32(static_cast<std::uint32_t>(level.k()));
+    w.U64(level.size());
+    w.Array(level.items());
+    w.Array(level.counts());
+  }
+  w.U64(rules.size());
+  for (const Rule& rule : rules) {
+    w.Items(rule.antecedent);
+    w.Items(rule.consequent);
+    w.U64(rule.joint_count);
+    w.F64(rule.support);
+    w.F64(rule.confidence);
+  }
+  return std::move(w).Finish(FrameType::kResponse);
 }
 
 }  // namespace
@@ -165,14 +218,14 @@ std::vector<std::byte> EncodeHello(const HelloFrame& hello) {
   w.U32(kProtocolMagic);
   w.U16(hello.min_version);
   w.U16(hello.max_version);
-  return Finish(FrameType::kHello, std::move(w));
+  return std::move(w).Finish(FrameType::kHello);
 }
 
 std::vector<std::byte> EncodeHelloAck(const HelloAckFrame& ack) {
   Writer w;
   w.U16(static_cast<std::uint16_t>(ack.version));
   w.Str(ack.server);
-  return Finish(FrameType::kHelloAck, std::move(w));
+  return std::move(w).Finish(FrameType::kHelloAck);
 }
 
 std::vector<std::byte> EncodeMine(const MineFrame& mine) {
@@ -190,47 +243,37 @@ std::vector<std::byte> EncodeMine(const MineFrame& mine) {
   w.U8(mine.request.generate_rules ? 1 : 0);
   w.F64(mine.request.min_confidence);
   w.F64(mine.request.deadline_ms);
-  return Finish(FrameType::kMine, std::move(w));
+  return std::move(w).Finish(FrameType::kMine);
 }
 
 std::vector<std::byte> EncodeCancel(const CancelFrame& cancel) {
   Writer w;
   w.U64(cancel.tag);
-  return Finish(FrameType::kCancel, std::move(w));
+  return std::move(w).Finish(FrameType::kCancel);
 }
 
 std::vector<std::byte> EncodeStats(const StatsFrame& stats) {
   Writer w;
   w.U64(stats.tag);
-  return Finish(FrameType::kStats, std::move(w));
+  return std::move(w).Finish(FrameType::kStats);
 }
 
 std::vector<std::byte> EncodeResponse(const ResponseFrame& response) {
-  Writer w;
-  w.U64(response.tag);
-  w.U8(static_cast<std::uint8_t>(response.status));
-  w.Str(response.error);
-  w.F64(response.queue_seconds);
-  w.F64(response.service_seconds);
-  w.U8(response.from_result_cache ? 1 : 0);
-  w.U64(response.minsup_count);
-  w.U32(static_cast<std::uint32_t>(response.frequent.levels.size()));
-  for (const ItemsetCollection& level : response.frequent.levels) {
-    w.U32(static_cast<std::uint32_t>(level.k()));
-    w.U64(level.size());
-    for (std::size_t i = 0; i < level.size(); ++i)
-      for (Item item : level.Get(i)) w.U32(item);
-    for (std::size_t i = 0; i < level.size(); ++i) w.U64(level.count(i));
-  }
-  w.U64(response.rules.size());
-  for (const Rule& rule : response.rules) {
-    w.Items(rule.antecedent);
-    w.Items(rule.consequent);
-    w.U64(rule.joint_count);
-    w.F64(rule.support);
-    w.F64(rule.confidence);
-  }
-  return Finish(FrameType::kResponse, std::move(w));
+  return EncodeResponseFrame(response.tag, response.status, response.error,
+                             response.queue_seconds, response.service_seconds,
+                             response.from_result_cache, response.minsup_count,
+                             response.frequent, response.rules);
+}
+
+std::vector<std::byte> EncodeResponse(std::uint64_t tag,
+                                      const ServeResponse& response) {
+  static const MiningReport kNoReport;
+  const MiningReport& report =
+      response.report != nullptr ? *response.report : kNoReport;
+  return EncodeResponseFrame(tag, response.status, response.error,
+                             response.queue_seconds, response.service_seconds,
+                             response.from_result_cache, report.minsup_count,
+                             report.frequent, report.rules);
 }
 
 std::vector<std::byte> EncodeStatsResponse(const StatsResponseFrame& frame) {
@@ -263,46 +306,18 @@ std::vector<std::byte> EncodeStatsResponse(const StatsResponseFrame& frame) {
   w.U64(s.peak_queue_depth);
   w.U32(static_cast<std::uint32_t>(s.leased_ranks));
   w.F64(s.rank_seconds_charged);
-  return Finish(FrameType::kStatsResponse, std::move(w));
+  return std::move(w).Finish(FrameType::kStatsResponse);
 }
 
 std::vector<std::byte> EncodeError(const ErrorFrame& error) {
   Writer w;
   w.U16(static_cast<std::uint16_t>(error.error));
   w.Str(error.message);
-  return Finish(FrameType::kError, std::move(w));
+  return std::move(w).Finish(FrameType::kError);
 }
 
 std::vector<std::byte> EncodeShutdown() {
-  return Finish(FrameType::kShutdown, Writer());
-}
-
-ResponseFrame ToResponseFrame(std::uint64_t tag,
-                              const ServeResponse& response) {
-  ResponseFrame frame;
-  frame.tag = tag;
-  frame.status = response.status;
-  frame.error = response.error;
-  frame.queue_seconds = response.queue_seconds;
-  frame.service_seconds = response.service_seconds;
-  frame.from_result_cache = response.from_result_cache;
-  frame.frequent = response.report.frequent;
-  frame.rules = response.report.rules;
-  frame.minsup_count = response.report.minsup_count;
-  return frame;
-}
-
-ServeResponse FromResponseFrame(ResponseFrame&& frame) {
-  ServeResponse response;
-  response.status = frame.status;
-  response.error = std::move(frame.error);
-  response.queue_seconds = frame.queue_seconds;
-  response.service_seconds = frame.service_seconds;
-  response.from_result_cache = frame.from_result_cache;
-  response.report.frequent = std::move(frame.frequent);
-  response.report.rules = std::move(frame.rules);
-  response.report.minsup_count = frame.minsup_count;
-  return response;
+  return Writer(0).Finish(FrameType::kShutdown);
 }
 
 // --- decoders -------------------------------------------------------------
@@ -377,35 +392,36 @@ Result<ResponseFrame> DecodeResponse(std::span<const std::byte> body) {
   if (status > static_cast<std::uint8_t>(ServeStatus::kCancelled))
     return Malformed("response");
   response.status = static_cast<ServeStatus>(status);
+  // Every count is bounded by the bytes left before anything is reserved
+  // for it: a level header is 12 bytes, an itemset k*4 + 8, a rule 32 or
+  // more.
   const std::uint32_t num_levels = r.U32();
-  for (std::uint32_t l = 0; l < num_levels && r.ok(); ++l) {
+  if (!r.Fits(num_levels, 12)) return Malformed("response");
+  response.frequent.levels.reserve(num_levels);
+  for (std::uint32_t l = 0; l < num_levels; ++l) {
     const std::uint32_t k = r.U32();
     const std::uint64_t n = r.U64();
-    // Each itemset needs k*4 + 8 body bytes, so a valid n is bounded by the
-    // body size — reject before allocating on a corrupt length.
-    if (k == 0 || k > 4096 || n > body.size() ||
-        !r.Need(n * (k * 4u + 8u))) {
+    if (k == 0 || k > 4096 || !r.Fits(n, k * sizeof(Item) + sizeof(Count)))
       return Malformed("response");
+    std::vector<Item> items = r.Array<Item>(n * k);
+    for (std::size_t i = 0; i < items.size(); i += k) {
+      for (std::size_t j = i + 1; j < i + k; ++j) {
+        if (items[j - 1] >= items[j]) return Malformed("response");
+      }
     }
-    ItemsetCollection level(static_cast<int>(k));
-    std::vector<Item> items(k);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      for (std::uint32_t j = 0; j < k; ++j)
-        items[j] = static_cast<Item>(r.U32());
-      level.Add(ItemSpan(items.data(), items.size()));
-    }
-    for (std::uint64_t i = 0; i < n; ++i) level.set_count(i, r.U64());
-    response.frequent.levels.push_back(std::move(level));
+    response.frequent.levels.emplace_back(static_cast<int>(k),
+                                          std::move(items),
+                                          r.Array<Count>(n));
   }
   const std::uint64_t num_rules = r.U64();
-  for (std::uint64_t i = 0; i < num_rules && r.ok(); ++i) {
-    Rule rule;
+  if (!r.Fits(num_rules, 32)) return Malformed("response");
+  response.rules.resize(num_rules);
+  for (Rule& rule : response.rules) {
     rule.antecedent = r.Items();
     rule.consequent = r.Items();
     rule.joint_count = r.U64();
     rule.support = r.F64();
     rule.confidence = r.F64();
-    response.rules.push_back(std::move(rule));
   }
   if (!r.Done()) return Malformed("response");
   return response;

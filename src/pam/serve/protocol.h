@@ -146,14 +146,14 @@ std::vector<std::byte> EncodeMine(const MineFrame& mine);
 std::vector<std::byte> EncodeCancel(const CancelFrame& cancel);
 std::vector<std::byte> EncodeStats(const StatsFrame& stats);
 std::vector<std::byte> EncodeResponse(const ResponseFrame& response);
+/// The same frame, written straight from a served response: nothing is
+/// copied out of its (possibly shared) report first. A null report encodes
+/// as no itemsets and no rules.
+std::vector<std::byte> EncodeResponse(std::uint64_t tag,
+                                      const ServeResponse& response);
 std::vector<std::byte> EncodeStatsResponse(const StatsResponseFrame& stats);
 std::vector<std::byte> EncodeError(const ErrorFrame& error);
 std::vector<std::byte> EncodeShutdown();
-
-/// Convenience: builds a ResponseFrame from a served response.
-ResponseFrame ToResponseFrame(std::uint64_t tag, const ServeResponse& response);
-/// Convenience: rehydrates the client-visible slice of a ServeResponse.
-ServeResponse FromResponseFrame(ResponseFrame&& frame);
 
 Result<HelloFrame> DecodeHello(std::span<const std::byte> body);
 Result<HelloAckFrame> DecodeHelloAck(std::span<const std::byte> body);

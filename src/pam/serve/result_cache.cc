@@ -19,13 +19,12 @@ void EmitEvictInstant(const char* detail) {
 std::size_t ReportBytes(const MiningReport& report) {
   std::size_t bytes = sizeof(MiningReport);
   for (const ItemsetCollection& level : report.frequent.levels) {
-    bytes += level.size() * (static_cast<std::size_t>(level.k()) *
-                                 sizeof(Item) +
-                             sizeof(Count));
+    bytes += level.ResidentBytes();
   }
+  bytes += report.rules.capacity() * sizeof(Rule);
   for (const Rule& rule : report.rules) {
-    bytes += sizeof(Rule) +
-             (rule.antecedent.size() + rule.consequent.size()) * sizeof(Item);
+    bytes += (rule.antecedent.capacity() + rule.consequent.capacity()) *
+             sizeof(Item);
   }
   for (const auto& pass : report.metrics.per_pass) {
     for (const PassMetrics& m : pass) {
@@ -36,7 +35,7 @@ std::size_t ReportBytes(const MiningReport& report) {
   return bytes;
 }
 
-ResultHandle ResultCache::Get(const std::string& dataset,
+ReportHandle ResultCache::Get(const std::string& dataset,
                               std::uint64_t digest) {
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
@@ -48,25 +47,21 @@ ResultHandle ResultCache::Get(const std::string& dataset,
   }
   ++hits_;
   it->second.last_use = now;
-  return it->second.result;
+  return it->second.report;
 }
 
 void ResultCache::Put(const std::string& dataset, std::uint64_t digest,
-                      MiningReport report) {
-  auto result = std::make_shared<CachedResult>();
-  result->dataset = dataset;
-  result->report = std::move(report);
-  result->bytes = ReportBytes(result->report);
+                      ReportHandle report) {
+  Entry entry;
+  entry.bytes = ReportBytes(*report);
+  entry.report = std::move(report);
+  entry.last_use = std::chrono::steady_clock::now();
 
-  const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(Key(dataset, digest));
   if (it != entries_.end()) EvictLocked(it, "replaced");
-  if (!MakeRoomLocked(result->bytes)) return;  // over budget: not cached
-  Entry entry;
-  entry.last_use = now;
-  resident_bytes_ += result->bytes;
-  entry.result = std::move(result);
+  if (!MakeRoomLocked(entry.bytes)) return;  // over budget: not cached
+  resident_bytes_ += entry.bytes;
   entries_[Key(dataset, digest)] = std::move(entry);
 }
 
@@ -84,7 +79,7 @@ void ResultCache::Invalidate(const std::string& dataset) {
 
 void ResultCache::EvictLocked(std::map<Key, Entry>::iterator it,
                               const char* why) {
-  resident_bytes_ -= it->second.result->bytes;
+  resident_bytes_ -= it->second.bytes;
   ++evictions_;
   EmitEvictInstant(why);
   entries_.erase(it);
@@ -95,7 +90,7 @@ void ResultCache::SweepTtlLocked(
   if (ttl_ms_ <= 0) return;
   for (auto it = entries_.begin(); it != entries_.end();) {
     auto next = std::next(it);
-    if (it->second.result.use_count() == 1) {  // unpinned
+    if (it->second.report.use_count() == 1) {  // unpinned
       const double idle_ms = std::chrono::duration<double, std::milli>(
                                  now - it->second.last_use)
                                  .count();
@@ -111,7 +106,7 @@ bool ResultCache::MakeRoomLocked(std::size_t needed) {
   while (resident_bytes_ + needed > budget_bytes_) {
     auto victim = entries_.end();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.result.use_count() > 1) continue;  // pinned
+      if (it->second.report.use_count() > 1) continue;  // pinned
       if (victim == entries_.end() ||
           it->second.last_use < victim->second.last_use) {
         victim = it;

@@ -14,30 +14,25 @@
 
 namespace pam::serve {
 
-/// One cached mining result: the immutable MiningReport payload a hit
-/// serves verbatim. Mining output depends only on the dataset and the
-/// result-affecting config (never on the formulation, rank count, or
-/// scheduling), so a report cached from any run answers every equivalent
-/// later request — byte-identical to re-mining, per the library's
-/// exactness contract.
-struct CachedResult {
-  std::string dataset;
-  MiningReport report;
-  /// Approximate resident footprint, the budget accounting unit.
-  std::size_t bytes = 0;
-};
-
-using ResultHandle = std::shared_ptr<const CachedResult>;
+/// A finished mining report, shared read-only by the result cache and by
+/// every response that carries it, so a hit copies nothing. Holding one
+/// pins the report's cache entry.
+using ReportHandle = std::shared_ptr<const MiningReport>;
 
 /// LRU/TTL/budget cache of finished MiningReports, keyed on
 /// (dataset id, MiningRequest::CanonicalDigest()) — the serving-side
 /// complement of the DatasetCache (which shares inputs; this shares
 /// outputs). Identical requests are common in serving mixes and results
 /// over a registered dataset are immutable, so a hit skips the dataset
-/// touch and the rank lease entirely.
+/// touch and the rank lease entirely. Mining output depends only on the
+/// dataset and the result-affecting config (never on the formulation,
+/// rank count, or scheduling), so a report cached from any run answers
+/// every equivalent later request — byte-identical to re-mining, per the
+/// library's exactness contract.
 ///
-/// Entries hold fully-materialized reports (no loaders): Put() is called
-/// by a worker that just finished mining, Get() by a worker about to. The
+/// Entries hold the mined reports themselves (no loaders, no copies):
+/// Put() is called by a worker that just finished mining, with the same
+/// handle its response carries, and Get() by a worker about to mine. The
 /// same degradation rules as the dataset cache apply: over budget, LRU
 /// unpinned entries are evicted first, and a report that alone exceeds
 /// the budget is simply not cached. Handles pin entries (use_count > 1),
@@ -52,14 +47,14 @@ class ResultCache {
       : budget_bytes_(budget_bytes), ttl_ms_(ttl_ms) {}
 
   /// The cached report for (dataset, digest), or nullptr on a miss.
-  ResultHandle Get(const std::string& dataset, std::uint64_t digest);
+  ReportHandle Get(const std::string& dataset, std::uint64_t digest);
 
   /// Caches `report` under (dataset, digest). Overwrites any existing
   /// entry (idempotent for concurrent identical runs). A report that
   /// cannot fit the budget even after evicting every unpinned entry is
   /// dropped silently — the response it came from is unaffected.
   void Put(const std::string& dataset, std::uint64_t digest,
-           MiningReport report);
+           ReportHandle report);
 
   /// Drops every entry whose dataset id is `dataset` (dataset
   /// re-registration invalidates derived results).
@@ -74,7 +69,9 @@ class ResultCache {
  private:
   using Key = std::pair<std::string, std::uint64_t>;
   struct Entry {
-    ResultHandle result;
+    ReportHandle report;
+    /// ReportBytes(*report), the budget accounting unit.
+    std::size_t bytes = 0;
     std::chrono::steady_clock::time_point last_use{};
   };
 
@@ -92,8 +89,9 @@ class ResultCache {
   std::uint64_t evictions_ = 0;
 };
 
-/// Approximate resident bytes of a report (itemset storage + rules +
-/// metrics vectors) — the ResultCache budget unit.
+/// Approximate resident bytes of a report (itemset and rule storage with
+/// the capacity it pins, plus metrics and timeline) — the ResultCache
+/// budget unit.
 std::size_t ReportBytes(const MiningReport& report);
 
 }  // namespace pam::serve

@@ -305,7 +305,7 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
     obs::ScopedSpan span(obs::SpanKind::kServeRequest,
                          static_cast<std::int64_t>(job.sequence), nullptr);
     const CancelReason queued_reason = token.Check();
-    ResultHandle hit;
+    ReportHandle hit;
     if (queued_reason == CancelReason::kNone && cacheable) {
       hit = results_.Get(job.request.dataset, digest);
     }
@@ -318,10 +318,10 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
                                       : "cancelled_in_queue");
       span.Cancel();
     } else if (hit != nullptr) {
-      // Result-cache hit (DESIGN.md §15): serve the immutable cached
-      // report as-is — no dataset touch, no rank lease, no tenant charge.
-      // The handle pins the entry until the report copy below completes.
-      response.report = hit->report;
+      // Result-cache hit (DESIGN.md §15): hand out the cached report
+      // itself — no copy, no dataset touch, no rank lease, no tenant
+      // charge. The handle pins the entry while the response holds it.
+      response.report = std::move(hit);
       response.status = ServeStatus::kOk;
       response.from_result_cache = true;
       obs::RankTracer* tracer = obs::CurrentTracer();
@@ -355,7 +355,8 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
           }
           MiningSession session;
           try {
-            response.report = session.Run(job.request, *response.dataset->db);
+            response.report = std::make_shared<const MiningReport>(
+                session.Run(job.request, *response.dataset->db));
             response.status = ServeStatus::kOk;
           } catch (const CancelledError& e) {
             SetCancelledResponse(&response, e.reason(), e.what());
@@ -386,7 +387,7 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
           charged = static_cast<double>(ranks) * response.service_seconds;
           if (cacheable && response.status == ServeStatus::kOk) {
             // Publish the freshly mined report for later identical
-            // requests (Put copies; the response keeps its own).
+            // requests: the cache and the response share it.
             results_.Put(job.request.dataset, digest, response.report);
           }
         }

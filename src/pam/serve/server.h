@@ -108,8 +108,9 @@ struct ServeResponse {
   ServeStatus status = ServeStatus::kOk;
   /// Human-readable detail for any non-kOk status.
   std::string error;
-  /// The mining result (kOk only).
-  MiningReport report;
+  /// The mining result; null unless the status is kOk. A fresh mine and
+  /// every later result-cache hit of it share this one report.
+  ReportHandle report;
   /// The cached dataset served (kOk and kMiningFault; lets callers verify
   /// cross-request sharing — same dataset id means the same handle and the
   /// same underlying database).
@@ -120,7 +121,7 @@ struct ServeResponse {
   double service_seconds = 0.0;
   /// True when the report was served from the result cache: no dataset
   /// touch, no rank lease, no fresh metrics — the report is the cached
-  /// run's, byte-identical in frequent itemsets and rules.
+  /// run's own object, so its itemsets and rules are the mined ones.
   bool from_result_cache = false;
 
   bool ok() const { return status == ServeStatus::kOk; }

@@ -64,6 +64,30 @@ TEST(ItemsetCollectionTest, PruneBelowKeepsOrder) {
   }
 }
 
+TEST(ItemsetCollectionTest, ShrinkToFitReleasesPrunedCapacity) {
+  // C_k's buffers must not outlive the run inside F_k.
+  ItemsetCollection col(3);
+  for (Item x = 0; x < 1000; ++x) {
+    const Item set[] = {x, x + 1000, x + 2000};
+    col.AddWithCount(ItemSpan(set, 3), x % 100 == 0 ? 9 : 1);
+  }
+  EXPECT_GE(col.ResidentBytes(), 1000 * (3 * sizeof(Item) + sizeof(Count)));
+  col.PruneBelow(2);
+  col.ShrinkToFit();
+  ASSERT_EQ(col.size(), 10u);
+  EXPECT_EQ(col.Get(9)[0], 900u);
+  EXPECT_EQ(col.count(9), 9u);
+  EXPECT_LE(col.ResidentBytes(), 2 * 10 * (3 * sizeof(Item) + sizeof(Count)));
+}
+
+TEST(ItemsetCollectionTest, TakesFlatArrays) {
+  ItemsetCollection col(2, {1, 2, 1, 3, 2, 3}, {7, 8, 9});
+  ASSERT_EQ(col.size(), 3u);
+  EXPECT_EQ(ToVec(col.Get(1)), (std::vector<Item>{1, 3}));
+  EXPECT_EQ(col.count(2), 9u);
+  EXPECT_EQ(col.items(), (std::vector<Item>{1, 2, 1, 3, 2, 3}));
+}
+
 TEST(ItemsetCollectionTest, PruneAll) {
   ItemsetCollection col(1);
   for (Item x = 0; x < 4; ++x) col.AddWithCount(ItemSpan(&x, 1), 1);

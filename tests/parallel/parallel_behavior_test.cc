@@ -145,6 +145,24 @@ TEST(ParallelBehaviorTest, TrianglePassIsCountDistributionInEveryFormulation) {
   }
 }
 
+// Every F_k a run returns holds its own bytes, not the |C_k| capacity its
+// pass counted in: reports and the serving result cache keep these levels.
+TEST(ParallelBehaviorTest, ReturnedLevelsHoldNoCandidateCapacity) {
+  const TransactionDatabase db = TestDb();
+  for (Algorithm alg : {Algorithm::kCD, Algorithm::kDD, Algorithm::kIDD,
+                        Algorithm::kHD, Algorithm::kHPA}) {
+    const ParallelResult result = MineParallel(alg, db, 3, BaseConfig());
+    ASSERT_GE(result.frequent.levels.size(), 3u) << AlgorithmName(alg);
+    for (const ItemsetCollection& level : result.frequent.levels) {
+      EXPECT_EQ(level.ResidentBytes(),
+                level.size() * (static_cast<std::size_t>(level.k()) *
+                                    sizeof(Item) +
+                                sizeof(Count)))
+          << AlgorithmName(alg) << " k=" << level.k();
+    }
+  }
+}
+
 // CD performs no redundant work: its total leaf visits match a P=1 run.
 TEST(ParallelBehaviorTest, CdTotalWorkIndependentOfP) {
   TransactionDatabase db = TestDb();

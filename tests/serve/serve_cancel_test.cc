@@ -340,7 +340,7 @@ TEST(ServeCancelTest, WatchdogLeavesHealthyRunsAlone) {
   request.config.apriori.minsup_fraction = 0.02;
   ServeResponse response = server.Execute(std::move(request));
   ASSERT_EQ(response.status, ServeStatus::kOk);
-  EXPECT_EQ(testing::Flatten(response.report.frequent), reference);
+  EXPECT_EQ(testing::Flatten(response.report->frequent), reference);
   EXPECT_EQ(server.Stats().watchdog_fired, 0u);
   server.Shutdown();
   ExpectPoolWhole(server, config);
@@ -513,7 +513,7 @@ TEST(ServeCancelTest, FaultPlanDeadlineMatrixStaysTyped) {
       switch (response.status) {
         case ServeStatus::kOk:
           // Recovered faults must repair to byte-identical results.
-          EXPECT_EQ(testing::Flatten(response.report.frequent), reference)
+          EXPECT_EQ(testing::Flatten(response.report->frequent), reference)
               << FaultKindName(kind);
           break;
         case ServeStatus::kDeadlineExceeded:
@@ -611,7 +611,7 @@ TEST(ServeCancelSoakTest, DeadlineMixEveryResponseTyped) {
         switch (response.status) {
           case ServeStatus::kOk:
             ++ok[static_cast<std::size_t>(c)];
-            if (testing::Flatten(response.report.frequent) !=
+            if (testing::Flatten(response.report->frequent) !=
                 references[static_cast<std::size_t>(ds)]) {
               ++wrong[static_cast<std::size_t>(c)];
             }

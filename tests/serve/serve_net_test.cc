@@ -149,6 +149,33 @@ TEST(ProtocolTest, MineFrameRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(r.deadline_ms, 1500.0);
 }
 
+// FNV-1a over a whole frame, to pin wire bytes compactly.
+std::uint64_t FrameDigest(const std::vector<std::byte>& frame) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::byte b : frame) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The frame a client decodes for `response`, built field by field.
+ResponseFrame FrameOf(std::uint64_t tag, const ServeResponse& response) {
+  ResponseFrame frame;
+  frame.tag = tag;
+  frame.status = response.status;
+  frame.error = response.error;
+  frame.queue_seconds = response.queue_seconds;
+  frame.service_seconds = response.service_seconds;
+  frame.from_result_cache = response.from_result_cache;
+  if (response.report != nullptr) {
+    frame.frequent = response.report->frequent;
+    frame.rules = response.report->rules;
+    frame.minsup_count = response.report->minsup_count;
+  }
+  return frame;
+}
+
 TEST(ProtocolTest, ResponseFrameRoundTripsItemsetsAndRules) {
   // Mine a real report so the frame carries non-trivial levels and rules.
   const TransactionDatabase db = testing::TinyQuestDb();
@@ -157,13 +184,21 @@ TEST(ProtocolTest, ResponseFrameRoundTripsItemsetsAndRules) {
   request.generate_rules = true;
   request.min_confidence = 0.3;
   ServeResponse response;
-  response.report = session.Run(request, db);
+  response.report = std::make_shared<const MiningReport>(
+      session.Run(request, db));
   response.queue_seconds = 0.25;
   response.service_seconds = 1.5;
   response.from_result_cache = true;
 
+  // Both encoders write the same bytes, and those bytes are the ones the
+  // byte-at-a-time codec wrote (digest pinned from it).
+  const std::vector<std::byte> encoded = serve::EncodeResponse(42, response);
+  EXPECT_EQ(encoded, serve::EncodeResponse(FrameOf(42, response)));
+  EXPECT_EQ(encoded.size(), 814459u);
+  EXPECT_EQ(FrameDigest(encoded), 0x9e50918167bb2879ull);
+
   FrameReader reader;
-  reader.Feed(serve::EncodeResponse(serve::ToResponseFrame(42, response)));
+  reader.Feed(encoded);
   FrameType type;
   std::vector<std::byte> body;
   ASSERT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kFrame);
@@ -176,19 +211,38 @@ TEST(ProtocolTest, ResponseFrameRoundTripsItemsetsAndRules) {
   EXPECT_TRUE(frame.from_result_cache);
   EXPECT_DOUBLE_EQ(frame.queue_seconds, 0.25);
   EXPECT_DOUBLE_EQ(frame.service_seconds, 1.5);
-  EXPECT_EQ(frame.minsup_count, response.report.minsup_count);
+  EXPECT_EQ(frame.minsup_count, response.report->minsup_count);
   // Byte-identity of the mining payload across the wire.
   EXPECT_EQ(testing::Flatten(frame.frequent),
-            testing::Flatten(response.report.frequent));
-  ASSERT_EQ(frame.rules.size(), response.report.rules.size());
+            testing::Flatten(response.report->frequent));
+  ASSERT_EQ(frame.rules.size(), response.report->rules.size());
   ASSERT_GT(frame.rules.size(), 0u) << "test wants a non-trivial rule set";
   for (std::size_t i = 0; i < frame.rules.size(); ++i) {
-    EXPECT_EQ(frame.rules[i].antecedent, response.report.rules[i].antecedent);
-    EXPECT_EQ(frame.rules[i].consequent, response.report.rules[i].consequent);
-    EXPECT_EQ(frame.rules[i].joint_count, response.report.rules[i].joint_count);
+    EXPECT_EQ(frame.rules[i].antecedent, response.report->rules[i].antecedent);
+    EXPECT_EQ(frame.rules[i].consequent, response.report->rules[i].consequent);
+    EXPECT_EQ(frame.rules[i].joint_count,
+              response.report->rules[i].joint_count);
     EXPECT_DOUBLE_EQ(frame.rules[i].confidence,
-                     response.report.rules[i].confidence);
+                     response.report->rules[i].confidence);
   }
+
+  // A failed response carries no report: it encodes with no itemsets and
+  // no rules, to the same pinned bytes as before.
+  ServeResponse failed;
+  failed.status = ServeStatus::kMiningFault;
+  failed.error = "dataset load failed: read failed";
+  ASSERT_EQ(failed.report, nullptr);
+  const std::vector<std::byte> failed_frame = serve::EncodeResponse(7, failed);
+  EXPECT_EQ(failed_frame, serve::EncodeResponse(FrameOf(7, failed)));
+  EXPECT_EQ(FrameDigest(failed_frame), 0x747588040a0ffe57ull);
+  reader.Feed(failed_frame);
+  ASSERT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kFrame);
+  Result<ResponseFrame> failed_decoded = serve::DecodeResponse(body);
+  ASSERT_TRUE(failed_decoded.ok()) << failed_decoded.status().message();
+  EXPECT_EQ(failed_decoded.value().status, ServeStatus::kMiningFault);
+  EXPECT_EQ(failed_decoded.value().error, failed.error);
+  EXPECT_TRUE(failed_decoded.value().frequent.levels.empty());
+  EXPECT_TRUE(failed_decoded.value().rules.empty());
 }
 
 TEST(ProtocolTest, StatsResponseRoundTripsEveryCounter) {
@@ -910,13 +964,15 @@ TEST(ResultCacheTest, HitIsByteIdenticalAndLeasesNoRank) {
   ASSERT_EQ(hot_response.status, ServeStatus::kOk);
   EXPECT_TRUE(hot_response.from_result_cache);
 
-  // Byte-identity with the cold run's report.
-  EXPECT_EQ(testing::Flatten(hot_response.report.frequent),
-            testing::Flatten(cold_response.report.frequent));
-  ASSERT_EQ(hot_response.report.rules.size(),
-            cold_response.report.rules.size());
-  EXPECT_EQ(hot_response.report.minsup_count,
-            cold_response.report.minsup_count);
+  // Byte-identity with the cold run's report: the hit hands out the very
+  // report the cold run mined and published.
+  EXPECT_EQ(hot_response.report.get(), cold_response.report.get());
+  EXPECT_EQ(testing::Flatten(hot_response.report->frequent),
+            testing::Flatten(cold_response.report->frequent));
+  ASSERT_EQ(hot_response.report->rules.size(),
+            cold_response.report->rules.size());
+  EXPECT_EQ(hot_response.report->minsup_count,
+            cold_response.report->minsup_count);
 
   // Zero machine cost: no new rank lease, no tenant charge.
   EXPECT_EQ(server.pool().LeasesGranted(), leases_after_cold);

@@ -134,7 +134,7 @@ TEST(ServeSoakTest, SurvivesMultiTenantFaultMix) {
             server.Execute(SoakRequest(tenant, cell, fault_seed));
         if (response.ok()) {
           ++ok_count[static_cast<std::size_t>(t)];
-          if (testing::Flatten(response.report.frequent) !=
+          if (testing::Flatten(response.report->frequent) !=
               references.at(&cell)) {
             ++wrong_count[static_cast<std::size_t>(t)];
           }

@@ -134,7 +134,7 @@ TEST(ServeTest, ConcurrentMixedAlgorithmsMatchSolo) {
       ServeResponse response =
           futures[i * kRepeats + static_cast<std::size_t>(r)].get();
       ASSERT_EQ(response.status, ServeStatus::kOk) << response.error;
-      EXPECT_EQ(testing::Flatten(response.report.frequent),
+      EXPECT_EQ(testing::Flatten(response.report->frequent),
                 references[static_cast<int>(i)])
           << MiningAlgorithmName(mix[i].algorithm) << " repeat " << r;
     }
@@ -163,13 +163,13 @@ TEST(ServeTest, RuleGenerationMatchesSolo) {
   server.datasets().RegisterLoaded("quest", TransactionDatabase(db));
   ServeResponse response = server.Execute(request);
   ASSERT_TRUE(response.ok()) << response.error;
-  EXPECT_EQ(testing::Flatten(response.report.frequent),
+  EXPECT_EQ(testing::Flatten(response.report->frequent),
             testing::Flatten(reference.frequent));
-  ASSERT_EQ(response.report.rules.size(), reference.rules.size());
+  ASSERT_EQ(response.report->rules.size(), reference.rules.size());
   for (std::size_t i = 0; i < reference.rules.size(); ++i) {
-    EXPECT_EQ(response.report.rules[i].antecedent,
+    EXPECT_EQ(response.report->rules[i].antecedent,
               reference.rules[i].antecedent);
-    EXPECT_EQ(response.report.rules[i].consequent,
+    EXPECT_EQ(response.report->rules[i].consequent,
               reference.rules[i].consequent);
   }
 }
@@ -271,13 +271,17 @@ TEST(ServeTest, TenantBudgetQuotaEnforced) {
 
 TEST(ServeTest, DatasetCacheServesOneSharedCopy) {
   MiningServer server(ServerConfig{});
-  server.datasets().RegisterLoaded("quest", testing::SmallQuestDb());
+  TransactionDatabase registered = testing::SmallQuestDb();
+  const Item* registered_items = registered.items().data();
+  server.datasets().RegisterLoaded("quest", std::move(registered));
 
-  // First request pays the one-time load (one CSR copy)...
+  // First request pays the one-time load, which copies nothing: the cached
+  // CSR is the registered database itself...
   ServeResponse first =
       server.Execute(Request("a", "quest", MiningAlgorithm::kSerial, 1));
   ASSERT_TRUE(first.ok()) << first.error;
   ASSERT_NE(first.dataset, nullptr);
+  EXPECT_EQ(first.dataset->db->items().data(), registered_items);
   const std::uint64_t copies_after_load = BufferPool::CopyCount();
 
   // ...and every later request over the dataset moves zero bytes: same

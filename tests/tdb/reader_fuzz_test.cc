@@ -1,8 +1,9 @@
 // Deterministic mutation fuzzing of both basket-file readers (ctest label
 // `fuzz`; scripts/ci.sh runs it under ASan/UBSan). Each reader gets a fixed
 // number of mutants of the seed corpus in tests/tdb/corpus, drawn from a
-// seeded Prng, so every run tries the same inputs and a failure names the
-// trial and the input that caused it. The properties:
+// seeded Prng by the mutators in testing/mutate.h, so every run tries the
+// same inputs and a failure names the trial and the input that caused it.
+// The properties:
 //   - an error carries a non-empty message;
 //   - a loaded database is structurally valid: rows strictly increasing,
 //     every id below NumItems(), NumItems() == largest id + 1, at most
@@ -15,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -30,11 +30,13 @@
 
 #include "pam/tdb/io.h"
 #include "pam/util/prng.h"
+#include "testing/mutate.h"
 
 namespace pam {
 namespace {
 
-using Bytes = std::string;
+using testing::Bytes;
+using testing::Printable;
 using Rows = std::vector<std::vector<Item>>;
 
 constexpr int kMutantsPerReader = 3000;
@@ -48,22 +50,6 @@ Bytes ReadAll(const std::filesystem::path& path) {
 void WriteAll(const std::string& path, const Bytes& bytes) {
   std::ofstream out(path, std::ios::binary);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-// The input with every byte outside printable ASCII escaped, for failure
-// messages.
-std::string Printable(const Bytes& bytes) {
-  std::string out;
-  for (unsigned char c : bytes) {
-    if (c >= 0x20 && c < 0x7f && c != '\\') {
-      out += static_cast<char>(c);
-    } else {
-      char buf[5];
-      std::snprintf(buf, sizeof(buf), "\\x%02x", c);
-      out += buf;
-    }
-  }
-  return out;
 }
 
 Rows RowsOf(const TransactionDatabase& db) {
@@ -149,80 +135,35 @@ OracleResult TextOracle(const Bytes& text) {
   return {std::move(rows), ""};
 }
 
-// Text mutants mostly draw bytes the grammar cares about.
-char RandomByte(Prng& rng, bool binary) {
-  constexpr std::string_view kTextBytes = "0123456789 \t\r\n\v\f+-x";
-  if (!binary && rng.NextBounded(8) != 0) {
-    return kTextBytes[rng.NextBounded(kTextBytes.size())];
-  }
-  return static_cast<char>(rng.NextBounded(256));
-}
-
 std::uint64_t Word(const Bytes& b, std::size_t index) {
   std::uint64_t v = 0;
   std::memcpy(&v, b.data() + index * sizeof(v), sizeof(v));
   return v;
 }
 
-// One to three mutations of one seed: set or flip a byte, insert or delete
-// a run, truncate, splice with another seed, or (binary only) overwrite a
-// header or offset word with a boundary value.
-Bytes Mutate(const std::vector<Bytes>& seeds, bool binary, Prng& rng) {
-  Bytes b = seeds[rng.NextBounded(seeds.size())];
-  const std::uint64_t rounds = 1 + rng.NextBounded(3);
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    const std::size_t pos = rng.NextBounded(b.size() + 1);
-    const std::size_t run = 1 + rng.NextBounded(8);
-    switch (rng.NextBounded(binary ? 7 : 6)) {
-      case 0:
-        if (pos < b.size()) b[pos] = RandomByte(rng, binary);
-        break;
-      case 1:
-        if (pos < b.size()) {
-          b[pos] = static_cast<char>(b[pos] ^ (1 << rng.NextBounded(8)));
-        }
-        break;
-      case 2:
-        for (std::size_t i = 0; i < run; ++i) {
-          b.insert(b.begin() + static_cast<std::ptrdiff_t>(pos),
-                   RandomByte(rng, binary));
-        }
-        break;
-      case 3:
-        b.erase(pos, run);
-        break;
-      case 4:
-        b.resize(pos);
-        break;
-      case 5: {
-        const Bytes& other = seeds[rng.NextBounded(seeds.size())];
-        b = b.substr(0, pos) + other.substr(rng.NextBounded(other.size() + 1));
-        break;
-      }
-      default: {
-        // Words 1 and 2 are the transaction and item counts, words 3.. the
-        // offsets.
-        const std::size_t words = b.size() / sizeof(std::uint64_t);
-        if (words < 4) break;
-        const std::uint64_t items = Word(b, 2);
-        const std::uint64_t values[] = {0,
-                                        items - 1,
-                                        items,
-                                        items + 1,
-                                        b.size(),
-                                        std::uint64_t{1} << 63,
-                                        ~std::uint64_t{0}};
-        const std::uint64_t v = values[rng.NextBounded(std::size(values))];
-        const std::size_t index =
-            1 + rng.NextBounded(std::min<std::uint64_t>(words - 1,
-                                                        Word(b, 1) + 3));
-        std::memcpy(b.data() + index * sizeof(v), &v, sizeof(v));
-        break;
-      }
-    }
-  }
-  return b;
+// Overwrites a header or offset word with a boundary value. Words 1 and 2
+// are the transaction and item counts, words 3.. the offsets.
+void MutateBinaryWord(Bytes& b, Prng& rng) {
+  const std::size_t words = b.size() / sizeof(std::uint64_t);
+  if (words < 4) return;
+  const std::uint64_t items = Word(b, 2);
+  const std::uint64_t values[] = {0,
+                                  items - 1,
+                                  items,
+                                  items + 1,
+                                  b.size(),
+                                  std::uint64_t{1} << 63,
+                                  ~std::uint64_t{0}};
+  const std::uint64_t v = values[rng.NextBounded(std::size(values))];
+  const std::size_t index =
+      1 + rng.NextBounded(std::min<std::uint64_t>(words - 1, Word(b, 1) + 3));
+  std::memcpy(b.data() + index * sizeof(v), &v, sizeof(v));
 }
+
+// Binary mutants draw bytes uniformly and also hit the header and offset
+// words; text mutants mostly draw bytes the grammar cares about.
+const testing::MutationSpace kBinarySpace{"", MutateBinaryWord};
+const testing::MutationSpace kTextSpace{"0123456789 \t\r\n\v\f+-x", {}};
 
 class ReaderFuzzTest : public ::testing::Test {
  protected:
@@ -309,7 +250,7 @@ TEST_F(ReaderFuzzTest, BinaryMutantsFailCleanlyOrRoundTrip) {
   Prng rng(0x5eedb1);
   int loaded = 0;
   for (int trial = 0; trial < kMutantsPerReader && !HasFailure(); ++trial) {
-    const Bytes mutant = Mutate(binary_seeds_, /*binary=*/true, rng);
+    const Bytes mutant = testing::Mutate(binary_seeds_, kBinarySpace, rng);
     loaded += CheckBinary(mutant, "trial " + std::to_string(trial) +
                                       " input " + Printable(mutant));
   }
@@ -322,7 +263,7 @@ TEST_F(ReaderFuzzTest, TextMutantsLoadExactlyAsTheGrammarSays) {
   Prng rng(0x5eed7e);
   int loaded = 0;
   for (int trial = 0; trial < kMutantsPerReader && !HasFailure(); ++trial) {
-    const Bytes mutant = Mutate(text_seeds_, /*binary=*/false, rng);
+    const Bytes mutant = testing::Mutate(text_seeds_, kTextSpace, rng);
     loaded += CheckText(mutant, "trial " + std::to_string(trial) +
                                     " input \"" + Printable(mutant) + "\"");
   }

@@ -172,11 +172,13 @@ int RunScriptMode(pam::serve::MiningServer& server, std::istream& in,
   for (PendingRequest& p : pending) {
     pam::serve::ServeResponse response = p.future.get();
     if (!quiet) {
+      const pam::MiningReport* report = response.report.get();  // kOk only
       std::printf("%s\n",
                   pam::serve::FormatResponseLine(
                       p.id, p.tenant, p.dataset, response.status,
-                      response.error, response.report.frequent.TotalCount(),
-                      response.report.rules.size(),
+                      response.error,
+                      report != nullptr ? report->frequent.TotalCount() : 0,
+                      report != nullptr ? report->rules.size() : 0,
                       response.queue_seconds * 1e3,
                       response.service_seconds * 1e3,
                       response.from_result_cache)
