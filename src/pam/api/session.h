@@ -84,8 +84,8 @@ struct MiningRequest {
   /// counts, tree shape, page sizes, and balancing flags are performance
   /// knobs — every formulation produces byte-identical results (the
   /// library's exactness contract) — so a serial and an 8-rank HD run of
-  /// the same mining problem share a digest. Keyed with the dataset id,
-  /// this is the result-cache key (pam/serve/result_cache.h).
+  /// the same mining problem share a digest. Keyed with the dataset's
+  /// registration, this is the result-cache key (pam/serve/result_cache.h).
   std::uint64_t CanonicalDigest() const;
 };
 

@@ -120,6 +120,9 @@ std::vector<Rule> GenerateRules(const FrequentItemsets& frequent,
     }
   }
   rulegen_internal::SortRules(rules);
+  // A cached report pins its rules for its whole life, so release
+  // push_back's growth slack before returning.
+  rules.shrink_to_fit();
   return rules;
 }
 

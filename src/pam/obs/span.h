@@ -48,9 +48,9 @@ enum class SpanKind : std::uint8_t {
   /// layer when a blocked receive observes the token, and by the serve
   /// worker when it types the response.
   kCancel,
-  /// Instant: the dataset cache evicted an entry to stay within its
-  /// memory budget (detail = "budget", "ttl", or "uncacheable" when a
-  /// dataset larger than the whole budget is served load-through).
+  /// Instant: a serving cache dropped an entry (detail = "budget", "ttl",
+  /// or "replaced"), or refused one that cannot fit its budget
+  /// ("uncacheable"; a dataset is then served load-through).
   kCacheEvict,
   /// Instant: a served request was answered from the result cache — no
   /// dataset touch, no rank lease (detail = the dataset id).

@@ -232,7 +232,6 @@ void ObserveBalance(Comm& comm, const ItemsetCollection& candidates,
                             buf.end());
   feedback.num_candidates = candidates.size();
   feedback.grid_rows = rows;
-  feedback.tree_pass = true;
   model.Observe(feedback);
 }
 

@@ -37,7 +37,6 @@ double LoadModel::DensityOf(Item item) const {
 }
 
 void LoadModel::Observe(const PassFeedback& fb) {
-  if (!fb.tree_pass) return;
   std::uint64_t total_meas = 0;
   for (std::uint64_t w : fb.part_work) total_meas += w;
 

@@ -74,10 +74,6 @@ class LoadModel {
     std::uint64_t leaf_checks = 0;      // global
     std::size_t num_candidates = 0;     // |C_k|
     int grid_rows = 1;                  // parts the pass counted with
-    /// False for a pass counted without a hash tree (the pass-2
-    /// triangle) — there is no per-item attribution to fold, so such
-    /// passes are ignored.
-    bool tree_pass = false;
   };
 
   /// Folds one completed pass into the model: updates each first item's

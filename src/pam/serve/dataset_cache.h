@@ -1,7 +1,6 @@
 #ifndef PAM_SERVE_DATASET_CACHE_H_
 #define PAM_SERVE_DATASET_CACHE_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -10,6 +9,7 @@
 #include <mutex>
 #include <string>
 
+#include "pam/serve/budgeted_cache.h"
 #include "pam/tdb/database.h"
 #include "pam/util/status.h"
 
@@ -20,13 +20,13 @@ namespace pam::serve {
 /// the one copy through the handle's refcount, so a cache hit moves zero
 /// bytes, which the serve suite pins with a BufferPool::CopyCount guard.
 struct CachedDataset {
-  std::string id;
   std::shared_ptr<const TransactionDatabase> db;
   /// Bytes the CSR holds: 4 per item plus 8 per offset. The cache budget
   /// counts this.
   std::size_t resident_bytes = 0;
-
-  std::size_t num_transactions() const { return db == nullptr ? 0 : db->size(); }
+  /// The registration this dataset was loaded from
+  /// (DatasetCache::Generation); results mined from it are keyed on it.
+  std::uint64_t generation = 0;
 };
 
 /// Shared handle to a cached dataset. Requests hold one for the duration
@@ -43,30 +43,23 @@ using DatasetHandle = std::shared_ptr<const CachedDataset>;
 /// Keying is by caller-chosen id, not by content: two ids backed by the
 /// same file are two entries (the server's datasets are a small static
 /// catalog, so identity-by-name is the honest contract; see DESIGN.md
-/// §12 "cache keying").
+/// §12 "cache keying"). Each registration of an id gets its own
+/// generation, which is what derived results are keyed on.
 ///
-/// Graceful degradation (DESIGN.md §13): with a nonzero `budget_bytes`
-/// the cache never keeps more than that many resident CSR bytes. Before
-/// caching a fresh load it evicts least-recently-used unpinned entries
-/// (pinned = some request still holds the handle; use_count > 1) until
-/// the newcomer fits; if it cannot fit — the dataset alone exceeds the
-/// budget, or everything resident is pinned — the load is handed through
-/// *uncached*, so requests still succeed, just without sharing. A nonzero
-/// `ttl_ms` additionally drops unpinned entries idle longer than the TTL
-/// (swept opportunistically on Get). ResidentBytes() therefore never
-/// exceeds budget_bytes when one is set.
+/// Graceful degradation (DESIGN.md §13): loaded datasets live in a
+/// BudgetedCache, so with a nonzero `budget_bytes` a fresh load evicts
+/// least-recently-used unpinned datasets until it fits. A load that cannot
+/// fit — alone over budget, or everything resident pinned — is handed
+/// through *uncached*: the request still succeeds, just without sharing.
 ///
-/// Thread-safe. Concurrent first Gets of one id serialize on the entry,
-/// not the whole cache, so loading a cold dataset never blocks hits on a
-/// hot one.
+/// Thread-safe. Loads serialize per registration, not on the whole cache,
+/// so loading a cold dataset never blocks hits on a hot one.
 class DatasetCache {
  public:
   using Loader = std::function<Result<TransactionDatabase>()>;
 
-  /// `budget_bytes` caps resident CSR bytes (0 = unlimited); `ttl_ms`
-  /// drops entries idle longer than this (0 = never).
-  explicit DatasetCache(std::size_t budget_bytes = 0, double ttl_ms = 0)
-      : budget_bytes_(budget_bytes), ttl_ms_(ttl_ms) {}
+  /// `budget_bytes` caps resident CSR bytes (0 = unlimited).
+  explicit DatasetCache(std::size_t budget_bytes = 0) : loaded_(budget_bytes) {}
 
   /// Registers dataset `id`, loaded lazily by `loader` on first Get.
   /// Re-registering an id replaces its loader and drops any loaded entry
@@ -82,54 +75,48 @@ class DatasetCache {
   /// True if `id` has been registered (loaded or not).
   bool Contains(const std::string& id) const;
 
+  /// The current registration of `id`: distinct for every Register and
+  /// RegisterLoaded call, 0 for an id never registered.
+  std::uint64_t Generation(const std::string& id) const;
+
   /// The cached dataset, loading it on first use. Fails for an
   /// unregistered id, or with the loader's error (the failure is not
-  /// cached: a later Get retries the loader).
+  /// cached: a later Get retries the loader). Every Get of a registered id
+  /// counts one hit or one miss.
   Result<DatasetHandle> Get(const std::string& id);
 
   /// Gets satisfied by an already-loaded entry / requiring a load.
-  std::uint64_t Hits() const;
-  std::uint64_t Misses() const;
-  /// Entries dropped from residency by the budget or the TTL.
-  std::uint64_t Evictions() const;
+  std::uint64_t Hits() const { return loaded_.Hits(); }
+  std::uint64_t Misses() const { return loaded_.Misses(); }
+  /// Datasets dropped from residency by the budget.
+  std::uint64_t Evictions() const { return loaded_.Evictions(); }
   /// Total CSR bytes resident across loaded entries; <= budget_bytes
   /// whenever a budget is set.
-  std::size_t ResidentBytes() const;
-  std::size_t BudgetBytes() const { return budget_bytes_; }
+  std::size_t ResidentBytes() const { return loaded_.ResidentBytes(); }
+  std::size_t BudgetBytes() const { return loaded_.BudgetBytes(); }
 
  private:
-  struct Entry {
-    /// Serializes the expensive load of this entry only; never held while
-    /// touching cache-wide state. `loaded` and `last_use` live under the
-    /// cache-wide mu_ (they are cheap shared_ptr / time_point ops), which
-    /// is what lets eviction scan entries without taking every load_mu.
-    std::mutex load_mu;
+  struct Registration {
+    std::uint64_t generation = 0;
     /// How a load gets the database: the loader, or, for RegisterLoaded,
-    /// the registered database itself. Both are fixed at registration.
+    /// the registered database itself.
     Loader loader;
     std::shared_ptr<const TransactionDatabase> registered;
-    DatasetHandle loaded;
-    std::chrono::steady_clock::time_point last_use{};
+    /// Serializes this registration's loads and the lookup before each, so
+    /// a Get that waited out another's load finds its entry.
+    std::mutex load_mu;
   };
 
-  /// Puts `entry` under `id`, dropping any entry registered before.
-  void Install(const std::string& id, std::shared_ptr<Entry> entry);
-  /// Drops `entry`'s resident dataset (caller holds mu_).
-  void EvictLocked(const std::string& id, Entry& entry, const char* why);
-  /// Applies the TTL to every unpinned resident entry (caller holds mu_).
-  void SweepTtlLocked(std::chrono::steady_clock::time_point now);
-  /// Evicts LRU unpinned entries until `needed` more bytes fit the
-  /// budget; returns false when they cannot (caller holds mu_).
-  bool MakeRoomLocked(std::size_t needed);
+  /// Puts `registration` under `id`, dropping the entry loaded before.
+  void Install(const std::string& id,
+               std::shared_ptr<Registration> registration);
 
-  const std::size_t budget_bytes_;
-  const double ttl_ms_;
+  /// Guards the registrations, and makes a load's "still current" check
+  /// and its Put atomic with respect to Install's erase.
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<Entry>> entries_;
-  std::size_t resident_bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
+  std::map<std::string, std::shared_ptr<Registration>> registrations_;
+  std::uint64_t last_generation_ = 0;
+  BudgetedCache<std::string, CachedDataset> loaded_;
 };
 
 }  // namespace pam::serve

@@ -91,7 +91,7 @@ void EmitCancelInstant(const char* detail) {
 MiningServer::MiningServer(const ServerConfig& config)
     : config_(config),
       pool_(config.pool_ranks),
-      cache_(config.cache_budget_bytes, config.cache_ttl_ms),
+      cache_(config.cache_budget_bytes),
       results_(config.result_cache_budget_bytes, config.result_cache_ttl_ms) {
   serve_obs_.origin = std::chrono::steady_clock::now();
   const int workers = config_.workers > 0 ? config_.workers : 1;
@@ -307,7 +307,8 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
     const CancelReason queued_reason = token.Check();
     ReportHandle hit;
     if (queued_reason == CancelReason::kNone && cacheable) {
-      hit = results_.Get(job.request.dataset, digest);
+      hit = results_.Get(
+          ResultKey(cache_.Generation(job.request.dataset), digest));
     }
     if (queued_reason != CancelReason::kNone) {
       // Queue-side shedding: the token fired while the request waited, so
@@ -387,8 +388,11 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
           charged = static_cast<double>(ranks) * response.service_seconds;
           if (cacheable && response.status == ServeStatus::kOk) {
             // Publish the freshly mined report for later identical
-            // requests: the cache and the response share it.
-            results_.Put(job.request.dataset, digest, response.report);
+            // requests: the cache and the response share it. It is keyed
+            // on the generation of the dataset actually mined, so a run
+            // that raced a re-registration never answers for the new one.
+            results_.Put(ResultKey(response.dataset->generation, digest),
+                         response.report, ReportBytes(*response.report));
           }
         }
       }

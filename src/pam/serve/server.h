@@ -84,18 +84,17 @@ struct ServerConfig {
   /// budget, LRU unpinned datasets are evicted, and a dataset that cannot
   /// fit is served load-through uncached (graceful degradation).
   std::size_t cache_budget_bytes = 0;
-  /// Idle TTL of cached datasets in milliseconds (0 = never expires).
-  double cache_ttl_ms = 0;
   /// Per-request progress watchdog (0 = disabled): a monitor thread
   /// cancels (reason kWatchdog) any executing request whose token has not
   /// seen a progress heartbeat for this long, converting a stalled world
   /// into a typed kMiningFault response instead of a hung rank lease.
   double watchdog_ms = 0;
   /// Serve finished MiningReports from the result cache (DESIGN.md §15):
-  /// a request whose (dataset, CanonicalDigest) matches a cached report
-  /// is answered without touching the dataset or leasing a rank. Off by
-  /// default — hits do not re-mine, so responses stop carrying a fresh
-  /// dataset handle and per-run metrics, which callers must opt into.
+  /// a request whose (dataset registration, CanonicalDigest) matches a
+  /// cached report is answered without touching the dataset or leasing a
+  /// rank. Off by default — hits do not re-mine, so responses stop
+  /// carrying a fresh dataset handle and per-run metrics, which callers
+  /// must opt into.
   bool result_cache = false;
   /// Resident-bytes budget of the result cache (0 = unlimited).
   std::size_t result_cache_budget_bytes = 0;
@@ -270,9 +269,6 @@ class MiningServer {
   /// rank lease is back in the pool when this returns. Idempotent; the
   /// destructor calls it.
   void Shutdown();
-
-  /// The result cache (empty and idle unless config.result_cache).
-  const ResultCache& results() const { return results_; }
 
  private:
   struct Job {

@@ -33,6 +33,15 @@ Result<TransactionDatabase> FromCsrIn(std::vector<std::size_t> offsets,
 }  // namespace
 
 Status WriteText(const TransactionDatabase& db, const std::string& path) {
+  // An empty row would be a blank line, which ReadText skips: refuse it
+  // before touching the file rather than write a shorter database.
+  for (std::size_t t = 0; t < db.size(); ++t) {
+    if (db.Transaction(t).empty()) {
+      return Status::Error("transaction " + std::to_string(t) +
+                           " is empty; the text format cannot hold it: " +
+                           path);
+    }
+  }
   std::ofstream out(path);
   if (!out) return Status::Error("cannot open for writing: " + path);
   for (std::size_t t = 0; t < db.size(); ++t) {

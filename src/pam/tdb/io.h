@@ -9,7 +9,10 @@
 namespace pam {
 
 /// Writes the database as whitespace-separated item ids, one transaction per
-/// line (the common "basket file" interchange format).
+/// line (the common "basket file" interchange format). The grammar has no
+/// spelling for an empty transaction (ReadText skips blank lines), so a
+/// database holding one fails with an error naming its row, and no file is
+/// written.
 Status WriteText(const TransactionDatabase& db, const std::string& path);
 
 /// Reads a basket text file, one transaction per line. The grammar:

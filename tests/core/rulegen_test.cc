@@ -107,6 +107,20 @@ TEST(RuleGenTest, NoFrequentPairsMeansNoRules) {
   EXPECT_TRUE(GenerateRules(frequent, 10, 0.1).empty());
 }
 
+TEST(RuleGenTest, RulesCarryNoGrowthSlack) {
+  // A cached report keeps its rules for its whole life, so the returned
+  // vector must not pin push_back's spare capacity.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    TransactionDatabase db = testing::RandomDb(80, 10, 7, seed);
+    AprioriConfig cfg;
+    cfg.minsup_count = 6;
+    const std::vector<Rule> rules =
+        GenerateRules(MineSerial(db, cfg).frequent, db.size(), 0.0);
+    ASSERT_FALSE(rules.empty()) << "seed " << seed;
+    EXPECT_EQ(rules.capacity(), rules.size()) << "seed " << seed;
+  }
+}
+
 TEST(RuleGenTest, ToStringRendersRule) {
   Rule r;
   r.antecedent = {1, 2};

@@ -56,7 +56,6 @@ LoadModel::PassFeedback Feedback(std::vector<Item> items,
   fb.num_candidates = std::accumulate(fb.item_candidates.begin(),
                                       fb.item_candidates.end(), 0u);
   fb.grid_rows = 1;
-  fb.tree_pass = true;
   return fb;
 }
 
@@ -73,12 +72,6 @@ TEST(LoadModelTest, UncalibratedOffersNoCostsAndFallsBack) {
   EXPECT_DOUBLE_EQ(model.DensityOf(7), 0.0);
   EXPECT_TRUE(model.ItemCosts(Pairs({{1, 2}, {3, 4}})).empty());
   EXPECT_EQ(model.ChooseGridRows(10000, 1000, 1 << 20, 8, /*fallback=*/4), 4);
-
-  // A triangle pass carries no attribution and must not calibrate.
-  LoadModel::PassFeedback fb = Feedback({1, 3}, {10, 10}, {500, 500});
-  fb.tree_pass = false;
-  model.Observe(fb);
-  EXPECT_FALSE(model.HasCalibration());
 }
 
 TEST(LoadModelTest, ObserveLearnsRelativeDensities) {

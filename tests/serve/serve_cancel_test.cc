@@ -2,7 +2,7 @@
 // (DESIGN.md §13): the CancelToken itself, cancellation through the
 // MiningSession facade, every server-side abort path (deadline mid-run,
 // cancel while queued, client cancel mid-run, watchdog fire, shutdown
-// during cancellation), and the dataset cache's budget/TTL/pinning
+// during cancellation), and the dataset cache's budget/pinning
 // behaviour — each asserting the typed response, balanced admission
 // counters, and a whole rank pool afterwards.
 
@@ -457,18 +457,6 @@ TEST(CacheBudgetTest, PinnedEntriesSurviveAndOverflowLoadsThrough) {
   // Once unpinned, the normal LRU rules apply again.
   pinned.reset();
   EXPECT_TRUE(cache.Get("b").ok());  // now evicts a
-  EXPECT_EQ(cache.Evictions(), 1u);
-}
-
-TEST(CacheBudgetTest, TtlDropsIdleEntries) {
-  DatasetCache cache(/*budget_bytes=*/0, /*ttl_ms=*/1.0);
-  for (const char* id : {"a", "b"}) {
-    cache.Register(id, [] { return Result<TransactionDatabase>(
-                                testing::TinyQuestDb()); });
-  }
-  { DatasetHandle a = cache.Get("a").value(); }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  { DatasetHandle b = cache.Get("b").value(); }  // sweep drops idle "a"
   EXPECT_EQ(cache.Evictions(), 1u);
 }
 

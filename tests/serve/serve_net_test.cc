@@ -1028,6 +1028,41 @@ TEST(ResultCacheTest, DifferentMinsupMisses) {
   EXPECT_EQ(server.Stats().result_misses, 2u);
 }
 
+TEST(ResultCacheTest, ReRegisteredDatasetMissesItsOldResults) {
+  // Results are keyed on the registration, not the name: after "quest" is
+  // re-registered with another database, the same request must re-mine
+  // that database, and only a repeat after the re-mine may hit.
+  ServerConfig config;
+  config.result_cache = true;
+  MiningServer server(config);
+  server.datasets().RegisterLoaded(
+      "quest", TransactionDatabase(testing::TinyQuestDb()));
+  const ServeResponse old_run =
+      server.Execute(Request("t", "quest", MiningAlgorithm::kSerial, 1));
+  ASSERT_EQ(old_run.status, ServeStatus::kOk);
+
+  const TransactionDatabase fresh = testing::SeededQuestDb(7);
+  server.datasets().RegisterLoaded("quest", TransactionDatabase(fresh));
+  const ServeResponse remined =
+      server.Execute(Request("t", "quest", MiningAlgorithm::kSerial, 1));
+  ASSERT_EQ(remined.status, ServeStatus::kOk);
+  EXPECT_FALSE(remined.from_result_cache);
+  AprioriConfig reference_config;
+  reference_config.minsup_fraction = 0.02;
+  EXPECT_EQ(testing::Flatten(remined.report->frequent),
+            testing::SerialReference(fresh, reference_config));
+
+  const ServeResponse repeat =
+      server.Execute(Request("t", "quest", MiningAlgorithm::kSerial, 1));
+  ASSERT_EQ(repeat.status, ServeStatus::kOk);
+  EXPECT_TRUE(repeat.from_result_cache);
+  EXPECT_EQ(repeat.report.get(), remined.report.get());
+
+  server.Shutdown();
+  EXPECT_EQ(server.Stats().result_hits, 1u);
+  EXPECT_EQ(server.Stats().result_misses, 2u);
+}
+
 TEST(ResultCacheTest, NetResponsesByteIdenticalAcrossHit) {
   // End to end: the same request twice over TCP; the second is served
   // from the cache and its wire payload must match the first exactly.

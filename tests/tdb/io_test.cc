@@ -156,6 +156,20 @@ TEST_F(IoTest, BinaryRejectsOffsetPastItems) {
             "non-monotone offsets in " + Path("stretched.bin"));
 }
 
+TEST_F(IoTest, TextRefusesAnEmptyTransaction) {
+  // The text grammar cannot spell an empty row (ReadText skips blank
+  // lines), so writing one would shrink |D| on the way back.
+  Result<TransactionDatabase> db =
+      TransactionDatabase::FromCsr({0, 2, 2, 3}, {1, 2, 5});
+  ASSERT_TRUE(db.ok()) << db.status().message();
+  const Status written = WriteText(db.value(), Path("holey.txt"));
+  ASSERT_FALSE(written.ok());
+  EXPECT_NE(written.message().find("transaction 1 is empty"),
+            std::string::npos)
+      << written.message();
+  EXPECT_FALSE(std::filesystem::exists(Path("holey.txt")));
+}
+
 TEST_F(IoTest, EmptyDatabaseRoundTrips) {
   TransactionDatabase db;
   ASSERT_TRUE(WriteBinary(db, Path("empty.bin")).ok());
