@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
   AprioriConfig serial_cfg;
   serial_cfg.minsup_fraction = minsup;
-  const SerialResult serial = MineSerial(db, serial_cfg);
+  const MiningReport serial = MineSerial(db, serial_cfg);
 
   const Variant variants[] = {
       {"static-contiguous", PrefixStrategy::kContiguous, false},

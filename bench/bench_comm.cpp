@@ -197,7 +197,7 @@ bool MiningOutputsIdentical(const TransactionDatabase& db, int p,
                             std::string* detail) {
   AprioriConfig apriori;
   apriori.minsup_fraction = 0.005;
-  const SerialResult serial = MineSerial(db, apriori);
+  const MiningReport serial = MineSerial(db, apriori);
 
   ParallelConfig config;
   config.apriori = apriori;

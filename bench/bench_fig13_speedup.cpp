@@ -41,13 +41,13 @@ int main() {
 
   // Serial baseline (pass 3 modeled time).
   AprioriConfig serial_cfg = base.apriori;
-  SerialResult serial = MineSerial(db, serial_cfg);
+  MiningReport serial = MineSerial(db, serial_cfg);
   double serial_pass3 = 0.0;
   std::size_t m3 = 0;
-  for (const SerialPassInfo& pass : serial.passes) {
-    if (pass.k == 3) {
-      serial_pass3 = model.SerialPassTime(pass, db.WireBytes({0, db.size()}));
-      m3 = pass.num_candidates;
+  for (const std::vector<PassMetrics>& row : serial.metrics.per_pass) {
+    if (row[0].k == 3) {
+      serial_pass3 = model.PassTime(Algorithm::kCD, row).Total();
+      m3 = row[0].num_candidates_global;
     }
   }
   std::printf("N = %zu, |C_3| = %zu, serial pass-3 model time = %.3fs\n\n",

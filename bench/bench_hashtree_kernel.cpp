@@ -1,7 +1,8 @@
 // Subset-counting kernel comparison on a T10.I4.D100K-style Quest workload
 // (10-item transactions, 4-item patterns, 100K transactions at scale 1.0).
 // Each pass times the same candidates in four trees:
-//   classic   the recursive pointer-chasing kernel on the paper-tuned tree
+//   classic   the recursive pointer-chasing reference traversal of
+//             tests/testing/reference.h on the paper-tuned tree
 //             (TunedFor(M, k, 8), hashed root)
 //   flat      the flat structure-of-arrays kernel on that same tree
 //   identity  flat, same tuned shape with the identity root
@@ -22,6 +23,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +36,7 @@
 #include "pam/hashtree/hash_tree.h"
 #include "pam/hashtree/pair_counter.h"
 #include "pam/util/timer.h"
+#include "testing/reference.h"
 
 namespace {
 
@@ -58,13 +61,17 @@ struct KernelRun {
   SubsetStats stats;
 };
 
-// Counts `candidates` over the whole database `reps` times in a tree of
-// the given shape and keeps the fastest repetition (counts/stats are
-// identical across repetitions by construction).
+// Counts `candidates` over the whole database `reps` times in a `Tree`
+// (the production HashTree or the reference traversal) of the given shape
+// and keeps the fastest repetition (counts/stats are identical across
+// repetitions by construction).
+template <typename Tree>
 KernelRun RunKernel(const TransactionDatabase& db,
                     const ItemsetCollection& candidates,
                     const HashTreeConfig& shape, int reps) {
-  HashTree tree(candidates, shape);
+  std::vector<std::uint32_t> ids(candidates.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  Tree tree(candidates, ids, shape);
 
   KernelRun best;
   for (int rep = 0; rep < reps; ++rep) {
@@ -165,16 +172,17 @@ PassReport ComparePass(const TransactionDatabase& db,
   HashTreeConfig hashed =
       HashTreeConfig::TunedFor(candidates.size(), candidates.k(), 8);
   hashed.identity_root = false;
-  HashTreeConfig classic_hashed = hashed;
-  classic_hashed.kernel = HashTreeKernel::kClassic;
   HashTreeConfig identity = hashed;
   identity.identity_root = true;
   const HashTreeConfig production;
 
-  KernelRun classic = RunKernel(db, candidates, classic_hashed, reps);
-  KernelRun flat = RunKernel(db, candidates, hashed, reps);
-  KernelRun flat_identity = RunKernel(db, candidates, identity, reps);
-  KernelRun flat_default = RunKernel(db, candidates, production, reps);
+  KernelRun classic =
+      RunKernel<testing::ReferenceHashTree>(db, candidates, hashed, reps);
+  KernelRun flat = RunKernel<HashTree>(db, candidates, hashed, reps);
+  KernelRun flat_identity =
+      RunKernel<HashTree>(db, candidates, identity, reps);
+  KernelRun flat_default =
+      RunKernel<HashTree>(db, candidates, production, reps);
   r.classic_seconds = classic.seconds;
   r.flat_seconds = flat.seconds;
   r.identity_seconds = flat_identity.seconds;

@@ -23,9 +23,7 @@ namespace pam::bench {
 
 /// Runs one parallel formulation through the MiningSession facade — the
 /// public entry point every harness exercises. No observers are attached,
-/// so this is the zero-overhead path; MiningReport's field names mirror
-/// the legacy ParallelResult's (frequent / metrics / minsup_count /
-/// wall_seconds) and the figure code reads the same.
+/// so this is the zero-overhead path.
 inline MiningReport Mine(Algorithm algorithm, const TransactionDatabase& db,
                          int num_ranks, const ParallelConfig& config) {
   MiningRequest request;

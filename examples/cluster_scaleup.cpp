@@ -3,6 +3,7 @@
 // report the modeled Cray T3E response time of each formulation. DD's
 // curve climbs steeply, DD+comm and IDD grow moderately, CD and HD stay
 // nearly flat with HD edging out CD at scale — the paper's headline plot.
+// Every run goes through the MiningSession API.
 //
 //   $ ./cluster_scaleup [tx_per_rank]
 //   $ ./cluster_scaleup 2000
@@ -10,9 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "pam/api/session.h"
 #include "pam/datagen/quest_gen.h"
 #include "pam/model/cost_model.h"
-#include "pam/parallel/driver.h"
 
 int main(int argc, char** argv) {
   const std::size_t tx_per_rank =
@@ -29,6 +30,7 @@ int main(int argc, char** argv) {
   std::printf("%6s %10s %10s %10s %10s %10s\n", "P", "CD", "DD", "DD+comm",
               "IDD", "HD");
 
+  pam::MiningSession session;
   for (int p : {2, 4, 8, 16}) {
     // A concentrated pattern pool keeps the candidate count small
     // relative to N at example scale — the regime of the paper's scaleup
@@ -42,14 +44,16 @@ int main(int argc, char** argv) {
     quest.seed = 3;
     pam::TransactionDatabase db = pam::GenerateQuest(quest);
 
-    pam::ParallelConfig config;
-    config.apriori.minsup_fraction = 0.02;
-    config.apriori.tree = pam::HashTreeConfig::TunedFor(8000, 2, 8);
-    config.hd_threshold_m = 2000;
+    pam::MiningRequest request;
+    request.num_ranks = p;
+    request.config.apriori.minsup_fraction = 0.02;
+    request.config.apriori.tree = pam::HashTreeConfig::TunedFor(8000, 2, 8);
+    request.config.hd_threshold_m = 2000;
 
     std::printf("%6d", p);
     for (pam::Algorithm alg : algorithms) {
-      pam::ParallelResult result = pam::MineParallel(alg, db, p, config);
+      request.algorithm = pam::FromParallelAlgorithm(alg);
+      const pam::MiningReport result = session.Run(request, db);
       std::printf(" %10.3f", model.RunTime(alg, result.metrics));
     }
     std::printf("\n");

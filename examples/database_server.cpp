@@ -4,22 +4,48 @@
 // communication pipeline defined in the algorithm."
 //
 // This example stages the whole database on rank 0 (the "server"), mines
-// frequent itemsets with single-source IDD (rank 0 feeds the Figure-6
-// ring; no other rank ever touches the source), then generates the
-// association rules in parallel and verifies both against a serial run.
+// frequent itemsets and association rules with single-source IDD (rank 0
+// feeds the Figure-6 ring; no other rank ever touches the source), and
+// checks both against a serial run of the same request. Exits 1 if they
+// differ.
 //
 //   $ ./database_server [num_ranks] [num_transactions]
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <vector>
 
-#include "pam/core/rulegen.h"
-#include "pam/core/serial_apriori.h"
+#include "pam/api/session.h"
 #include "pam/datagen/quest_gen.h"
-#include "pam/mp/runtime.h"
-#include "pam/parallel/driver.h"
-#include "pam/parallel/rulegen_parallel.h"
+
+namespace {
+
+bool SameItemsets(const pam::FrequentItemsets& a,
+                  const pam::FrequentItemsets& b) {
+  if (a.levels.size() != b.levels.size()) return false;
+  for (std::size_t i = 0; i < a.levels.size(); ++i) {
+    if (a.levels[i].Serialize() != b.levels[i].Serialize()) return false;
+  }
+  return true;
+}
+
+bool SameRules(const std::vector<pam::Rule>& a,
+               const std::vector<pam::Rule>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].antecedent != b[i].antecedent ||
+        a[i].consequent != b[i].consequent ||
+        a[i].joint_count != b[i].joint_count ||
+        a[i].support != b[i].support ||
+        a[i].confidence != b[i].confidence) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const int num_ranks = argc > 1 ? std::atoi(argv[1]) : 6;
@@ -37,12 +63,17 @@ int main(int argc, char** argv) {
   std::printf("database server holds %zu transactions (%.2f avg items)\n",
               db.size(), db.AverageLength());
 
-  // Step 1: single-source IDD — only rank 0 reads the database.
-  pam::ParallelConfig config;
-  config.apriori.minsup_fraction = 0.008;
-  config.single_source = true;
-  pam::ParallelResult mined =
-      pam::MineParallel(pam::Algorithm::kIDD, db, num_ranks, config);
+  // Single-source IDD: only rank 0 reads the database. The session also
+  // derives the association rules from the mined itemsets.
+  pam::MiningRequest request;
+  request.algorithm = pam::MiningAlgorithm::kIDD;
+  request.num_ranks = num_ranks;
+  request.config.apriori.minsup_fraction = 0.008;
+  request.config.single_source = true;
+  request.generate_rules = true;
+  request.min_confidence = 0.75;
+  pam::MiningSession session;
+  const pam::MiningReport mined = session.Run(request, db);
   std::printf("single-source IDD on %d ranks: %zu frequent itemsets "
               "(largest size %d)\n",
               num_ranks, mined.frequent.TotalCount(),
@@ -54,31 +85,20 @@ int main(int argc, char** argv) {
   }
   std::printf("ring pipeline moved %.2f MB in total\n",
               static_cast<double>(ring_bytes) / 1048576.0);
-
-  // Step 2: parallel rule generation over the mined itemsets.
-  const double min_confidence = 0.75;
-  std::vector<pam::Rule> rules;
-  pam::Runtime runtime(num_ranks);
-  runtime.Run([&](pam::Comm& comm) {
-    std::vector<pam::Rule> mine = pam::GenerateRulesParallel(
-        comm, mined.frequent, db.size(), min_confidence);
-    if (comm.rank() == 0) rules = std::move(mine);
-  });
-  std::printf("parallel rule generation: %zu rules at %.0f%% confidence\n",
-              rules.size(), min_confidence * 100.0);
-  for (std::size_t i = 0; i < rules.size() && i < 5; ++i) {
-    std::printf("  %s\n", rules[i].ToString().c_str());
+  std::printf("%zu rules at %.0f%% confidence\n", mined.rules.size(),
+              request.min_confidence * 100.0);
+  for (std::size_t i = 0; i < mined.rules.size() && i < 5; ++i) {
+    std::printf("  %s\n", mined.rules[i].ToString().c_str());
   }
 
-  // Verify against a fully serial pipeline.
-  pam::SerialResult serial = pam::MineSerial(db, config.apriori);
-  std::vector<pam::Rule> serial_rules =
-      pam::GenerateRules(serial.frequent, db.size(), min_confidence);
-  const bool same_counts =
-      serial.frequent.TotalCount() == mined.frequent.TotalCount() &&
-      serial_rules.size() == rules.size();
+  // Verify against the same request mined serially.
+  pam::MiningRequest serial_request = request;
+  serial_request.algorithm = pam::MiningAlgorithm::kSerial;
+  const pam::MiningReport serial = session.Run(serial_request, db);
+  const bool same = SameItemsets(serial.frequent, mined.frequent) &&
+                    SameRules(serial.rules, mined.rules);
   std::printf("serial cross-check: %s (%zu itemsets, %zu rules)\n",
-              same_counts ? "MATCH" : "MISMATCH",
-              serial.frequent.TotalCount(), serial_rules.size());
-  return same_counts ? 0 : 1;
+              same ? "MATCH" : "MISMATCH", serial.frequent.TotalCount(),
+              serial.rules.size());
+  return same ? 0 : 1;
 }

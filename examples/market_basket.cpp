@@ -1,8 +1,8 @@
 // Market-basket mining on synthetic IBM-Quest-style data (the T..I..
-// datasets of the paper's evaluation): generates a database, mines it with
-// serial Apriori, prints the per-pass breakdown the paper's analysis
-// reasons about (candidates, frequent sets, hash tree size, subset work),
-// and shows the strongest rules.
+// datasets of the paper's evaluation): generates a database, mines it and
+// its rules with serial Apriori through the MiningSession API, prints the
+// per-pass breakdown the paper's analysis reasons about (candidates,
+// frequent sets, subset work), and shows the strongest rules.
 //
 //   $ ./market_basket [num_transactions] [minsup_percent]
 //   $ ./market_basket 20000 0.5
@@ -10,8 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "pam/core/rulegen.h"
-#include "pam/core/serial_apriori.h"
+#include "pam/api/session.h"
 #include "pam/datagen/quest_gen.h"
 #include "pam/util/timer.h"
 
@@ -36,29 +35,33 @@ int main(int argc, char** argv) {
   std::printf("  generated in %.2fs, average length %.2f\n\n",
               gen_timer.Seconds(), db.AverageLength());
 
-  pam::AprioriConfig config;
-  config.minsup_fraction = minsup_percent / 100.0;
+  pam::MiningRequest request;  // serial Apriori by default
+  request.config.apriori.minsup_fraction = minsup_percent / 100.0;
+  request.generate_rules = true;
+  request.min_confidence = 0.7;
 
-  pam::SerialResult result = pam::MineSerial(db, config);
+  pam::MiningSession session;
+  const pam::MiningReport report = session.Run(request, db);
   std::printf("Mined at %.2f%% minimum support (count %llu) in %.2fs\n\n",
               minsup_percent,
-              static_cast<unsigned long long>(result.minsup_count),
-              result.total_seconds);
+              static_cast<unsigned long long>(report.minsup_count),
+              report.wall_seconds);
 
+  // A serial run reports one rank, so each pass is a one-element row.
   std::printf("%4s %12s %12s %14s %14s\n", "pass", "candidates",
               "frequent", "leaf visits", "time (s)");
-  for (const pam::SerialPassInfo& pass : result.passes) {
+  for (const std::vector<pam::PassMetrics>& row : report.metrics.per_pass) {
+    const pam::PassMetrics& pass = row[0];
     std::printf("%4d %12zu %12zu %14llu %14.3f\n", pass.k,
-                pass.num_candidates, pass.num_frequent,
+                pass.num_candidates_global, pass.num_frequent_global,
                 static_cast<unsigned long long>(
                     pass.subset.distinct_leaf_visits),
-                pass.seconds);
+                pass.wall_seconds);
   }
   std::printf("\nTotal frequent itemsets: %zu (largest size %d)\n",
-              result.frequent.TotalCount(), result.frequent.MaxK());
+              report.frequent.TotalCount(), report.frequent.MaxK());
 
-  const std::vector<pam::Rule> rules =
-      pam::GenerateRules(result.frequent, db.size(), 0.7);
+  const std::vector<pam::Rule>& rules = report.rules;
   std::printf("\nTop rules at 70%% confidence (%zu total):\n", rules.size());
   const std::size_t show = rules.size() < 10 ? rules.size() : 10;
   for (std::size_t i = 0; i < show; ++i) {

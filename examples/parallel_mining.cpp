@@ -1,7 +1,8 @@
 // Runs all five parallel formulations (CD, DD, DD+comm, IDD, HD) over the
 // same synthetic workload, verifies they find identical frequent itemsets,
 // and contrasts their exact work/traffic profiles plus the modeled
-// response time on the paper's Cray T3E.
+// response time on the paper's Cray T3E. Every run goes through the
+// MiningSession API.
 //
 //   $ ./parallel_mining [num_ranks] [num_transactions]
 //   $ ./parallel_mining 8 20000
@@ -11,9 +12,9 @@
 #include <map>
 #include <vector>
 
+#include "pam/api/session.h"
 #include "pam/datagen/quest_gen.h"
 #include "pam/model/cost_model.h"
-#include "pam/parallel/driver.h"
 
 namespace {
 
@@ -62,10 +63,14 @@ int main(int argc, char** argv) {
               "leaf visits", "data MB", "reduce words", "imbalance",
               "T3E model (s)");
 
+  pam::MiningSession session;
+  pam::MiningRequest request;
+  request.num_ranks = num_ranks;
+  request.config = config;
   std::map<std::vector<pam::Item>, pam::Count> reference;
   for (pam::Algorithm alg : algorithms) {
-    pam::ParallelResult result =
-        pam::MineParallel(alg, db, num_ranks, config);
+    request.algorithm = pam::FromParallelAlgorithm(alg);
+    const pam::MiningReport result = session.Run(request, db);
 
     if (reference.empty()) {
       reference = Flatten(result.frequent);

@@ -1,5 +1,5 @@
 // Quickstart: mine association rules from the paper's Table I supermarket
-// database with the serial Apriori miner.
+// database with the serial Apriori miner, through the MiningSession API.
 //
 //   $ ./quickstart
 //
@@ -11,8 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "pam/core/rulegen.h"
-#include "pam/core/serial_apriori.h"
+#include "pam/api/session.h"
 #include "pam/tdb/database.h"
 
 namespace {
@@ -44,14 +43,17 @@ int main() {
   db.Add({0, 1, 3, 4});  // Beer, Bread, Diaper, Milk
   db.Add({2, 3, 4});     // Coke, Diaper, Milk
 
-  pam::AprioriConfig config;
-  config.minsup_count = 2;  // 40% of 5 transactions
+  pam::MiningRequest request;  // serial Apriori by default
+  request.config.apriori.minsup_count = 2;  // 40% of 5 transactions
+  request.generate_rules = true;
+  request.min_confidence = 0.6;
 
-  pam::SerialResult result = pam::MineSerial(db, config);
+  pam::MiningSession session;
+  const pam::MiningReport report = session.Run(request, db);
 
   std::printf("Frequent itemsets (minimum support count %llu):\n",
-              static_cast<unsigned long long>(result.minsup_count));
-  for (const auto& level : result.frequent.levels) {
+              static_cast<unsigned long long>(report.minsup_count));
+  for (const auto& level : report.frequent.levels) {
     for (std::size_t i = 0; i < level.size(); ++i) {
       std::printf("  %-28s support %llu/5\n",
                   NameSet(level.Get(i)).c_str(),
@@ -60,8 +62,7 @@ int main() {
   }
 
   std::printf("\nAssociation rules (minimum confidence 60%%):\n");
-  for (const pam::Rule& rule :
-       pam::GenerateRules(result.frequent, db.size(), 0.6)) {
+  for (const pam::Rule& rule : report.rules) {
     std::printf("  %-20s => %-16s support %4.0f%%  confidence %4.0f%%\n",
                 NameVec(rule.antecedent).c_str(),
                 NameVec(rule.consequent).c_str(), rule.support * 100.0,

@@ -113,9 +113,6 @@ void MiningSession::AddMetricsSink(obs::MetricsSink* sink) {
 MiningReport MiningSession::Run(const MiningRequest& request,
                                 const TransactionDatabase& db) {
   WallTimer timer;
-  MiningReport report;
-  report.minsup_count = request.config.apriori.ResolveMinsup(db.size());
-
   const int num_ranks = IsParallel(request.algorithm) ? request.num_ranks : 1;
 
   // Observer wiring. A null SessionObs* is the disabled fast path: the
@@ -137,7 +134,7 @@ MiningReport MiningSession::Run(const MiningRequest& request,
     obs::RunInfo info;
     info.algorithm = MiningAlgorithmName(request.algorithm);
     info.num_ranks = num_ranks;
-    info.minsup_count = report.minsup_count;
+    info.minsup_count = request.config.apriori.ResolveMinsup(db.size());
     for (obs::MetricsSink* sink : metrics_sinks_) sink->OnRunBegin(info);
   }
 
@@ -167,14 +164,12 @@ MiningReport MiningSession::Run(const MiningRequest& request,
   // collide even though rank 0 shares this tracer's track id).
   obs::RankTracer session_tracer(obs_ptr, /*rank=*/0);
   obs::ScopedTracerInstall install(&session_tracer);
+  MiningReport report;
   {
     obs::ScopedSpan run_span(obs::SpanKind::kRun, -1,
                              nullptr);
-    ParallelResult result =
-        MineParallel(ToParallelAlgorithm(request.algorithm), db, num_ranks,
-                     config, obs_ptr);
-    report.frequent = std::move(result.frequent);
-    report.metrics = std::move(result.metrics);
+    report = MineParallel(ToParallelAlgorithm(request.algorithm), db,
+                          num_ranks, config, obs_ptr);
     if (request.generate_rules) {
       obs::ScopedSpan rule_span(obs::SpanKind::kRuleGen);
       report.rules =

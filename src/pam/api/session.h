@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "pam/core/rulegen.h"
-#include "pam/core/serial_apriori.h"
 #include "pam/obs/trace.h"
 #include "pam/parallel/driver.h"
 
@@ -87,23 +85,6 @@ struct MiningRequest {
   /// the same mining problem share a digest. Keyed with the dataset's
   /// registration, this is the result-cache key (pam/serve/result_cache.h).
   std::uint64_t CanonicalDigest() const;
-};
-
-/// Everything a mining run produces.
-struct MiningReport {
-  FrequentItemsets frequent;
-  /// Association rules (empty unless the request asked for them).
-  std::vector<Rule> rules;
-  /// Exact per-pass, per-rank work and traffic counters. Serial runs
-  /// report one rank.
-  RunMetrics metrics;
-  Count minsup_count = 0;
-  /// End-to-end wall-clock of the run (informational: logical ranks share
-  /// the host's cores, so figures use the cost model instead).
-  double wall_seconds = 0.0;
-  /// Structured span timeline (empty unless a TraceSink was attached or
-  /// the request set collect_timeline).
-  obs::Timeline timeline;
 };
 
 /// The unified mining entry point: configure observers once, then run any

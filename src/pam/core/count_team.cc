@@ -25,10 +25,7 @@ TeamCounter::TeamCounter(CountingPool* pool, HashTree* tree,
       filter_(root_filter),
       cancel_(cancel != nullptr && cancel->valid() ? cancel : nullptr),
       tracer_(obs::CurrentTracer()),
-      team_(pool->num_threads() > 1 &&
-                    tree->kernel() == HashTreeKernel::kFlat
-                ? pool->num_threads()
-                : 1),
+      team_(pool->num_threads()),
       item_work_(item_work),
       leaf_visits_(leaf_visits) {
   // Mirrors the kernel's contract: attribution needs leaf_visits sized to

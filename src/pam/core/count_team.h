@@ -37,9 +37,8 @@ void AccumulateShardWork(std::vector<std::uint64_t>& into,
 /// shard order, so counts and SubsetStats are byte-identical to the
 /// single-threaded path for every team size.
 ///
-/// With a 1-thread pool (or the kClassic kernel, whose traversal mutates
-/// the tree) the team degenerates to direct Subset() calls — the exact
-/// pre-team code path, no strips, no extra allocation.
+/// With a 1-thread pool the team degenerates to direct Subset() calls —
+/// the exact pre-team code path, no strips, no extra allocation.
 class TeamCounter {
  public:
   /// `pool`, `tree`, `counts`, `stats`, `root_filter`, `cancel` and the

@@ -18,10 +18,8 @@ std::vector<Item> Difference(ItemSpan full, ItemSpan part) {
   return out;
 }
 
-}  // namespace
-
-namespace rulegen_internal {
-
+// Canonical rule order: descending confidence, then descending support,
+// then lexicographic.
 void SortRules(std::vector<Rule>& rules) {
   std::sort(rules.begin(), rules.end(), [](const Rule& a, const Rule& b) {
     if (a.confidence != b.confidence) return a.confidence > b.confidence;
@@ -31,6 +29,8 @@ void SortRules(std::vector<Rule>& rules) {
   });
 }
 
+// Appends every rule derivable from frequent itemset `index` of
+// `levels[level]`: ap-genrules for one source itemset.
 void RulesForItemset(const FrequentItemsets& frequent, std::size_t level,
                      std::size_t index, std::size_t num_transactions,
                      double min_confidence, std::vector<Rule>* rules) {
@@ -90,7 +90,7 @@ void RulesForItemset(const FrequentItemsets& frequent, std::size_t level,
   }
 }
 
-}  // namespace rulegen_internal
+}  // namespace
 
 std::string Rule::ToString() const {
   std::ostringstream os;
@@ -114,12 +114,11 @@ std::vector<Rule> GenerateRules(const FrequentItemsets& frequent,
   std::vector<Rule> rules;
   for (std::size_t level = 1; level < frequent.levels.size(); ++level) {
     for (std::size_t s = 0; s < frequent.levels[level].size(); ++s) {
-      rulegen_internal::RulesForItemset(frequent, level, s,
-                                        num_transactions, min_confidence,
-                                        &rules);
+      RulesForItemset(frequent, level, s, num_transactions, min_confidence,
+                      &rules);
     }
   }
-  rulegen_internal::SortRules(rules);
+  SortRules(rules);
   // A cached report pins its rules for its whole life, so release
   // push_back's growth slack before returning.
   rules.shrink_to_fit();
@@ -165,7 +164,7 @@ std::vector<Rule> GenerateRulesBruteForce(const FrequentItemsets& frequent,
       }
     }
   }
-  rulegen_internal::SortRules(rules);
+  SortRules(rules);
   return rules;
 }
 

@@ -43,23 +43,6 @@ std::vector<Rule> GenerateRulesBruteForce(const FrequentItemsets& frequent,
                                           std::size_t num_transactions,
                                           double min_confidence);
 
-namespace rulegen_internal {
-
-/// Appends every rule derivable from frequent itemset `index` of
-/// `levels[level]` (ap-genrules for a single source itemset). The unit the
-/// parallel rule generator distributes across processors — rule
-/// generation partitions perfectly because each source itemset's rules
-/// are independent (the paper defers to [6] for this step).
-void RulesForItemset(const FrequentItemsets& frequent, std::size_t level,
-                     std::size_t index, std::size_t num_transactions,
-                     double min_confidence, std::vector<Rule>* rules);
-
-/// Canonical ordering used by all rule generators: descending confidence,
-/// then descending support, then lexicographic.
-void SortRules(std::vector<Rule>& rules);
-
-}  // namespace rulegen_internal
-
 }  // namespace pam
 
 #endif  // PAM_CORE_RULEGEN_H_

@@ -2,7 +2,6 @@
 #define PAM_CORE_SERIAL_APRIORI_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "pam/core/itemset_collection.h"
@@ -13,7 +12,8 @@
 namespace pam {
 
 /// Mining parameters shared by the serial algorithm and all four parallel
-/// formulations.
+/// formulations. The miners themselves, serial included, are declared in
+/// pam/parallel/driver.h.
 struct AprioriConfig {
   /// Absolute minimum support count. If 0, it is derived as
   /// ceil(minsup_fraction * |T|).
@@ -71,25 +71,6 @@ struct AprioriConfig {
   Count ResolveMinsup(std::size_t n) const;
 };
 
-/// Per-pass measurements of a serial run: the fields of its one-rank
-/// PassMetrics row that a single processor has.
-struct SerialPassInfo {
-  int k = 0;
-  std::size_t num_candidates = 0;
-  std::size_t num_frequent = 0;
-  std::uint64_t tree_build_inserts = 0;
-  /// Number of full scans of the transactions in this pass (> 1 only when
-  /// max_candidates_in_memory forces chunking).
-  std::size_t db_scans = 1;
-  SubsetStats subset;
-  /// Counting-team shape of this pass: configured team size and the subset
-  /// work (traversal steps + candidates checked) done by each shard, in
-  /// shard order. shard_subset_work is empty when the team was inactive.
-  int threads_per_rank = 1;
-  std::vector<std::uint64_t> shard_subset_work;
-  double seconds = 0.0;
-};
-
 /// All frequent itemsets, one collection per size k (levels[0] is F_1).
 struct FrequentItemsets {
   std::vector<ItemsetCollection> levels;
@@ -101,23 +82,6 @@ struct FrequentItemsets {
   /// `found=false` if the set is not frequent.
   bool Lookup(ItemSpan items, Count* count) const;
 };
-
-/// Result of a serial mining run.
-struct SerialResult {
-  FrequentItemsets frequent;
-  std::vector<SerialPassInfo> passes;
-  Count minsup_count = 0;
-  double total_seconds = 0.0;
-};
-
-/// The serial Apriori algorithm of the paper's Figure 1. Mines the whole
-/// database by default; pass `slice` to restrict the run to a transaction
-/// range (minsup resolves against the slice size). It runs Count
-/// Distribution on one rank, so it is defined with the formulations in
-/// pam_parallel (parallel/cd.cc).
-SerialResult MineSerial(
-    const TransactionDatabase& db, const AprioriConfig& config,
-    std::optional<TransactionDatabase::Slice> slice = std::nullopt);
 
 }  // namespace pam
 

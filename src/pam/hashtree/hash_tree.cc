@@ -5,8 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "pam/tdb/database.h"
-
 // The AVX2 subset kernel is compiled in only when the build enables SIMD
 // (PAM_ENABLE_SIMD, set by the PAM_ENABLE_SIMD CMake option) and the
 // compiler targets AVX2; every other build uses the portable scalar path.
@@ -90,7 +88,6 @@ HashTree::HashTree(const ItemsetCollection& candidates,
       shift_(Log2Pow2(fanout_)),
       leaf_capacity_(config.leaf_capacity),
       k_(candidates.k()),
-      kernel_(config.kernel),
       identity_root_(config.identity_root) {
   assert(fanout_ >= 2);
   assert(leaf_capacity_ >= 1);
@@ -107,7 +104,7 @@ HashTree::HashTree(const ItemsetCollection& candidates,
   num_candidates_ = candidate_ids.size();
   for (std::uint32_t id : candidate_ids) Insert(id);
   num_nodes_ = nodes_.size();
-  if (kernel_ == HashTreeKernel::kFlat) Freeze();
+  Freeze();
 }
 
 HashTree::HashTree(const ItemsetCollection& candidates, HashTreeConfig config)
@@ -299,10 +296,6 @@ void HashTree::Subset(ItemSpan transaction, std::span<Count> counts,
                       SubsetStats* stats, const Bitmap* root_filter,
                       std::span<std::uint64_t> item_work,
                       std::span<std::uint64_t> leaf_visits) {
-  if (kernel_ == HashTreeKernel::kClassic) {
-    SubsetClassic(transaction, counts, stats, root_filter);
-    return;
-  }
   Subset(transaction, counts, stats, root_filter, scratch_, item_work,
          leaf_visits);
 }
@@ -311,8 +304,6 @@ void HashTree::Subset(ItemSpan transaction, std::span<Count> counts,
                       SubsetStats* stats, const Bitmap* root_filter,
                       Scratch& scratch, std::span<std::uint64_t> item_work,
                       std::span<std::uint64_t> leaf_visits) const {
-  assert(kernel_ == HashTreeKernel::kFlat &&
-         "scratch-based Subset requires the flat kernel");
   assert((item_work.empty() && leaf_visits.empty()) ||
          leaf_visits.size() == num_leaves_);
   // Hoist the stats / root-filter / attribution branches out of the hot
@@ -554,86 +545,6 @@ void HashTree::SubsetFlat(ItemSpan transaction, std::span<Count> counts,
       }
     }
   }
-}
-
-void HashTree::SubsetClassic(ItemSpan transaction, std::span<Count> counts,
-                             SubsetStats* stats, const Bitmap* root_filter) {
-  assert(counts.size() == candidates_.size());
-  if (static_cast<int>(transaction.size()) < k_) {
-    if (stats) ++stats->transactions;
-    return;
-  }
-  ++epoch_;
-  if (stats) ++stats->transactions;
-  // Root level: try every item as the starting item of a candidate,
-  // filtered by the IDD ownership bitmap when present. Items beyond
-  // size-k+1 cannot start a k-candidate.
-  const std::size_t last_start = transaction.size() -
-                                 static_cast<std::size_t>(k_) + 1;
-  Node& root = nodes_[0];
-  for (std::size_t i = 0; i < last_start; ++i) {
-    const Item item = transaction[i];
-    if (root_filter != nullptr && !root_filter->Test(item)) {
-      if (stats) ++stats->root_items_skipped;
-      continue;
-    }
-    if (stats) ++stats->root_items_considered;
-    if (root.is_leaf) {
-      // Degenerate single-node tree: check once (first viable item) and
-      // stop; further starts revisit the same leaf.
-      Visit(0, transaction, i + 1, counts, stats);
-      break;
-    }
-    const std::size_t bucket =
-        identity_root_ ? static_cast<std::size_t>(item)
-                       : static_cast<std::size_t>(Hash(item));
-    const std::int32_t child =
-        bucket < root.children.size() ? root.children[bucket] : kAbsent;
-    if (stats) ++stats->traversal_steps;
-    if (child >= 0) Visit(child, transaction, i + 1, counts, stats);
-  }
-}
-
-void HashTree::Visit(std::int32_t node_index, ItemSpan transaction,
-                     std::size_t pos, std::span<Count> counts,
-                     SubsetStats* stats) {
-  Node& node = nodes_[static_cast<std::size_t>(node_index)];
-  if (node.is_leaf) {
-    // Distinct-leaf detection: a leaf already visited for this transaction
-    // contributes no further checking work (paper Section IV).
-    if (node.visit_epoch == epoch_) return;
-    node.visit_epoch = epoch_;
-    if (stats) {
-      ++stats->distinct_leaf_visits;
-      stats->leaf_candidates_checked += node.leaf_candidates.size();
-    }
-    for (std::uint32_t id : node.leaf_candidates) {
-      if (IsSortedSubset(candidates_.Get(id), transaction)) {
-        ++counts[id];
-      }
-    }
-    return;
-  }
-  for (std::size_t i = pos; i < transaction.size(); ++i) {
-    const int bucket = Hash(transaction[i]);
-    const std::int32_t child =
-        node.children[static_cast<std::size_t>(bucket)];
-    if (stats) ++stats->traversal_steps;
-    if (child >= 0) Visit(child, transaction, i + 1, counts, stats);
-  }
-}
-
-std::vector<Count> CountBruteForce(const TransactionDatabase& db,
-                                   TransactionDatabase::Slice slice,
-                                   const ItemsetCollection& candidates) {
-  std::vector<Count> counts(candidates.size(), 0);
-  for (std::size_t t = slice.begin; t < slice.end; ++t) {
-    ItemSpan tx = db.Transaction(t);
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      if (IsSortedSubset(candidates.Get(c), tx)) ++counts[c];
-    }
-  }
-  return counts;
 }
 
 }  // namespace pam

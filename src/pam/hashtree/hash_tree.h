@@ -12,23 +12,6 @@
 
 namespace pam {
 
-/// Which traversal implementation Subset() uses. Both kernels visit the
-/// exact same tree (construction is shared) and produce bit-identical
-/// counts and SubsetStats; kFlat is the production kernel, kClassic is the
-/// original pointer-chasing recursive traversal, kept as a reference for
-/// differential tests and the old-vs-new microbenchmark. It stays because
-/// it is the only independent check of SubsetStats (flat_kernel_test,
-/// bench_hashtree_kernel): CountBruteForce checks counts only.
-enum class HashTreeKernel {
-  /// Frozen structure-of-arrays layout: one contiguous children array,
-  /// CSR leaf candidate ids, leaf-ordered candidate tuples, iterative
-  /// explicit-stack traversal, zero allocations per transaction.
-  kFlat,
-  /// Node-per-allocation tree with recursive traversal (the seed
-  /// implementation).
-  kClassic,
-};
-
 /// Shape parameters of the candidate hash tree (paper Section II). The
 /// paper tunes the branching factor so that the average number of
 /// candidates per leaf is S; here both knobs are explicit. The defaults
@@ -47,8 +30,6 @@ struct HashTreeConfig {
   /// 64 is where the measured curve flattens on the T15.I6 benchmark
   /// workload (DESIGN.md §7 has the sweep).
   int leaf_capacity = 64;
-  /// Traversal kernel selection (see HashTreeKernel).
-  HashTreeKernel kernel = HashTreeKernel::kFlat;
   /// When true the root level dispatches on the first item's value
   /// directly (child index == item id, sized by the largest first item;
   /// the readers bound ids by kMaxItemId) instead of hashing it with the
@@ -110,10 +91,10 @@ struct SubsetStats {
 /// indexed by the collection's candidate index, so CD's global reduction
 /// and DD/IDD/HD's partitioned counting all reuse the same counting code.
 ///
-/// Construction inserts into a conventional node-based tree; with the
-/// default kFlat kernel the finished tree is then frozen into a flat
-/// structure-of-arrays layout (see DESIGN.md, "Counting kernel memory
-/// layout") and the node storage is released. Subset() never allocates.
+/// Construction inserts into a conventional node-based tree; the finished
+/// tree is then frozen into a flat structure-of-arrays layout (see
+/// DESIGN.md, "Counting kernel memory layout") and the node storage is
+/// released. Subset() never allocates.
 ///
 /// Thread safety: the frozen tree is immutable, but each traversal needs
 /// mutable scratch (visit epochs, item stamps, the DFS stack). The
@@ -133,9 +114,9 @@ class HashTree {
   };
 
  public:
-  /// Per-traversal mutable state for the kFlat kernel, factored out of the
-  /// tree so concurrent workers can share one frozen tree. Opaque: obtain
-  /// via MakeScratch(), pass back to the const Subset() overload.
+  /// Per-traversal mutable state, factored out of the tree so concurrent
+  /// workers can share one frozen tree. Opaque: obtain via MakeScratch(),
+  /// pass back to the const Subset() overload.
   class Scratch {
    public:
     Scratch() = default;
@@ -167,7 +148,7 @@ class HashTree {
   /// without their bit set are skipped at the root level — the IDD bitmap
   /// pruning of Figure 8. `stats` may be null.
   ///
-  /// If `item_work` is non-empty, the kFlat kernel additionally attributes
+  /// If `item_work` is non-empty, the kernel additionally attributes
   /// its work counters (traversal steps + leaf candidates checked) to the
   /// root item each descent started from: the work of the subtree entered
   /// via transaction item f accumulates into item_work[f] (items >= the
@@ -176,17 +157,16 @@ class HashTree {
   /// Together these are the adaptive balancer's measured load signal
   /// (DESIGN.md §14): item_work gives exact per-first-item run totals,
   /// leaf_visits gives the exact per-candidate check counts within a run
-  /// (every candidate of a leaf is checked once per distinct visit). The
-  /// kClassic kernel ignores both.
+  /// (every candidate of a leaf is checked once per distinct visit).
   void Subset(ItemSpan transaction, std::span<Count> counts,
               SubsetStats* stats, const Bitmap* root_filter = nullptr,
               std::span<std::uint64_t> item_work = {},
               std::span<std::uint64_t> leaf_visits = {});
 
-  /// Thread-safe counting against caller-owned scratch (kFlat only): the
-  /// tree itself is read-only here, so any number of workers may call this
-  /// concurrently, each with its own Scratch, its own counts strip, and
-  /// its own attribution spans (empty to disable attribution).
+  /// Thread-safe counting against caller-owned scratch: the tree itself is
+  /// read-only here, so any number of workers may call this concurrently,
+  /// each with its own Scratch, its own counts strip, and its own
+  /// attribution spans (empty to disable attribution).
   void Subset(ItemSpan transaction, std::span<Count> counts,
               SubsetStats* stats, const Bitmap* root_filter,
               Scratch& scratch, std::span<std::uint64_t> item_work = {},
@@ -201,8 +181,6 @@ class HashTree {
 
   /// Fresh zeroed scratch sized for this tree.
   Scratch MakeScratch() const;
-
-  HashTreeKernel kernel() const { return kernel_; }
 
   /// Number of leaf nodes (the L of the paper's analysis).
   std::size_t num_leaves() const { return num_leaves_; }
@@ -222,17 +200,11 @@ class HashTree {
     std::vector<std::int32_t> children;
     // For leaves: candidate ids (indices into the collection).
     std::vector<std::uint32_t> leaf_candidates;
-    // Epoch marker for distinct-leaf-visit detection within a transaction.
-    std::uint64_t visit_epoch = 0;
   };
 
   void Insert(std::uint32_t candidate_id);
   void SplitLeaf(std::int32_t node_index, int depth);
   void Freeze();
-  void SubsetClassic(ItemSpan transaction, std::span<Count> counts,
-                     SubsetStats* stats, const Bitmap* root_filter);
-  void Visit(std::int32_t node_index, ItemSpan transaction, std::size_t pos,
-             std::span<Count> counts, SubsetStats* stats);
   template <bool WithStats, bool WithFilter, bool WithItemWork>
   void SubsetFlat(ItemSpan transaction, std::span<Count> counts,
                   SubsetStats* stats, const Bitmap* root_filter,
@@ -251,17 +223,15 @@ class HashTree {
   const int shift_;        // log2(fanout_)
   const int leaf_capacity_;
   const int k_;
-  const HashTreeKernel kernel_;
   const bool identity_root_;
-  std::vector<Node> nodes_;  // cleared after Freeze() under kFlat
+  std::vector<Node> nodes_;  // construction only; cleared by Freeze()
   std::size_t num_nodes_ = 0;
   std::size_t num_leaves_ = 0;
   std::size_t num_candidates_ = 0;
   std::uint64_t build_inserts_ = 0;
-  std::uint64_t epoch_ = 0;  // kClassic per-transaction epoch
 
-  // Frozen structure-of-arrays layout (kFlat only). children_ holds one
-  // fanout_-sized block per internal node; leaves are a CSR pair
+  // Frozen structure-of-arrays layout. children_ holds one fanout_-sized
+  // block per internal node; leaves are a CSR pair
   // (leaf_offsets_, leaf_ids_) plus the candidates' item tuples copied
   // leaf-ordered into leaf_items_ so the inner subset check reads
   // contiguous memory. Scalar builds store a leaf's tuples row-major
@@ -280,13 +250,6 @@ class HashTree {
   std::size_t item_stamp_size_ = 0;  // largest candidate item + 1
   Scratch scratch_;  // backs the single-threaded Subset() overload
 };
-
-/// Reference counter: O(|T| * |C_k|) subset matching, used to validate the
-/// hash tree in tests. Counts every candidate of `candidates` over the
-/// transactions [slice.begin, slice.end) of `db`.
-std::vector<Count> CountBruteForce(const TransactionDatabase& db,
-                                   TransactionDatabase::Slice slice,
-                                   const ItemsetCollection& candidates);
 
 }  // namespace pam
 

@@ -103,25 +103,4 @@ double CostModel::RunTime(Algorithm algorithm,
   return total;
 }
 
-double CostModel::SerialPassTime(const SerialPassInfo& pass,
-                                 std::uint64_t db_wire_bytes) const {
-  double t = SubsetSeconds(pass.subset) +
-             static_cast<double>(pass.tree_build_inserts) * machine_.t_build +
-             static_cast<double>(pass.num_candidates) * machine_.t_gen;
-  if (machine_.io_bandwidth > 0.0) {
-    t += static_cast<double>(pass.db_scans) *
-         static_cast<double>(db_wire_bytes) / machine_.io_bandwidth;
-  }
-  return t;
-}
-
-double CostModel::SerialRunTime(const SerialResult& result,
-                                std::uint64_t db_wire_bytes) const {
-  double total = 0.0;
-  for (const SerialPassInfo& pass : result.passes) {
-    total += SerialPassTime(pass, db_wire_bytes);
-  }
-  return total;
-}
-
 }  // namespace pam

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "pam/core/serial_apriori.h"
 #include "pam/model/machine.h"
 #include "pam/parallel/algorithms.h"
 #include "pam/parallel/driver.h"
@@ -40,19 +39,13 @@ class CostModel {
   /// Seconds of subset-function work implied by the counters.
   double SubsetSeconds(const SubsetStats& stats) const;
 
-  /// Response time of one pass of a parallel run.
+  /// Response time of one pass of a parallel run. A serial pass is the
+  /// one-rank kCD row, where the reduction and exchange price zero.
   PassTimeBreakdown PassTime(Algorithm algorithm,
                              const std::vector<PassMetrics>& ranks) const;
 
   /// Response time of a whole parallel run (sum of pass times).
   double RunTime(Algorithm algorithm, const RunMetrics& metrics) const;
-
-  /// Response time of one serial pass / a whole serial run, for speedup
-  /// baselines. `db_wire_bytes` charges I/O scans on disk-based machines.
-  double SerialPassTime(const SerialPassInfo& pass,
-                        std::uint64_t db_wire_bytes) const;
-  double SerialRunTime(const SerialResult& result,
-                       std::uint64_t db_wire_bytes) const;
 
  private:
   MachineModel machine_;

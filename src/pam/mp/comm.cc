@@ -484,8 +484,12 @@ void AllReduceWith(Comm& comm, std::span<std::uint64_t> inout, ReduceOp op) {
       const Payload result = comm.RecvPayload(rank - 1, kReduceTag);
       assert(result.size() == inout.size() * sizeof(std::uint64_t) &&
              "reduction payload size mismatch");
-      std::memcpy(inout.data(), result.data(),
-                  inout.size() * sizeof(std::uint64_t));
+      // An empty span (pass 1 over an empty database) may have a null
+      // data(), which memcpy must not be given even for zero bytes.
+      if (!inout.empty()) {
+        std::memcpy(inout.data(), result.data(),
+                    inout.size() * sizeof(std::uint64_t));
+      }
     }
   }
 }

@@ -53,7 +53,10 @@ enum class SpanKind : std::uint8_t {
   /// ("uncacheable"; a dataset is then served load-through).
   kCacheEvict,
   /// Instant: a served request was answered from the result cache — no
-  /// dataset touch, no rank lease (detail = the dataset id).
+  /// dataset touch, no rank lease. Detail is the static label "hit" (a
+  /// detail is never a dataset id: it must point at static storage).
+  /// Emitted on the serving worker's track, inside that request's
+  /// kServeRequest span (index = the request's admission sequence).
   kResultCacheHit,
 };
 

@@ -1,13 +1,10 @@
 #include <algorithm>
 #include <numeric>
 
-#include "pam/mp/runtime.h"
 #include "pam/obs/trace.h"
 #include "pam/parallel/algorithms.h"
-#include "pam/util/timer.h"
 
 namespace pam {
-namespace {
 
 // Count Distribution (paper Section III-A, Figure 4): every rank holds the
 // full candidate hash tree, counts over its local slice, and the global
@@ -15,10 +12,11 @@ namespace {
 // exceeds the configured memory cap, the tree is partitioned and the local
 // transactions are re-scanned once per partition — the behaviour Figure 12
 // charges with extra I/O. On one rank this is the serial Apriori of the
-// paper's Figure 1 (the reductions are no-ops).
-RankOutput RunCd(const TransactionDatabase& db,
-                 TransactionDatabase::Slice slice, Comm& comm,
-                 const ParallelConfig& config) {
+// paper's Figure 1 (the reductions are no-ops; MineSerial runs it).
+RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
+                     const ParallelConfig& config) {
+  const TransactionDatabase::Slice slice =
+      db.RankSlice(comm.rank(), comm.size());
   const Count minsup = config.apriori.ResolveMinsup(db.size());
   const std::size_t cap = config.apriori.max_candidates_in_memory;
   CountingPool pool(config.apriori.threads_per_rank);
@@ -66,51 +64,6 @@ RankOutput RunCd(const TransactionDatabase& db,
     return candidates;
   };
   return RunPasses(db, slice, comm, config, pool, body);
-}
-
-}  // namespace
-
-RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
-                     const ParallelConfig& config) {
-  return RunCd(db, db.RankSlice(comm.rank(), comm.size()), comm, config);
-}
-
-// Serial Apriori is CD on one rank over the slice, with minsup resolved
-// against the slice.
-SerialResult MineSerial(const TransactionDatabase& db,
-                        const AprioriConfig& config,
-                        std::optional<TransactionDatabase::Slice> slice_opt) {
-  const TransactionDatabase::Slice slice =
-      slice_opt.value_or(TransactionDatabase::Slice{0, db.size()});
-  WallTimer timer;
-  SerialResult result;
-  result.minsup_count = config.ResolveMinsup(slice.size());
-  ParallelConfig one_rank;
-  one_rank.apriori = config;
-  one_rank.apriori.minsup_count = result.minsup_count;
-
-  RankOutput out;
-  Runtime runtime(1);
-  runtime.SetCancelToken(config.cancel);
-  runtime.Run(
-      [&](Comm& comm) { out = RunCd(db, slice, comm, one_rank); });
-
-  result.frequent = std::move(out.frequent);
-  for (const PassMetrics& m : out.passes) {
-    SerialPassInfo info;
-    info.k = m.k;
-    info.num_candidates = m.num_candidates_global;
-    info.num_frequent = m.num_frequent_global;
-    info.tree_build_inserts = m.tree_build_inserts;
-    info.db_scans = m.db_scans;
-    info.subset = m.subset;
-    info.threads_per_rank = m.threads_per_rank;
-    info.shard_subset_work = m.shard_subset_work;
-    info.seconds = m.wall_seconds;
-    result.passes.push_back(std::move(info));
-  }
-  result.total_seconds = timer.Seconds();
-  return result;
 }
 
 }  // namespace pam

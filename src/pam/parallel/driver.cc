@@ -139,10 +139,10 @@ RankOutput RunPasses(const TransactionDatabase& db,
   return out;
 }
 
-ParallelResult MineParallel(Algorithm algorithm,
-                            const TransactionDatabase& db, int num_ranks,
-                            const ParallelConfig& config,
-                            obs::SessionObs* observers) {
+MiningReport MineParallel(Algorithm algorithm, const TransactionDatabase& db,
+                          int num_ranks, const ParallelConfig& config,
+                          obs::SessionObs* observers) {
+  assert(num_ranks >= 1);
   WallTimer timer;
   Runtime runtime(num_ranks);
   runtime.SetFaultConfig(config.fault);
@@ -179,7 +179,7 @@ ParallelResult MineParallel(Algorithm algorithm,
     outputs[static_cast<std::size_t>(comm.rank())] = std::move(out);
   });
 
-  ParallelResult result;
+  MiningReport result;
   result.minsup_count = config.apriori.ResolveMinsup(db.size());
   result.frequent = std::move(outputs[0].frequent);
   const std::size_t num_passes = outputs[0].passes.size();
@@ -199,6 +199,13 @@ ParallelResult MineParallel(Algorithm algorithm,
   }
   result.wall_seconds = timer.Seconds();
   return result;
+}
+
+MiningReport MineSerial(const TransactionDatabase& db,
+                        const AprioriConfig& config) {
+  ParallelConfig one_rank;
+  one_rank.apriori = config;
+  return MineParallel(Algorithm::kCD, db, 1, one_rank);
 }
 
 }  // namespace pam

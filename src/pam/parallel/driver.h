@@ -1,6 +1,10 @@
 #ifndef PAM_PARALLEL_DRIVER_H_
 #define PAM_PARALLEL_DRIVER_H_
 
+#include <vector>
+
+#include "pam/core/rulegen.h"
+#include "pam/core/serial_apriori.h"
 #include "pam/obs/trace.h"
 #include "pam/parallel/algorithms.h"
 #include "pam/parallel/metrics.h"
@@ -8,16 +12,22 @@
 
 namespace pam {
 
-/// Result of a parallel mining run.
-struct ParallelResult {
-  /// Globally frequent itemsets (identical on every rank; rank 0's copy).
+/// Everything a mining run produces.
+struct MiningReport {
   FrequentItemsets frequent;
-  /// Exact per-pass, per-rank work and traffic counters.
+  /// Association rules (MiningSession fills them when the request asks;
+  /// empty otherwise).
+  std::vector<Rule> rules;
+  /// Exact per-pass, per-rank work and traffic counters. Serial runs
+  /// report one rank.
   RunMetrics metrics;
   Count minsup_count = 0;
   /// End-to-end wall-clock of the run (informational: logical ranks share
   /// the host's cores, so figures use the cost model instead).
   double wall_seconds = 0.0;
+  /// Structured span timeline (MiningSession fills it when a TraceSink is
+  /// attached or the request sets collect_timeline; empty otherwise).
+  obs::Timeline timeline;
 };
 
 /// Runs `algorithm` with `num_ranks` logical processors over `db`.
@@ -33,10 +43,16 @@ struct ParallelResult {
 /// metrics reach the session's sinks; null is the zero-overhead path. New
 /// code should prefer the MiningSession facade in pam/api/session.h,
 /// which fronts every miner and wires the observers.
-ParallelResult MineParallel(Algorithm algorithm,
-                            const TransactionDatabase& db, int num_ranks,
-                            const ParallelConfig& config,
-                            obs::SessionObs* observers = nullptr);
+MiningReport MineParallel(Algorithm algorithm, const TransactionDatabase& db,
+                          int num_ranks, const ParallelConfig& config,
+                          obs::SessionObs* observers = nullptr);
+
+/// The serial Apriori algorithm of the paper's Figure 1: Count
+/// Distribution on one rank, where the count reduction is a no-op: the
+/// MineParallel(Algorithm::kCD, db, 1, ...) run whose ParallelConfig
+/// carries `config`.
+MiningReport MineSerial(const TransactionDatabase& db,
+                        const AprioriConfig& config);
 
 }  // namespace pam
 

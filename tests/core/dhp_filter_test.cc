@@ -7,9 +7,12 @@
 #include "pam/datagen/quest_gen.h"
 #include "pam/parallel/driver.h"
 #include "testing/random_db.h"
+#include "testing/reference.h"
 
 namespace pam {
 namespace {
+
+using testing::CountBruteForce;
 
 std::map<std::vector<Item>, Count> Flatten(const FrequentItemsets& fi) {
   std::map<std::vector<Item>, Count> out;
@@ -76,17 +79,17 @@ TEST(DhpFilterTest, SerialResultsIdenticalWithFilter) {
   }());
   AprioriConfig plain;
   plain.minsup_fraction = 0.015;
-  SerialResult without = MineSerial(db, plain);
+  MiningReport without = MineSerial(db, plain);
 
   AprioriConfig with = plain;
   with.dhp_buckets = 4096;
-  SerialResult with_filter = MineSerial(db, with);
+  MiningReport with_filter = MineSerial(db, with);
 
   EXPECT_EQ(Flatten(with_filter.frequent), Flatten(without.frequent));
   // The filter must actually prune C_2 on this workload.
-  ASSERT_GE(with_filter.passes.size(), 2u);
-  EXPECT_LT(with_filter.passes[1].num_candidates,
-            without.passes[1].num_candidates);
+  ASSERT_GE(with_filter.metrics.per_pass.size(), 2u);
+  EXPECT_LT(with_filter.metrics.per_pass[1][0].num_candidates_global,
+            without.metrics.per_pass[1][0].num_candidates_global);
 }
 
 TEST(DhpFilterTest, MoreBucketsPruneMore) {
@@ -97,9 +100,9 @@ TEST(DhpFilterTest, MoreBucketsPruneMore) {
   for (std::size_t buckets : {0u, 64u, 4096u, 262144u}) {
     AprioriConfig cfg = base;
     cfg.dhp_buckets = buckets;
-    SerialResult result = MineSerial(db, cfg);
-    if (result.passes.size() < 2) break;
-    const std::size_t c2 = result.passes[1].num_candidates;
+    MiningReport result = MineSerial(db, cfg);
+    if (result.metrics.per_pass.size() < 2) break;
+    const std::size_t c2 = result.metrics.per_pass[1][0].num_candidates_global;
     EXPECT_LE(c2, prev_candidates) << "buckets=" << buckets;
     prev_candidates = c2;
   }
@@ -119,12 +122,12 @@ TEST_P(DhpParallelSweep, ParallelResultsIdenticalWithFilter) {
   }());
   AprioriConfig serial_cfg;
   serial_cfg.minsup_fraction = 0.02;
-  SerialResult serial = MineSerial(db, serial_cfg);
+  MiningReport serial = MineSerial(db, serial_cfg);
 
   ParallelConfig cfg;
   cfg.apriori = serial_cfg;
   cfg.apriori.dhp_buckets = 2048;
-  ParallelResult result = MineParallel(GetParam(), db, 4, cfg);
+  MiningReport result = MineParallel(GetParam(), db, 4, cfg);
   EXPECT_EQ(Flatten(result.frequent), Flatten(serial.frequent));
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pam/parallel/driver.h"
 #include "pam/util/prng.h"
 #include "testing/random_db.h"
 

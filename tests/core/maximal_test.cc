@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pam/parallel/driver.h"
 #include "testing/random_db.h"
 
 namespace pam {

@@ -116,8 +116,8 @@ TEST(MinerSweepExtra, Sp2ModelAlsoRanksPaperStyle) {
   ParallelConfig cfg;
   cfg.apriori.minsup_count = 10;
   const CostModel sp2(MachineModel::IbmSp2());
-  ParallelResult dd = MineParallel(Algorithm::kDD, db, 4, cfg);
-  ParallelResult idd = MineParallel(Algorithm::kIDD, db, 4, cfg);
+  MiningReport dd = MineParallel(Algorithm::kDD, db, 4, cfg);
+  MiningReport idd = MineParallel(Algorithm::kIDD, db, 4, cfg);
   EXPECT_GT(sp2.RunTime(Algorithm::kDD, dd.metrics),
             sp2.RunTime(Algorithm::kIDD, idd.metrics));
 }

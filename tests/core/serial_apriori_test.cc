@@ -6,35 +6,14 @@
 #include <gtest/gtest.h>
 
 #include "pam/datagen/quest_gen.h"
+#include "pam/parallel/driver.h"
 #include "testing/random_db.h"
+#include "testing/reference.h"
 
 namespace pam {
 namespace {
 
-// Reference miner: exhaustive enumeration of all itemsets up to size
-// max_k with support >= minsup. Exponential; test-sized inputs only.
-std::map<std::vector<Item>, Count> BruteForceFrequent(
-    const TransactionDatabase& db, Count minsup, int max_k) {
-  std::map<std::vector<Item>, Count> counts;
-  for (std::size_t t = 0; t < db.size(); ++t) {
-    ItemSpan tx = db.Transaction(t);
-    const std::size_t n = tx.size();
-    // Enumerate all non-empty subsets of at most max_k items.
-    for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
-      if (__builtin_popcountll(mask) > max_k) continue;
-      std::vector<Item> subset;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (mask & (1ULL << i)) subset.push_back(tx[i]);
-      }
-      ++counts[subset];
-    }
-  }
-  std::map<std::vector<Item>, Count> frequent;
-  for (const auto& [set, c] : counts) {
-    if (c >= minsup) frequent[set] = c;
-  }
-  return frequent;
-}
+using testing::BruteForceFrequent;
 
 std::map<std::vector<Item>, Count> Flatten(const FrequentItemsets& fi) {
   std::map<std::vector<Item>, Count> out;
@@ -52,7 +31,7 @@ TEST(SerialAprioriTest, SupermarketExample) {
   TransactionDatabase db = testing::SupermarketDb();
   AprioriConfig cfg;
   cfg.minsup_count = 3;
-  SerialResult result = MineSerial(db, cfg);
+  MiningReport result = MineSerial(db, cfg);
 
   Count c = 0;
   std::vector<Item> dm = {testing::kDiaper, testing::kMilk};
@@ -69,7 +48,7 @@ TEST(SerialAprioriTest, MatchesBruteForceOnRandomDbs) {
     TransactionDatabase db = testing::RandomDb(60, 12, 8, seed);
     AprioriConfig cfg;
     cfg.minsup_count = 5;
-    SerialResult result = MineSerial(db, cfg);
+    MiningReport result = MineSerial(db, cfg);
     auto expected = BruteForceFrequent(db, 5, /*max_k=*/8);
     auto actual = Flatten(result.frequent);
     EXPECT_EQ(actual, expected) << "seed " << seed;
@@ -93,9 +72,9 @@ TEST(SerialAprioriTest, MaxKStopsEarly) {
   AprioriConfig cfg;
   cfg.minsup_count = 2;
   cfg.max_k = 2;
-  SerialResult result = MineSerial(db, cfg);
+  MiningReport result = MineSerial(db, cfg);
   EXPECT_LE(result.frequent.MaxK(), 2);
-  EXPECT_LE(result.passes.size(), 2u);
+  EXPECT_LE(result.metrics.per_pass.size(), 2u);
 }
 
 TEST(SerialAprioriTest, MemoryCapProducesSameAnswerWithMoreScans) {
@@ -110,50 +89,35 @@ TEST(SerialAprioriTest, MemoryCapProducesSameAnswerWithMoreScans) {
   }());
   AprioriConfig unlimited;
   unlimited.minsup_fraction = 0.02;
-  SerialResult full = MineSerial(db, unlimited);
+  MiningReport full = MineSerial(db, unlimited);
 
   AprioriConfig capped = unlimited;
   capped.max_candidates_in_memory = 10;
-  SerialResult chunked = MineSerial(db, capped);
+  MiningReport chunked = MineSerial(db, capped);
 
   EXPECT_EQ(Flatten(full.frequent), Flatten(chunked.frequent));
   // At least one pass must have needed multiple scans.
   bool multi_scan = false;
-  for (const auto& pass : chunked.passes) {
-    if (pass.db_scans > 1) multi_scan = true;
+  for (const auto& row : chunked.metrics.per_pass) {
+    if (row[0].db_scans > 1) multi_scan = true;
   }
   EXPECT_TRUE(multi_scan);
-}
-
-TEST(SerialAprioriTest, SliceRestrictsMining) {
-  TransactionDatabase db;
-  db.Add({1, 2});
-  db.Add({1, 2});
-  db.Add({3, 4});
-  db.Add({3, 4});
-  AprioriConfig cfg;
-  cfg.minsup_count = 2;
-  SerialResult first_half =
-      MineSerial(db, cfg, TransactionDatabase::Slice{0, 2});
-  std::vector<Item> s12 = {1, 2};
-  std::vector<Item> s34 = {3, 4};
-  EXPECT_TRUE(first_half.frequent.Lookup(ItemSpan(s12.data(), 2), nullptr));
-  EXPECT_FALSE(first_half.frequent.Lookup(ItemSpan(s34.data(), 2), nullptr));
 }
 
 TEST(SerialAprioriTest, PassInfoIsConsistent) {
   TransactionDatabase db = testing::RandomDb(200, 15, 8, 10);
   AprioriConfig cfg;
   cfg.minsup_count = 10;
-  SerialResult result = MineSerial(db, cfg);
-  ASSERT_FALSE(result.passes.empty());
-  EXPECT_EQ(result.passes[0].k, 1);
-  for (std::size_t p = 1; p < result.passes.size(); ++p) {
-    const auto& pass = result.passes[p];
+  MiningReport result = MineSerial(db, cfg);
+  const auto& passes = result.metrics.per_pass;
+  ASSERT_FALSE(passes.empty());
+  EXPECT_EQ(passes[0][0].k, 1);
+  for (std::size_t p = 1; p < passes.size(); ++p) {
+    const PassMetrics& pass = passes[p][0];
     EXPECT_EQ(pass.k, static_cast<int>(p) + 1);
-    EXPECT_LE(pass.num_frequent, pass.num_candidates);
+    EXPECT_LE(pass.num_frequent_global, pass.num_candidates_global);
     if (p < result.frequent.levels.size()) {
-      EXPECT_EQ(pass.num_frequent, result.frequent.levels[p].size());
+      EXPECT_EQ(pass.num_frequent_global, result.frequent.levels[p].size());
     }
     EXPECT_EQ(pass.subset.transactions, db.size());
   }
@@ -163,7 +127,7 @@ TEST(SerialAprioriTest, EmptyDatabase) {
   TransactionDatabase db;
   AprioriConfig cfg;
   cfg.minsup_count = 1;
-  SerialResult result = MineSerial(db, cfg);
+  MiningReport result = MineSerial(db, cfg);
   EXPECT_EQ(result.frequent.TotalCount(), 0u);
 }
 
@@ -171,7 +135,7 @@ TEST(SerialAprioriTest, HighMinsupYieldsNothing) {
   TransactionDatabase db = testing::RandomDb(50, 20, 5, 11);
   AprioriConfig cfg;
   cfg.minsup_count = 1000;
-  SerialResult result = MineSerial(db, cfg);
+  MiningReport result = MineSerial(db, cfg);
   EXPECT_EQ(result.frequent.TotalCount(), 0u);
 }
 

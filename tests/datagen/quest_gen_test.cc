@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "pam/core/serial_apriori.h"
+#include "pam/parallel/driver.h"
 
 namespace pam {
 namespace {

@@ -1,8 +1,9 @@
 // Differential tests for the flat subset-counting kernel and the
 // triangular pass-2 counter: both must be indistinguishable from the
-// classic recursive traversal (counts AND SubsetStats, bit for bit) and
-// from brute-force counting, across random databases, tree shapes, root
-// filters, and the chunked memory-cap configurations of the miners.
+// classic recursive traversal of testing/reference.h (counts AND
+// SubsetStats, bit for bit) and from brute-force counting, across random
+// databases, tree shapes, root filters, and the chunked memory-cap
+// configurations of the miners.
 
 #include <numeric>
 #include <set>
@@ -16,23 +17,30 @@
 #include "pam/parallel/driver.h"
 #include "pam/util/prng.h"
 #include "testing/random_db.h"
+#include "testing/reference.h"
 
 namespace pam {
 namespace {
 
+using testing::CountBruteForce;
 using testing::RandomCandidates;
+using Flat = HashTree;
+using Classic = testing::ReferenceHashTree;
 
 struct KernelOutput {
   std::vector<Count> counts;
   SubsetStats stats;
 };
 
+// Counts every transaction of `db` through a `Tree` (the production
+// HashTree or the reference traversal) built over `ids`.
+template <typename Tree>
 KernelOutput RunKernel(const TransactionDatabase& db,
-                 const ItemsetCollection& candidates,
-                 const std::vector<std::uint32_t>& ids, HashTreeConfig config,
-                 HashTreeKernel kernel, const Bitmap* filter = nullptr) {
-  config.kernel = kernel;
-  HashTree tree(candidates, ids, config);
+                       const ItemsetCollection& candidates,
+                       const std::vector<std::uint32_t>& ids,
+                       const HashTreeConfig& config,
+                       const Bitmap* filter = nullptr) {
+  Tree tree(candidates, ids, config);
   KernelOutput out;
   out.counts.assign(candidates.size(), 0);
   for (std::size_t t = 0; t < db.size(); ++t) {
@@ -71,10 +79,9 @@ TEST(FlatKernelTest, MatchesClassicAndBruteForceAcrossRandomShapes) {
           HashTreeConfig config{fanout, 4};
           config.identity_root = identity_root;
           const std::vector<std::uint32_t> ids = AllIds(candidates.size());
-          KernelOutput flat =
-              RunKernel(db, candidates, ids, config, HashTreeKernel::kFlat);
-          KernelOutput classic = RunKernel(db, candidates, ids, config,
-                                           HashTreeKernel::kClassic);
+          KernelOutput flat = RunKernel<Flat>(db, candidates, ids, config);
+          KernelOutput classic =
+              RunKernel<Classic>(db, candidates, ids, config);
           EXPECT_EQ(flat.counts, classic.counts)
               << "seed=" << seed << " k=" << k << " fanout=" << fanout
               << " identity_root=" << identity_root;
@@ -104,10 +111,10 @@ TEST(FlatKernelTest, MatchesClassicWithRootFilter) {
   for (const bool identity_root : {false, true}) {
     HashTreeConfig config{4, 2};
     config.identity_root = identity_root;
-    KernelOutput flat = RunKernel(db, candidates, owned, config,
-                                  HashTreeKernel::kFlat, &filter);
-    KernelOutput classic = RunKernel(db, candidates, owned, config,
-                                     HashTreeKernel::kClassic, &filter);
+    KernelOutput flat =
+        RunKernel<Flat>(db, candidates, owned, config, &filter);
+    KernelOutput classic =
+        RunKernel<Classic>(db, candidates, owned, config, &filter);
     EXPECT_EQ(flat.counts, classic.counts) << identity_root;
     ExpectSameStats(flat.stats, classic.stats);
     EXPECT_GT(flat.stats.root_items_skipped, 0u);
@@ -125,9 +132,8 @@ TEST(FlatKernelTest, MatchesClassicOnPartitionedChunks) {
     const std::size_t hi = std::min(candidates.size(), lo + chunk_size);
     std::vector<std::uint32_t> ids(hi - lo);
     std::iota(ids.begin(), ids.end(), static_cast<std::uint32_t>(lo));
-    KernelOutput flat = RunKernel(db, candidates, ids, config, HashTreeKernel::kFlat);
-    KernelOutput classic =
-        RunKernel(db, candidates, ids, config, HashTreeKernel::kClassic);
+    KernelOutput flat = RunKernel<Flat>(db, candidates, ids, config);
+    KernelOutput classic = RunKernel<Classic>(db, candidates, ids, config);
     EXPECT_EQ(flat.counts, classic.counts) << "chunk at " << lo;
     ExpectSameStats(flat.stats, classic.stats);
   }
@@ -143,9 +149,8 @@ TEST(FlatKernelTest, DegenerateSingleLeafTree) {
   HashTreeConfig config{4, 1000};
   config.identity_root = false;
   const std::vector<std::uint32_t> ids = AllIds(candidates.size());
-  KernelOutput flat = RunKernel(db, candidates, ids, config, HashTreeKernel::kFlat);
-  KernelOutput classic =
-      RunKernel(db, candidates, ids, config, HashTreeKernel::kClassic);
+  KernelOutput flat = RunKernel<Flat>(db, candidates, ids, config);
+  KernelOutput classic = RunKernel<Classic>(db, candidates, ids, config);
   EXPECT_EQ(flat.counts, classic.counts);
   ExpectSameStats(flat.stats, classic.stats);
   EXPECT_EQ(flat.counts, CountBruteForce(db, {0, db.size()}, candidates));
@@ -216,16 +221,17 @@ TEST(TrianglePathTest, SerialMinerOutputUnchangedByToggle) {
     with.max_candidates_in_memory = cap;
     AprioriConfig without = with;
     without.use_pass2_triangle = false;
-    SerialResult r1 = MineSerial(db, with);
-    SerialResult r2 = MineSerial(db, without);
+    MiningReport r1 = MineSerial(db, with);
+    MiningReport r2 = MineSerial(db, without);
     ExpectSameFrequent(r1.frequent, r2.frequent);
     // The triangle (when it fits the cap) counts pass 2 in one scan.
-    for (const SerialPassInfo& pass : r1.passes) {
+    for (const std::vector<PassMetrics>& row : r1.metrics.per_pass) {
+      const PassMetrics& pass = row[0];
       if (pass.k != 2) continue;
       const bool fits = TrianglePairCounter::Fits(
           r1.frequent.levels[0].size(), cap);
       const std::size_t chunks =
-          cap == 0 ? 1 : (pass.num_candidates + cap - 1) / cap;
+          cap == 0 ? 1 : (pass.num_candidates_global + cap - 1) / cap;
       EXPECT_EQ(pass.db_scans, fits ? 1u : chunks);
     }
   }
@@ -238,8 +244,8 @@ TEST(TrianglePathTest, CdOutputUnchangedByToggle) {
     with.apriori.minsup_count = 18;
     ParallelConfig without = with;
     without.apriori.use_pass2_triangle = false;
-    ParallelResult r1 = MineParallel(Algorithm::kCD, db, p, with);
-    ParallelResult r2 = MineParallel(Algorithm::kCD, db, p, without);
+    MiningReport r1 = MineParallel(Algorithm::kCD, db, p, with);
+    MiningReport r2 = MineParallel(Algorithm::kCD, db, p, without);
     ExpectSameFrequent(r1.frequent, r2.frequent);
   }
 }

@@ -10,10 +10,12 @@
 #include "pam/core/apriori_gen.h"
 #include "pam/util/prng.h"
 #include "testing/random_db.h"
+#include "testing/reference.h"
 
 namespace pam {
 namespace {
 
+using testing::CountBruteForce;
 using testing::RandomCandidates;
 
 TEST(HashTreeTest, CountsMatchBruteForceSmall) {

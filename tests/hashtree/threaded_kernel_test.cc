@@ -107,7 +107,7 @@ TEST(ThreadedKernelTest, TriangleCountsIdenticalAcrossTeamSizes) {
   AprioriConfig cfg;
   cfg.minsup_count = 3;
   cfg.max_k = 1;
-  const SerialResult pass1 = MineSerial(db, cfg);
+  const MiningReport pass1 = MineSerial(db, cfg);
   ASSERT_FALSE(pass1.frequent.levels.empty());
   const ItemsetCollection& f1 = pass1.frequent.levels[0];
   ASSERT_GE(f1.size(), 4u);
@@ -180,7 +180,7 @@ TEST(ThreadedKernelTest, ShardWorkSurfacesInMetrics) {
   ParallelConfig cfg;
   cfg.apriori.minsup_fraction = 0.02;
   cfg.apriori.threads_per_rank = 4;
-  const ParallelResult result = MineParallel(Algorithm::kCD, db, 2, cfg);
+  const MiningReport result = MineParallel(Algorithm::kCD, db, 2, cfg);
   ASSERT_GE(result.metrics.num_passes(), 2);
   const PassMetrics& pass2 = result.metrics.per_pass[1][0];
   EXPECT_EQ(pass2.threads_per_rank, 4);
@@ -206,7 +206,7 @@ TEST(ThreadedKernelTest, ChaosRunWithThreadTeamStaysExact) {
     cfg.apriori = serial_cfg;
     cfg.apriori.threads_per_rank = 4;
     cfg.fault = FaultConfig::Mixed(0.2, /*seed=*/7, /*max_retries=*/8);
-    const ParallelResult result = MineParallel(algorithm, db, 3, cfg);
+    const MiningReport result = MineParallel(algorithm, db, 3, cfg);
     testing::ExpectMatchesSerial(
         result, reference,
         std::string(AlgorithmName(algorithm)) + " under mixed faults");

@@ -41,7 +41,7 @@ Golden CaptureActual() {
   TransactionDatabase db = GoldenDb();
   AprioriConfig cfg;
   cfg.minsup_fraction = 0.02;
-  SerialResult result = MineSerial(db, cfg);
+  MiningReport result = MineSerial(db, cfg);
   Golden g;
   g.num_transactions = db.size();
   g.total_items = db.TotalItems();
@@ -168,25 +168,26 @@ TEST(GoldenTest, EveryMinerReproducesTheGoldenWorkCounters) {
       {Algorithm::kHPA, 0x8594a06588d67276ull},
   };
   for (const auto& g : golden) {
-    const ParallelResult result = MineParallel(g.algorithm, db, 3, cfg);
+    const MiningReport result = MineParallel(g.algorithm, db, 3, cfg);
     EXPECT_EQ(WorkCounterDigest(result.metrics), g.digest)
         << AlgorithmName(g.algorithm) << " digest 0x" << std::hex
         << WorkCounterDigest(result.metrics);
   }
 
-  const SerialResult serial = MineSerial(db, cfg.apriori);
+  const MiningReport serial = MineSerial(db, cfg.apriori);
   CounterDigest d;
-  for (const SerialPassInfo& info : serial.passes) {
+  for (const std::vector<PassMetrics>& row : serial.metrics.per_pass) {
+    const PassMetrics& info = row[0];
     d.Fold(static_cast<std::uint64_t>(info.k));
-    d.Fold(info.num_candidates);
-    d.Fold(info.num_frequent);
+    d.Fold(info.num_candidates_global);
+    d.Fold(info.num_frequent_global);
     d.Fold(info.tree_build_inserts);
     d.Fold(info.db_scans);
     d.Fold(info.subset);
     d.Fold(static_cast<std::uint64_t>(info.threads_per_rank));
     d.Fold(info.shard_subset_work);
   }
-  EXPECT_EQ(serial.passes.size(), 6u);
+  EXPECT_EQ(serial.metrics.per_pass.size(), 6u);
   EXPECT_EQ(d.value(), 0x0098384f2d6a55c1ull)
       << "serial digest 0x" << std::hex << d.value();
 }

@@ -124,14 +124,19 @@ TEST(CostModelTest, SerialRunTime) {
   machine.t_gen = 0.0;
   machine.io_bandwidth = 10.0;
   CostModel model(machine);
-  SerialResult result;
-  SerialPassInfo pass;
+  // A serial run is one-rank CD: its reduction and exchange price zero.
+  RunMetrics metrics;
+  PassMetrics pass;
   pass.subset.traversal_steps = 5;
   pass.tree_build_inserts = 5;
   pass.db_scans = 2;
-  result.passes.push_back(pass);
+  pass.local_db_wire_bytes = 100;
+  pass.reduction_words = 7;
+  metrics.per_pass.push_back({pass});
   // 5 + 5 + 2 * 100 / 10 = 30.
-  EXPECT_DOUBLE_EQ(model.SerialRunTime(result, 100), 30.0);
+  EXPECT_DOUBLE_EQ(model.PassTime(Algorithm::kCD, metrics.per_pass[0]).Total(),
+                   30.0);
+  EXPECT_DOUBLE_EQ(model.RunTime(Algorithm::kCD, metrics), 30.0);
 }
 
 TEST(CostModelTest, MachinePresetsAreSane) {

@@ -8,7 +8,7 @@
 namespace pam {
 namespace {
 
-ParallelResult SmallRun() {
+MiningReport SmallRun() {
   TransactionDatabase db = testing::RandomDb(200, 20, 8, 91);
   ParallelConfig cfg;
   cfg.apriori.minsup_count = 6;
@@ -16,7 +16,7 @@ ParallelResult SmallRun() {
 }
 
 TEST(ExplainTest, MentionsAlgorithmMachineAndPasses) {
-  ParallelResult run = SmallRun();
+  MiningReport run = SmallRun();
   CostModel model(MachineModel::CrayT3E());
   const std::string text = ExplainRun(model, Algorithm::kHD, run.metrics);
   EXPECT_NE(text.find("HD on 4 ranks"), std::string::npos);
@@ -32,7 +32,7 @@ TEST(ExplainTest, MentionsAlgorithmMachineAndPasses) {
 }
 
 TEST(ExplainTest, TotalMatchesRunTime) {
-  ParallelResult run = SmallRun();
+  MiningReport run = SmallRun();
   CostModel model(MachineModel::CrayT3E());
   const double expected = model.RunTime(Algorithm::kHD, run.metrics);
   const std::string text = ExplainRun(model, Algorithm::kHD, run.metrics);
@@ -43,7 +43,7 @@ TEST(ExplainTest, TotalMatchesRunTime) {
 }
 
 TEST(ExplainTest, CounterSummaryHasOneRowPerPass) {
-  ParallelResult run = SmallRun();
+  MiningReport run = SmallRun();
   const std::string text = SummarizeCounters(run.metrics);
   std::size_t lines = 0;
   for (char c : text) {

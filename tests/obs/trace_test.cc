@@ -333,7 +333,7 @@ TEST(TraceTest, NullSinkRunsAreZeroOverhead) {
 
   const std::uint64_t spans_before = obs::SpansEmittedTotal();
   const std::uint64_t copies_before = BufferPool::CopyCount();
-  SerialResult serial = MineSerial(db, cfg.apriori);
+  MiningReport serial = MineSerial(db, cfg.apriori);
   ASSERT_GT(serial.frequent.TotalCount(), 0u);
   EXPECT_EQ(BufferPool::CopyCount(), copies_before);
   MiningReport parallel = testing::SessionMine(Algorithm::kCD, db, 4, cfg);

@@ -78,7 +78,7 @@ TEST_P(DifferentialSweep, AllAlgorithmsMatchSerial) {
           " threads=" + std::to_string(serial_cfg.threads_per_rank) +
           " adaptive=" + (cfg.adaptive_balance ? "1" : "0") +
           " idroot=" + (cfg.apriori.tree.identity_root ? "1" : "0");
-      ParallelResult result = MineParallel(alg, db, p, cfg);
+      MiningReport result = MineParallel(alg, db, p, cfg);
       testing::ExpectMatchesSerial(result, serial_flat, label);
       EXPECT_EQ(result.metrics.TotalFaultsInjected(), 0u) << label;
       EXPECT_EQ(result.metrics.TotalCommRetries(), 0u) << label;

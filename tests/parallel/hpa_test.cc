@@ -34,7 +34,7 @@ TEST(HpaTest, SubsetGenerationCountIdentity) {
   // off so the identity holds for every pass.
   cfg.apriori.use_pass2_triangle = false;
   const int p = 3;
-  ParallelResult hpa = MineParallel(Algorithm::kHPA, db, p, cfg);
+  MiningReport hpa = MineParallel(Algorithm::kHPA, db, p, cfg);
 
   for (int pass = 1; pass < hpa.metrics.num_passes(); ++pass) {
     const int k = hpa.metrics.per_pass[static_cast<std::size_t>(pass)][0].k;
@@ -58,7 +58,7 @@ TEST(HpaTest, CandidateOwnershipPartitionsCandidates) {
   // A triangle pass owns all of C_2 on every rank; hash pass 2 too.
   cfg.apriori.use_pass2_triangle = false;
   const int p = 5;
-  ParallelResult hpa = MineParallel(Algorithm::kHPA, db, p, cfg);
+  MiningReport hpa = MineParallel(Algorithm::kHPA, db, p, cfg);
   for (std::size_t pass = 1; pass < hpa.metrics.per_pass.size(); ++pass) {
     const auto& row = hpa.metrics.per_pass[pass];
     std::size_t local_sum = 0;
@@ -71,7 +71,7 @@ TEST(HpaTest, NoWireTrafficOnSingleRank) {
   TransactionDatabase db = testing::RandomDb(100, 15, 7, 47);
   ParallelConfig cfg;
   cfg.apriori.minsup_count = 3;
-  ParallelResult hpa = MineParallel(Algorithm::kHPA, db, 1, cfg);
+  MiningReport hpa = MineParallel(Algorithm::kHPA, db, 1, cfg);
   for (int pass = 0; pass < hpa.metrics.num_passes(); ++pass) {
     EXPECT_EQ(hpa.metrics.TotalDataBytes(pass), 0u);
   }
@@ -83,12 +83,12 @@ TEST(HpaTest, SmallPageSizeStillCorrect) {
   TransactionDatabase db = testing::RandomDb(120, 14, 8, 53);
   AprioriConfig serial_cfg;
   serial_cfg.minsup_count = 3;
-  SerialResult serial = MineSerial(db, serial_cfg);
+  MiningReport serial = MineSerial(db, serial_cfg);
 
   ParallelConfig cfg;
   cfg.apriori = serial_cfg;
   cfg.page_bytes = 8;  // pathologically small
-  ParallelResult hpa = MineParallel(Algorithm::kHPA, db, 4, cfg);
+  MiningReport hpa = MineParallel(Algorithm::kHPA, db, 4, cfg);
   EXPECT_EQ(Flatten(hpa.frequent), Flatten(serial.frequent));
 }
 
@@ -102,7 +102,7 @@ TEST(HpaTest, ShortTransactionsGenerateNoSubsets) {
   cfg.apriori.minsup_count = 2;
   // Count subsets through the router, not the pass-2 triangle kernel.
   cfg.apriori.use_pass2_triangle = false;
-  ParallelResult hpa = MineParallel(Algorithm::kHPA, db, 2, cfg);
+  MiningReport hpa = MineParallel(Algorithm::kHPA, db, 2, cfg);
   ASSERT_GE(hpa.metrics.num_passes(), 2);
   // Pass 2: only the two {1,2} transactions yield subsets.
   EXPECT_EQ(hpa.metrics.PassSubsetStats(1).traversal_steps, 2u);

@@ -153,7 +153,7 @@ TEST(AttributionTest, ItemWorkAndLeafVisitsAreExact) {
   AprioriConfig mine_cfg;
   mine_cfg.minsup_fraction = 0.02;
   mine_cfg.max_k = 3;
-  const SerialResult serial = MineSerial(db, mine_cfg);
+  const MiningReport serial = MineSerial(db, mine_cfg);
   ASSERT_GE(serial.frequent.levels.size(), 3u);
   const ItemsetCollection& candidates = serial.frequent.levels[2];
   ASSERT_GT(candidates.size(), 20u);
@@ -272,7 +272,7 @@ TEST(AdaptiveBalanceTest, IddMatchesSerialAcrossTeamSizes) {
   ASSERT_FALSE(serial_flat.empty());
   for (int threads : {1, 2}) {
     cfg.apriori.threads_per_rank = threads;
-    ParallelResult result = MineParallel(Algorithm::kIDD, db, 8, cfg);
+    MiningReport result = MineParallel(Algorithm::kIDD, db, 8, cfg);
     testing::ExpectMatchesSerial(result, serial_flat,
                                  "adaptive IDD threads=" +
                                      std::to_string(threads));
@@ -286,7 +286,7 @@ TEST(AdaptiveBalanceTest, HdMatchesSerialAcrossTeamSizes) {
   ASSERT_FALSE(serial_flat.empty());
   for (int threads : {1, 2}) {
     cfg.apriori.threads_per_rank = threads;
-    ParallelResult result = MineParallel(Algorithm::kHD, db, 8, cfg);
+    MiningReport result = MineParallel(Algorithm::kHD, db, 8, cfg);
     testing::ExpectMatchesSerial(result, serial_flat,
                                  "adaptive HD threads=" +
                                      std::to_string(threads));
@@ -299,9 +299,9 @@ TEST(AdaptiveBalanceTest, RepartitioningKicksInDeterministically) {
   ParallelConfig static_cfg = adaptive_cfg;
   static_cfg.adaptive_balance = false;
 
-  ParallelResult a = MineParallel(Algorithm::kIDD, db, 8, adaptive_cfg);
-  ParallelResult b = MineParallel(Algorithm::kIDD, db, 8, adaptive_cfg);
-  ParallelResult s = MineParallel(Algorithm::kIDD, db, 8, static_cfg);
+  MiningReport a = MineParallel(Algorithm::kIDD, db, 8, adaptive_cfg);
+  MiningReport b = MineParallel(Algorithm::kIDD, db, 8, adaptive_cfg);
+  MiningReport s = MineParallel(Algorithm::kIDD, db, 8, static_cfg);
 
   // Identical runs make identical decisions, pass for pass.
   EXPECT_EQ(Digests(a.metrics, "adaptive run A"),
@@ -347,8 +347,8 @@ TEST(AdaptiveBalanceTest, ContiguousAblationStaysStatic) {
   cfg.prefix_strategy = PrefixStrategy::kContiguous;
   ParallelConfig static_cfg = cfg;
   static_cfg.adaptive_balance = false;
-  ParallelResult a = MineParallel(Algorithm::kIDD, db, 8, cfg);
-  ParallelResult s = MineParallel(Algorithm::kIDD, db, 8, static_cfg);
+  MiningReport a = MineParallel(Algorithm::kIDD, db, 8, cfg);
+  MiningReport s = MineParallel(Algorithm::kIDD, db, 8, static_cfg);
   EXPECT_EQ(Digests(a.metrics, "adaptive contiguous"),
             Digests(s.metrics, "static contiguous"));
   EXPECT_EQ(TotalRebalanced(a.metrics), 0u);
@@ -368,8 +368,8 @@ TEST(AdaptiveBalanceChaosTest, FaultsChangeNeitherDecisionsNorOutput) {
   for (Algorithm alg : {Algorithm::kIDD, Algorithm::kHD}) {
     const std::string label =
         std::string("chaos adaptive ") + AlgorithmName(alg);
-    ParallelResult clean = MineParallel(alg, db, 8, clean_cfg);
-    ParallelResult chaos = MineParallel(alg, db, 8, chaos_cfg);
+    MiningReport clean = MineParallel(alg, db, 8, clean_cfg);
+    MiningReport chaos = MineParallel(alg, db, 8, chaos_cfg);
     // The faulty transport really fired and was repaired...
     EXPECT_GT(chaos.metrics.TotalFaultsInjected(), 0u) << label;
     // ...yet every pass's partition decision and the mined output are

@@ -34,13 +34,13 @@ TEST_P(PageSizeSweep, ResultsIndependentOfPageSize) {
   TransactionDatabase db = testing::RandomDb(250, 25, 9, 777);
   AprioriConfig serial_cfg;
   serial_cfg.minsup_count = 8;
-  SerialResult serial = MineSerial(db, serial_cfg);
+  MiningReport serial = MineSerial(db, serial_cfg);
   ASSERT_GT(serial.frequent.TotalCount(), 0u);
 
   ParallelConfig cfg;
   cfg.apriori = serial_cfg;
   cfg.page_bytes = page_bytes;
-  ParallelResult result = MineParallel(algorithm, db, 5, cfg);
+  MiningReport result = MineParallel(algorithm, db, 5, cfg);
   EXPECT_EQ(Flatten(result.frequent), Flatten(serial.frequent));
 }
 
@@ -70,8 +70,8 @@ TEST(PageSizeSweepExtra, VolumeInvariantMessagesNot) {
   ParallelConfig large = small;
   large.page_bytes = 1 << 20;
 
-  ParallelResult a = MineParallel(Algorithm::kIDD, db, 4, small);
-  ParallelResult b = MineParallel(Algorithm::kIDD, db, 4, large);
+  MiningReport a = MineParallel(Algorithm::kIDD, db, 4, small);
+  MiningReport b = MineParallel(Algorithm::kIDD, db, 4, large);
   ASSERT_EQ(a.metrics.num_passes(), b.metrics.num_passes());
   std::uint64_t small_msgs = 0;
   std::uint64_t large_msgs = 0;

@@ -35,8 +35,8 @@ ParallelConfig BaseConfig() {
 TEST(ParallelBehaviorTest, IddVisitsFewerLeavesThanDd) {
   TransactionDatabase db = TestDb();
   const int p = 4;
-  ParallelResult dd = MineParallel(Algorithm::kDD, db, p, BaseConfig());
-  ParallelResult idd = MineParallel(Algorithm::kIDD, db, p, BaseConfig());
+  MiningReport dd = MineParallel(Algorithm::kDD, db, p, BaseConfig());
+  MiningReport idd = MineParallel(Algorithm::kIDD, db, p, BaseConfig());
   ASSERT_EQ(dd.metrics.per_pass.size(), idd.metrics.per_pass.size());
 
   // Compare the pass with the most candidates (usually k=2 or 3).
@@ -151,7 +151,7 @@ TEST(ParallelBehaviorTest, ReturnedLevelsHoldNoCandidateCapacity) {
   const TransactionDatabase db = TestDb();
   for (Algorithm alg : {Algorithm::kCD, Algorithm::kDD, Algorithm::kIDD,
                         Algorithm::kHD, Algorithm::kHPA}) {
-    const ParallelResult result = MineParallel(alg, db, 3, BaseConfig());
+    const MiningReport result = MineParallel(alg, db, 3, BaseConfig());
     ASSERT_GE(result.frequent.levels.size(), 3u) << AlgorithmName(alg);
     for (const ItemsetCollection& level : result.frequent.levels) {
       EXPECT_EQ(level.ResidentBytes(),
@@ -166,8 +166,8 @@ TEST(ParallelBehaviorTest, ReturnedLevelsHoldNoCandidateCapacity) {
 // CD performs no redundant work: its total leaf visits match a P=1 run.
 TEST(ParallelBehaviorTest, CdTotalWorkIndependentOfP) {
   TransactionDatabase db = TestDb();
-  ParallelResult p1 = MineParallel(Algorithm::kCD, db, 1, BaseConfig());
-  ParallelResult p4 = MineParallel(Algorithm::kCD, db, 4, BaseConfig());
+  MiningReport p1 = MineParallel(Algorithm::kCD, db, 1, BaseConfig());
+  MiningReport p4 = MineParallel(Algorithm::kCD, db, 4, BaseConfig());
   ASSERT_EQ(p1.metrics.per_pass.size(), p4.metrics.per_pass.size());
   for (std::size_t pass = 1; pass < p1.metrics.per_pass.size(); ++pass) {
     EXPECT_EQ(p1.metrics.TotalLeafVisits(static_cast<int>(pass)),
@@ -180,10 +180,10 @@ TEST(ParallelBehaviorTest, CdTotalWorkIndependentOfP) {
 // analyzes); IDD's stays near the serial amount.
 TEST(ParallelBehaviorTest, DdRedundantWorkGrowsWithP) {
   TransactionDatabase db = TestDb();
-  ParallelResult serial = MineParallel(Algorithm::kCD, db, 1, BaseConfig());
-  ParallelResult dd2 = MineParallel(Algorithm::kDD, db, 2, BaseConfig());
-  ParallelResult dd8 = MineParallel(Algorithm::kDD, db, 8, BaseConfig());
-  ParallelResult idd8 = MineParallel(Algorithm::kIDD, db, 8, BaseConfig());
+  MiningReport serial = MineParallel(Algorithm::kCD, db, 1, BaseConfig());
+  MiningReport dd2 = MineParallel(Algorithm::kDD, db, 2, BaseConfig());
+  MiningReport dd8 = MineParallel(Algorithm::kDD, db, 8, BaseConfig());
+  MiningReport idd8 = MineParallel(Algorithm::kIDD, db, 8, BaseConfig());
 
   std::uint64_t serial_total = 0;
   std::uint64_t dd2_total = 0;
@@ -208,7 +208,7 @@ TEST(ParallelBehaviorTest, RingShipsExpectedVolume) {
   ParallelConfig cfg = BaseConfig();
   // A triangle pass moves no pages; count pass 2 through the tree too.
   cfg.apriori.use_pass2_triangle = false;
-  ParallelResult idd = MineParallel(Algorithm::kIDD, db, p, cfg);
+  MiningReport idd = MineParallel(Algorithm::kIDD, db, p, cfg);
   const std::uint64_t db_bytes = db.WireBytes({0, db.size()});
   const std::size_t passes = idd.metrics.per_pass.size();
   ASSERT_GT(passes, 1u);
@@ -225,7 +225,7 @@ TEST(ParallelBehaviorTest, RingShipsExpectedVolume) {
 // CD moves no transaction data at all.
 TEST(ParallelBehaviorTest, CdMovesNoTransactionData) {
   TransactionDatabase db = TestDb();
-  ParallelResult cd = MineParallel(Algorithm::kCD, db, 4, BaseConfig());
+  MiningReport cd = MineParallel(Algorithm::kCD, db, 4, BaseConfig());
   for (std::size_t pass = 0; pass < cd.metrics.per_pass.size(); ++pass) {
     EXPECT_EQ(cd.metrics.TotalDataBytes(static_cast<int>(pass)), 0u);
   }
@@ -241,9 +241,9 @@ TEST(ParallelBehaviorTest, TransactionsProcessedPerAlgorithm) {
   // A triangle pass counts N/P per rank in every formulation.
   cfg.apriori.use_pass2_triangle = false;
 
-  ParallelResult cd = MineParallel(Algorithm::kCD, db, p, cfg);
-  ParallelResult idd = MineParallel(Algorithm::kIDD, db, p, cfg);
-  ParallelResult hd = MineParallel(Algorithm::kHD, db, p, cfg);
+  MiningReport cd = MineParallel(Algorithm::kCD, db, p, cfg);
+  MiningReport idd = MineParallel(Algorithm::kIDD, db, p, cfg);
+  MiningReport hd = MineParallel(Algorithm::kHD, db, p, cfg);
 
   const std::uint64_t n = db.size();
   for (std::size_t pass = 1; pass < cd.metrics.per_pass.size(); ++pass) {
@@ -267,7 +267,7 @@ TEST(ParallelBehaviorTest, HdDegeneratesToCdWithHugeThreshold) {
   TransactionDatabase db = TestDb();
   ParallelConfig cfg = BaseConfig();
   cfg.hd_threshold_m = 100000000;
-  ParallelResult hd = MineParallel(Algorithm::kHD, db, 4, cfg);
+  MiningReport hd = MineParallel(Algorithm::kHD, db, 4, cfg);
   for (std::size_t pass = 1; pass < hd.metrics.per_pass.size(); ++pass) {
     const auto& row = hd.metrics.per_pass[pass];
     EXPECT_EQ(row[0].grid_rows, 1);
@@ -283,7 +283,7 @@ TEST(ParallelBehaviorTest, HdDegeneratesToIddWithThresholdOne) {
   cfg.hd_threshold_m = 1;
   // A triangle pass is CD's 1 x P pass; grid the tree passes only.
   cfg.apriori.use_pass2_triangle = false;
-  ParallelResult hd = MineParallel(Algorithm::kHD, db, 4, cfg);
+  MiningReport hd = MineParallel(Algorithm::kHD, db, 4, cfg);
   for (std::size_t pass = 1; pass < hd.metrics.per_pass.size(); ++pass) {
     const auto& row = hd.metrics.per_pass[pass];
     // Tiny final passes may have fewer candidates than P, where
@@ -303,8 +303,8 @@ TEST(ParallelBehaviorTest, BitmapAblationIncreasesWork) {
   ParallelConfig with = BaseConfig();
   ParallelConfig without = BaseConfig();
   without.idd_use_bitmap = false;
-  ParallelResult a = MineParallel(Algorithm::kIDD, db, 4, with);
-  ParallelResult b = MineParallel(Algorithm::kIDD, db, 4, without);
+  MiningReport a = MineParallel(Algorithm::kIDD, db, 4, with);
+  MiningReport b = MineParallel(Algorithm::kIDD, db, 4, without);
   std::uint64_t with_steps = 0;
   std::uint64_t without_steps = 0;
   for (std::size_t pass = 1; pass < a.metrics.per_pass.size(); ++pass) {
@@ -326,8 +326,8 @@ TEST(ParallelBehaviorTest, HpaVolumeGrowsWithKUnlikeIdd) {
   cfg.apriori.minsup_fraction = 0.01;  // deep enough for several passes
   // Route pass 2's subsets too, rather than count the triangle.
   cfg.apriori.use_pass2_triangle = false;
-  ParallelResult hpa = MineParallel(Algorithm::kHPA, db, p, cfg);
-  ParallelResult idd = MineParallel(Algorithm::kIDD, db, p, cfg);
+  MiningReport hpa = MineParallel(Algorithm::kHPA, db, p, cfg);
+  MiningReport idd = MineParallel(Algorithm::kIDD, db, p, cfg);
   ASSERT_GE(hpa.metrics.num_passes(), 4);
 
   // IDD ships the same bytes every pass; HPA's bytes per pass track the
@@ -351,7 +351,7 @@ TEST(ParallelBehaviorTest, HpaHashOwnershipRoughlyEven) {
   ParallelConfig cfg = BaseConfig();
   // A triangle pass owns all of C_2 on every rank; hash pass 2 too.
   cfg.apriori.use_pass2_triangle = false;
-  ParallelResult hpa = MineParallel(Algorithm::kHPA, db, 4, cfg);
+  MiningReport hpa = MineParallel(Algorithm::kHPA, db, 4, cfg);
   for (std::size_t pass = 1; pass < hpa.metrics.per_pass.size(); ++pass) {
     const auto& row = hpa.metrics.per_pass[pass];
     const std::size_t m = row[0].num_candidates_global;
@@ -371,8 +371,8 @@ TEST(ParallelBehaviorTest, HpaHashOwnershipRoughlyEven) {
 TEST(ParallelBehaviorTest, DdCommVolumeMatchesDd) {
   TransactionDatabase db = TestDb();
   const int p = 4;
-  ParallelResult dd = MineParallel(Algorithm::kDD, db, p, BaseConfig());
-  ParallelResult ddc = MineParallel(Algorithm::kDDComm, db, p, BaseConfig());
+  MiningReport dd = MineParallel(Algorithm::kDD, db, p, BaseConfig());
+  MiningReport ddc = MineParallel(Algorithm::kDDComm, db, p, BaseConfig());
   for (std::size_t pass = 1; pass < dd.metrics.per_pass.size(); ++pass) {
     EXPECT_EQ(dd.metrics.TotalDataBytes(static_cast<int>(pass)),
               ddc.metrics.TotalDataBytes(static_cast<int>(pass)))

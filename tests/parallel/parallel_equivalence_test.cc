@@ -25,7 +25,7 @@ TEST_P(ParallelEquivalence, MatchesSerial) {
 
   AprioriConfig serial_cfg;
   serial_cfg.minsup_fraction = 0.02;
-  SerialResult serial = MineSerial(db, serial_cfg);
+  MiningReport serial = MineSerial(db, serial_cfg);
   ASSERT_GT(serial.frequent.TotalCount(), 0u);
   ASSERT_GE(serial.frequent.MaxK(), 3) << "test workload too shallow";
 
@@ -33,7 +33,7 @@ TEST_P(ParallelEquivalence, MatchesSerial) {
   cfg.apriori = serial_cfg;
   cfg.page_bytes = 512;       // force multi-page movement
   cfg.hd_threshold_m = 100;   // force HD to form real grids
-  ParallelResult parallel = MineParallel(algorithm, db, num_ranks, cfg);
+  MiningReport parallel = MineParallel(algorithm, db, num_ranks, cfg);
 
   EXPECT_EQ(Flatten(parallel.frequent), Flatten(serial.frequent))
       << AlgorithmName(algorithm) << " P=" << num_ranks;
@@ -59,13 +59,13 @@ TEST(ParallelEquivalenceExtra, HdGridShapes) {
   TransactionDatabase db = TestDb();
   AprioriConfig base;
   base.minsup_fraction = 0.02;
-  SerialResult serial = MineSerial(db, base);
+  MiningReport serial = MineSerial(db, base);
 
   for (std::size_t m : {1u, 50u, 1000u, 1000000u}) {
     ParallelConfig cfg;
     cfg.apriori = base;
     cfg.hd_threshold_m = m;
-    ParallelResult hd = MineParallel(Algorithm::kHD, db, 6, cfg);
+    MiningReport hd = MineParallel(Algorithm::kHD, db, 6, cfg);
     EXPECT_EQ(Flatten(hd.frequent), Flatten(serial.frequent)) << "m=" << m;
   }
 }
@@ -74,13 +74,13 @@ TEST(ParallelEquivalenceExtra, ContiguousPrefixStrategyStillCorrect) {
   TransactionDatabase db = TestDb();
   AprioriConfig base;
   base.minsup_fraction = 0.02;
-  SerialResult serial = MineSerial(db, base);
+  MiningReport serial = MineSerial(db, base);
 
   ParallelConfig cfg;
   cfg.apriori = base;
   cfg.prefix_strategy = PrefixStrategy::kContiguous;
   cfg.split_heavy_prefixes = false;
-  ParallelResult idd = MineParallel(Algorithm::kIDD, db, 4, cfg);
+  MiningReport idd = MineParallel(Algorithm::kIDD, db, 4, cfg);
   EXPECT_EQ(Flatten(idd.frequent), Flatten(serial.frequent));
 }
 
@@ -88,12 +88,12 @@ TEST(ParallelEquivalenceExtra, IddWithoutBitmapStillCorrect) {
   TransactionDatabase db = TestDb();
   AprioriConfig base;
   base.minsup_fraction = 0.02;
-  SerialResult serial = MineSerial(db, base);
+  MiningReport serial = MineSerial(db, base);
 
   ParallelConfig cfg;
   cfg.apriori = base;
   cfg.idd_use_bitmap = false;
-  ParallelResult idd = MineParallel(Algorithm::kIDD, db, 4, cfg);
+  MiningReport idd = MineParallel(Algorithm::kIDD, db, 4, cfg);
   EXPECT_EQ(Flatten(idd.frequent), Flatten(serial.frequent));
 }
 
@@ -101,12 +101,12 @@ TEST(ParallelEquivalenceExtra, MemoryCappedCdMatchesSerial) {
   TransactionDatabase db = TestDb();
   AprioriConfig base;
   base.minsup_fraction = 0.02;
-  SerialResult serial = MineSerial(db, base);
+  MiningReport serial = MineSerial(db, base);
 
   ParallelConfig cfg;
   cfg.apriori = base;
   cfg.apriori.max_candidates_in_memory = 25;
-  ParallelResult cd = MineParallel(Algorithm::kCD, db, 4, cfg);
+  MiningReport cd = MineParallel(Algorithm::kCD, db, 4, cfg);
   EXPECT_EQ(Flatten(cd.frequent), Flatten(serial.frequent));
 
   bool multi_scan = false;
@@ -122,13 +122,13 @@ TEST(ParallelEquivalenceExtra, SingleSourceIddMatchesSerial) {
   TransactionDatabase db = TestDb();
   AprioriConfig base;
   base.minsup_fraction = 0.02;
-  SerialResult serial = MineSerial(db, base);
+  MiningReport serial = MineSerial(db, base);
 
   ParallelConfig cfg;
   cfg.apriori = base;
   cfg.single_source = true;
   for (int p : {1, 2, 4, 8}) {
-    ParallelResult idd = MineParallel(Algorithm::kIDD, db, p, cfg);
+    MiningReport idd = MineParallel(Algorithm::kIDD, db, p, cfg);
     EXPECT_EQ(Flatten(idd.frequent), Flatten(serial.frequent)) << "P=" << p;
   }
 }
@@ -140,7 +140,7 @@ TEST(ParallelEquivalenceExtra, SingleSourceOnlyRankZeroReadsLocally) {
   cfg.single_source = true;
   // A triangle pass counts where the data lives; ring-feed pass 2 too.
   cfg.apriori.use_pass2_triangle = false;
-  ParallelResult idd = MineParallel(Algorithm::kIDD, db, 4, cfg);
+  MiningReport idd = MineParallel(Algorithm::kIDD, db, 4, cfg);
   // Every rank still processes the full database per pass (ring feed).
   for (std::size_t pass = 1; pass < idd.metrics.per_pass.size(); ++pass) {
     for (const PassMetrics& m : idd.metrics.per_pass[pass]) {
@@ -160,8 +160,8 @@ TEST(ParallelEquivalenceExtra, DeterministicAcrossRuns) {
   TransactionDatabase db = TestDb();
   ParallelConfig cfg;
   cfg.apriori.minsup_fraction = 0.02;
-  ParallelResult a = MineParallel(Algorithm::kHD, db, 4, cfg);
-  ParallelResult b = MineParallel(Algorithm::kHD, db, 4, cfg);
+  MiningReport a = MineParallel(Algorithm::kHD, db, 4, cfg);
+  MiningReport b = MineParallel(Algorithm::kHD, db, 4, cfg);
   EXPECT_EQ(Flatten(a.frequent), Flatten(b.frequent));
   ASSERT_EQ(a.metrics.per_pass.size(), b.metrics.per_pass.size());
   for (std::size_t p = 0; p < a.metrics.per_pass.size(); ++p) {

@@ -389,5 +389,46 @@ TEST(ServeTest, EmitsOneServeSpanPerExecutedRequest) {
   EXPECT_EQ(sequences, (std::vector<std::int64_t>{0, 1}));
 }
 
+TEST(ServeTest, ResultCacheHitEmitsOneInstantInsideItsRequestSpan) {
+  obs::TimelineSink sink;  // must outlive the server
+  ServerConfig config;
+  config.result_cache = true;
+  MiningServer server(config);
+  server.AddTraceSink(&sink);
+  server.datasets().RegisterLoaded("quest", testing::SmallQuestDb());
+
+  const MiningRequest request = Request("a", "quest", MiningAlgorithm::kCD, 2);
+  const ServeResponse mined = server.Execute(request);
+  const ServeResponse hit = server.Execute(request);
+  ASSERT_TRUE(mined.ok());
+  ASSERT_TRUE(hit.ok());
+  EXPECT_FALSE(mined.from_result_cache);
+  EXPECT_TRUE(hit.from_result_cache);
+  server.Shutdown();
+
+  const obs::Timeline timeline = sink.Take();
+  std::vector<obs::SpanRecord> requests;
+  std::vector<obs::SpanRecord> hits;
+  for (const obs::SpanRecord& span : timeline.spans) {
+    if (span.kind == obs::SpanKind::kServeRequest) requests.push_back(span);
+    if (span.kind == obs::SpanKind::kResultCacheHit) hits.push_back(span);
+  }
+  ASSERT_EQ(requests.size(), 2u);
+  ASSERT_EQ(hits.size(), 1u);
+  const obs::SpanRecord& instant = hits[0];
+  EXPECT_TRUE(instant.instant);
+  ASSERT_NE(instant.detail, nullptr);
+  EXPECT_STREQ(instant.detail, "hit");
+  // The hit is the second admitted request (sequence 1): the instant sits
+  // on that request's worker track, inside its serve_request span.
+  const auto second =
+      std::find_if(requests.begin(), requests.end(),
+                   [](const obs::SpanRecord& span) { return span.index == 1; });
+  ASSERT_NE(second, requests.end());
+  EXPECT_EQ(instant.rank, second->rank);
+  EXPECT_GE(instant.ts_us, second->ts_us);
+  EXPECT_LE(instant.ts_us, second->ts_us + second->dur_us);
+}
+
 }  // namespace
 }  // namespace pam

@@ -71,7 +71,7 @@ TEST_P(ChaosRecovered, MatchesSerialExactly) {
   cfg.fault = FaultConfig::Uniform(kind, 0.05, seed, /*max_retries=*/8);
   cfg.fault.recv_timeout_ms = 10000;
 
-  ParallelResult result = MineParallel(alg, ChaosDb(), kRanks, cfg);
+  MiningReport result = MineParallel(alg, ChaosDb(), kRanks, cfg);
   testing::ExpectMatchesSerial(result, ChaosReference(),
                                CellName(alg, kind, seed));
   // Counters are threaded per pass; the whole-run aggregate must be
@@ -116,7 +116,7 @@ TEST(ChaosMixed, HighFaultRateStillExactAndCountersMove) {
     cfg.fault = FaultConfig::Mixed(0.3, /*seed=*/99, /*max_retries=*/8);
     cfg.fault.recv_timeout_ms = 10000;
 
-    ParallelResult result = MineParallel(alg, ChaosDb(), kRanks, cfg);
+    MiningReport result = MineParallel(alg, ChaosDb(), kRanks, cfg);
     testing::ExpectMatchesSerial(result, ChaosReference(),
                                  AlgorithmName(alg) + std::string(" mixed"));
     EXPECT_GT(result.metrics.TotalFaultsInjected(), 0u) << AlgorithmName(alg);
@@ -130,8 +130,8 @@ TEST(ChaosMixed, SameSeedSameFaultSchedule) {
   // number of faults and retries, pass by pass.
   ParallelConfig cfg = ChaosConfig();
   cfg.fault = FaultConfig::Mixed(0.2, /*seed=*/7, /*max_retries=*/8);
-  ParallelResult a = MineParallel(Algorithm::kCD, ChaosDb(), kRanks, cfg);
-  ParallelResult b = MineParallel(Algorithm::kCD, ChaosDb(), kRanks, cfg);
+  MiningReport a = MineParallel(Algorithm::kCD, ChaosDb(), kRanks, cfg);
+  MiningReport b = MineParallel(Algorithm::kCD, ChaosDb(), kRanks, cfg);
   EXPECT_EQ(a.metrics.TotalFaultsInjected(), b.metrics.TotalFaultsInjected());
   EXPECT_EQ(a.metrics.TotalCommRetries(), b.metrics.TotalCommRetries());
   EXPECT_EQ(testing::Flatten(a.frequent), testing::Flatten(b.frequent));
@@ -141,7 +141,7 @@ TEST(ChaosMixed, FaultsOffInjectsNothing) {
   // The differential baseline: with the plan disabled the counters stay
   // exactly zero (no schedule consultation on the fast path).
   ParallelConfig cfg = ChaosConfig();
-  ParallelResult r = MineParallel(Algorithm::kHD, ChaosDb(), kRanks, cfg);
+  MiningReport r = MineParallel(Algorithm::kHD, ChaosDb(), kRanks, cfg);
   EXPECT_EQ(r.metrics.TotalFaultsInjected(), 0u);
   EXPECT_EQ(r.metrics.TotalCommRetries(), 0u);
   EXPECT_EQ(r.metrics.TotalFaultsDetected(), 0u);
@@ -165,7 +165,7 @@ TEST_P(ChaosUnrecoverable, FailsWithTypedErrorNotHang) {
   cfg.fault.recv_timeout_ms = 200;
 
   try {
-    ParallelResult result = MineParallel(alg, ChaosDb(), kRanks, cfg);
+    MiningReport result = MineParallel(alg, ChaosDb(), kRanks, cfg);
     // A run that survives 30% unrepaired drops would itself be a bug in
     // the detection machinery (some pass exchanged no messages it missed).
     ADD_FAILURE() << CellName(alg, FaultKind::kDrop, seed)
@@ -208,7 +208,7 @@ TEST(ChaosUnrecoverable, RuntimeReusableAfterFailure) {
                CommError);
 
   ParallelConfig clean = ChaosConfig();
-  ParallelResult r = MineParallel(Algorithm::kCD, ChaosDb(), kRanks, clean);
+  MiningReport r = MineParallel(Algorithm::kCD, ChaosDb(), kRanks, clean);
   testing::ExpectMatchesSerial(r, ChaosReference(), "post-failure clean run");
 }
 

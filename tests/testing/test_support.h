@@ -77,13 +77,11 @@ inline std::map<std::vector<Item>, Count> SerialReference(
   return Flatten(MineSerial(db, cfg).frequent);
 }
 
-/// Asserts a mining result (ParallelResult or MiningReport — anything with
-/// a `frequent` member) matches the serial reference byte-for-byte (same
-/// itemsets, same counts). `label` names the configuration under test in
-/// failure output.
-template <typename MiningResult>
-void ExpectMatchesSerial(
-    const MiningResult& mined,
+/// Asserts a mining result matches the serial reference byte-for-byte
+/// (same itemsets, same counts). `label` names the configuration under
+/// test in failure output.
+inline void ExpectMatchesSerial(
+    const MiningReport& mined,
     const std::map<std::vector<Item>, Count>& serial_flat,
     const std::string& label) {
   EXPECT_EQ(Flatten(mined.frequent), serial_flat) << label;

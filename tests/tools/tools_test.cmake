@@ -102,6 +102,31 @@ foreach(bad_line "1 2 -1" "1 2 4000000000" "1 2 99999999999"
 endforeach()
 file(REMOVE "${BAD_TEXT}")
 
+# Numeric flags outside their domain must be rejected with a message
+# naming the flag and exit code 2 before anything runs: no crash, no
+# abort, no mining with a nonsense threshold.
+set(SMALL_TEXT "${WORKDIR}/tools_test_small.txt")
+file(WRITE "${SMALL_TEXT}" "1 2 3\n1 2\n2 3\n1 3\n")
+foreach(case "ranks;0" "ranks;-1" "dhp;-1" "minsup;-5")
+  list(GET case 0 flag)
+  list(GET case 1 value)
+  execute_process(
+    COMMAND "${MINE}" --input "${SMALL_TEXT}" --format text --algorithm cd
+            --${flag} ${value}
+    RESULT_VARIABLE range_rc OUTPUT_VARIABLE range_out
+    ERROR_VARIABLE range_err)
+  if(NOT range_rc STREQUAL "2")
+    message(FATAL_ERROR
+            "pam_mine --${flag} ${value} exited '${range_rc}', want 2: "
+            "${range_out}${range_err}")
+  endif()
+  if(NOT range_err MATCHES "error: --${flag} must be")
+    message(FATAL_ERROR
+            "pam_mine --${flag} ${value} did not name the flag: ${range_err}")
+  endif()
+endforeach()
+file(REMOVE "${SMALL_TEXT}")
+
 # DHP filter must preserve the mined itemset count.
 execute_process(
   COMMAND "${MINE}" --input "${DATA}" --minsup 1 --algorithm cd --ranks 2

@@ -8,8 +8,10 @@
 // The input may be the binary format of pam_gen or a whitespace text
 // basket file (--format text).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "pam/api/session.h"
@@ -121,6 +123,22 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, flags.Has("input") ? stdout : stderr);
     return flags.GetBool("help", false) ? 0 : 2;
   }
+  // Out-of-domain numbers would reach the miner as no ranks at all, a
+  // bucket count near 2^64, or a negative support: reject them first.
+  const std::int64_t ranks = flags.GetInt("ranks", 4);
+  const std::int64_t dhp = flags.GetInt("dhp", 0);
+  const double minsup = flags.GetDouble("minsup", 1.0);
+  const char* range_error =
+      ranks < 1 || ranks > std::numeric_limits<int>::max()
+          ? "--ranks must be from 1 to 2147483647"
+      : dhp < 0 ? "--dhp must be at least 0"
+      : !(minsup >= 0.0 && minsup <= 100.0)
+          ? "--minsup must be a percent from 0 to 100"
+          : nullptr;
+  if (range_error != nullptr) {
+    std::fprintf(stderr, "error: %s\n%s", range_error, kUsage);
+    return 2;
+  }
 
   const std::string path = flags.GetString("input", "");
   const std::string format = flags.GetString("format", "binary");
@@ -138,13 +156,12 @@ int main(int argc, char** argv) {
   }
 
   pam::ParallelConfig config;
-  config.apriori.minsup_fraction = flags.GetDouble("minsup", 1.0) / 100.0;
+  config.apriori.minsup_fraction = minsup / 100.0;
   config.apriori.max_k = static_cast<int>(flags.GetInt("max-k", 0));
   config.hd_threshold_m =
       static_cast<std::size_t>(flags.GetInt("hd-threshold", 50000));
   config.adaptive_balance = flags.GetBool("adaptive-balance", false);
-  config.apriori.dhp_buckets =
-      static_cast<std::size_t>(flags.GetInt("dhp", 0));
+  config.apriori.dhp_buckets = static_cast<std::size_t>(dhp);
   config.apriori.threads_per_rank =
       static_cast<int>(flags.GetInt("threads-per-rank", 1));
   const std::size_t top =
@@ -179,7 +196,7 @@ int main(int argc, char** argv) {
                  algorithm_name.c_str(), kUsage);
     return 2;
   }
-  request.num_ranks = static_cast<int>(flags.GetInt("ranks", 4));
+  request.num_ranks = static_cast<int>(ranks);
   request.config = config;
   request.generate_rules = flags.GetBool("rules", false);
   request.min_confidence = flags.GetDouble("minconf", 50.0) / 100.0;
