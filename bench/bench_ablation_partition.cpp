@@ -3,8 +3,8 @@
 //      bad-partition example),
 //   2. the root bitmap filter (Figure 8) on vs off,
 //   3. heavy-prefix splitting on vs off under skew,
-//   4. adaptive (measured-weight) repartitioning vs both static strategies
-//      on skewed-prefix generator scenarios (DESIGN.md §14).
+//   4. bin-packed vs contiguous partitioning on skewed-prefix generator
+//      scenarios.
 // Reports candidate balance, subset work, and modeled T3E time for IDD.
 
 #include <cstdio>
@@ -30,9 +30,8 @@ struct SkewScenario {
   double corruption;
 };
 
-// Candidate-count parity with cost disparity needs many patterns over a
-// big universe at low corruption (the structured candidate runs stay
-// cheap while the hot block densifies); see bench_balance.cpp.
+// Many patterns over a big universe at low corruption keep structured
+// candidate runs alive beside the dense hot block; see bench_balance.cpp.
 pam::QuestConfig SkewWorkload(std::size_t n, const SkewScenario& s) {
   pam::QuestConfig q;
   q.num_transactions = n;
@@ -122,12 +121,11 @@ int main() {
       "\nShape check: removing the bitmap inflates traversal work; "
       "contiguous partitioning inflates imbalance.\n");
 
-  // Part 2 — skewed-prefix scenarios: static-contiguous vs static-binpack
-  // vs adaptive, by work-weighted total imbalance (sum of per-pass maxima
-  // over sum of per-pass means).
+  // Part 2 — skewed-prefix scenarios: static-contiguous vs static-binpack,
+  // by work-weighted total imbalance (sum of per-pass maxima over sum of
+  // per-pass means).
   std::printf("\nskewed-prefix scenarios (excess imbalance = max/mean - 1):\n");
-  std::printf("%-26s %14s %14s %14s\n", "scenario", "contiguous", "binpack",
-              "adaptive");
+  std::printf("%-26s %14s %14s\n", "scenario", "contiguous", "binpack");
 
   const SkewScenario scenarios[] = {
       {"paper-shaped (no hot)", 0, 0.0, 0.5},
@@ -138,30 +136,26 @@ int main() {
   const Variant skew_variants[] = {
       {"contiguous", PrefixStrategy::kContiguous, true, false},
       {"binpack", PrefixStrategy::kBinPacked, true, true},
-      {"adaptive", PrefixStrategy::kBinPacked, true, true},
   };
 
   for (const SkewScenario& s : scenarios) {
     TransactionDatabase skew_db =
         GenerateQuest(SkewWorkload(bench::ScaledN(4000), s));
-    double excess[3] = {0.0, 0.0, 0.0};
-    for (int i = 0; i < 3; ++i) {
+    double excess[2] = {0.0, 0.0};
+    for (int i = 0; i < 2; ++i) {
       ParallelConfig cfg;
       cfg.apriori.minsup_fraction = 0.01;
       cfg.apriori.use_pass2_triangle = false;
       cfg.prefix_strategy = skew_variants[i].strategy;
       cfg.split_heavy_prefixes = skew_variants[i].split_heavy;
-      cfg.adaptive_balance = i == 2;
       MiningReport result = bench::Mine(Algorithm::kIDD, skew_db, p, cfg);
       excess[i] = (TotalImbalance(result.metrics) - 1.0) * 100.0;
     }
-    std::printf("%-26s %13.1f%% %13.1f%% %13.1f%%\n", s.name, excess[0],
-                excess[1], excess[2]);
+    std::printf("%-26s %13.1f%% %13.1f%%\n", s.name, excess[0], excess[1]);
     std::fflush(stdout);
   }
   std::printf(
-      "\nShape check: adaptive never trails binpack, and the gap widens "
-      "where candidate counts mispredict cost (structured runs, hot "
-      "prefix).\n");
+      "\nShape check: binpack cuts contiguous's excess imbalance in every "
+      "scenario.\n");
   return 0;
 }

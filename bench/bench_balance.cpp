@@ -1,12 +1,10 @@
-// Adaptive load balancing on skewed-prefix data (DESIGN.md §14): drives
-// IDD at P=8 over a hot-prefix / low-corruption Quest workload — the
-// regime where candidate counts misjudge per-candidate cost — and compares
-// static-contiguous, static bin-packed, and adaptive (measured-weight)
-// partitioning pass by pass. Also records HD's per-pass grid choices with
-// the calibrated model vs the static Table-II heuristic. Writes
+// Static load balancing on skewed-prefix data (paper Section III-C):
+// drives IDD at P=8 over a hot-prefix / low-corruption Quest workload and
+// compares the contiguous first-item ablation ("items 1..50 to P0, 51..100
+// to P1") with the paper's bin packing, pass by pass. Writes
 // BENCH_balance.json (the committed copy lives at the repo root) and exits
-// non-zero if any variant's mined output diverges from the serial
-// reference — the balancer must never buy balance with wrong counts.
+// non-zero if either variant's mined output diverges from the serial
+// reference.
 //
 //   --smoke   tiny workload, exactness + JSON shape only (CI gate)
 
@@ -27,7 +25,6 @@ using namespace pam;
 struct Variant {
   const char* name;
   PrefixStrategy strategy;
-  bool adaptive;
 };
 
 struct PassRow {
@@ -43,8 +40,6 @@ struct VariantResult {
   double total_mean = 0.0;
   double wall_seconds = 0.0;
   double modeled_seconds = 0.0;
-  std::uint64_t rebalanced_candidates = 0;
-  std::uint64_t balance_sync_words = 0;
   bool exact = false;
 
   double TotalImbalance() const {
@@ -54,10 +49,9 @@ struct VariantResult {
 
 // The skewed-prefix scenario: a 40-item hot prefix absorbing 30% of item
 // draws piles candidates onto few first items, and low pattern corruption
-// keeps structured (cheap, rarely-visited) candidate runs alive deep into
-// the passes alongside the dense hot block — so equal candidate counts
-// hide persistently unequal per-candidate costs, which is exactly what
-// the measured densities recover.
+// keeps structured candidate runs alive deep into the passes alongside the
+// dense hot block — contiguous item ranges then load a few ranks with most
+// of the work, which bin packing on candidate counts evens out.
 QuestConfig SkewedWorkload(std::size_t n) {
   QuestConfig q;
   q.num_transactions = n;
@@ -80,9 +74,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  bench::Banner("adaptive load balancing (skewed prefix)",
-                "ROADMAP item 3 / DESIGN.md §14: measured-weight "
-                "repartitioning vs static bin packing");
+  bench::Banner("static load balancing (skewed prefix)",
+                "Section III-C / DESIGN.md §14: bin packing vs contiguous "
+                "first-item ranges");
 
   const int p = 8;
   const double minsup = 0.01;
@@ -95,9 +89,8 @@ int main(int argc, char** argv) {
   const MiningReport serial = MineSerial(db, serial_cfg);
 
   const Variant variants[] = {
-      {"static-contiguous", PrefixStrategy::kContiguous, false},
-      {"static-binpack", PrefixStrategy::kBinPacked, false},
-      {"adaptive", PrefixStrategy::kBinPacked, true},
+      {"static-contiguous", PrefixStrategy::kContiguous},
+      {"static-binpack", PrefixStrategy::kBinPacked},
   };
 
   std::printf("P = %d, N = %zu, items = 2000, minsup = %.2f%%, "
@@ -110,7 +103,6 @@ int main(int argc, char** argv) {
     ParallelConfig cfg;
     cfg.apriori.minsup_fraction = minsup;
     cfg.prefix_strategy = v.strategy;
-    cfg.adaptive_balance = v.adaptive;
 
     // Counters and digests are deterministic across repetitions; wall time
     // is not (the rank threads time-slice the host cores), so report the
@@ -141,68 +133,25 @@ int main(int argc, char** argv) {
       r.total_max += s.max;
       r.total_mean += s.mean;
     }
-    for (const auto& pass : report.metrics.per_pass) {
-      r.rebalanced_candidates += pass[0].rebalanced_candidates;
-      r.balance_sync_words += pass[0].balance_sync_words;
-    }
     results.push_back(std::move(r));
   }
 
   std::printf("%-20s %12s %12s %10s %12s %8s\n", "variant", "imbalance",
               "excess", "wall (s)", "T3E (s)", "exact");
-  const double static_excess =
-      results[1].TotalImbalance() - 1.0;  // static-binpack baseline
-  double adaptive_excess_cut = 0.0;
   for (const VariantResult& r : results) {
-    const double excess = r.TotalImbalance() - 1.0;
     std::printf("%-20s %12.3f %11.1f%% %10.3f %12.3f %8s\n", r.name.c_str(),
-                r.TotalImbalance(), excess * 100.0, r.wall_seconds,
-                r.modeled_seconds, r.exact ? "yes" : "NO");
+                r.TotalImbalance(), (r.TotalImbalance() - 1.0) * 100.0,
+                r.wall_seconds, r.modeled_seconds, r.exact ? "yes" : "NO");
   }
-  if (static_excess > 0.0) {
-    adaptive_excess_cut =
-        (static_excess - (results[2].TotalImbalance() - 1.0)) / static_excess;
-  }
-  std::printf("\nadaptive cut of excess imbalance vs static-binpack: %.1f%% "
-              "(%llu candidates repartitioned, %llu feedback words)\n",
-              adaptive_excess_cut * 100.0,
-              static_cast<unsigned long long>(results[2].rebalanced_candidates),
-              static_cast<unsigned long long>(results[2].balance_sync_words));
 
-  std::printf("\nper-pass max/mean subset work (static-binpack vs adaptive):\n");
-  std::printf("%6s %14s %14s\n", "k", "static", "adaptive");
+  std::printf("\nper-pass max/mean subset work:\n");
+  std::printf("%6s %14s %14s\n", "k", "contiguous", "binpack");
   for (std::size_t i = 0;
-       i < results[1].passes.size() && i < results[2].passes.size(); ++i) {
-    const PassRow& s = results[1].passes[i];
-    const PassRow& a = results[2].passes[i];
-    std::printf("%6d %14.3f %14.3f\n", s.k, s.max / s.mean, a.max / a.mean);
+       i < results[0].passes.size() && i < results[1].passes.size(); ++i) {
+    const PassRow& c = results[0].passes[i];
+    const PassRow& b = results[1].passes[i];
+    std::printf("%6d %14.3f %14.3f\n", c.k, c.max / c.mean, b.max / b.mean);
   }
-
-  // HD grid choices: static Table-II heuristic vs the calibrated
-  // compute/comm model (both mine exactly; only the grids may differ).
-  std::vector<int> static_g;
-  std::vector<int> adaptive_g;
-  for (bool adaptive : {false, true}) {
-    ParallelConfig cfg;
-    cfg.apriori.minsup_fraction = minsup;
-    cfg.adaptive_balance = adaptive;
-    cfg.hd_threshold_m = smoke ? 200 : 2000;
-    const MiningReport report = bench::Mine(Algorithm::kHD, db, p, cfg);
-    all_exact =
-        all_exact && bench::SameItemsets(report.frequent, serial.frequent);
-    for (const auto& pass : report.metrics.per_pass) {
-      (adaptive ? adaptive_g : static_g).push_back(pass[0].grid_rows);
-    }
-  }
-  std::printf("\nHD grid rows per pass: static [");
-  for (std::size_t i = 0; i < static_g.size(); ++i) {
-    std::printf("%s%d", i > 0 ? " " : "", static_g[i]);
-  }
-  std::printf("], adaptive [");
-  for (std::size_t i = 0; i < adaptive_g.size(); ++i) {
-    std::printf("%s%d", i > 0 ? " " : "", adaptive_g[i]);
-  }
-  std::printf("]\n");
 
   std::FILE* f = std::fopen("BENCH_balance.json", "w");
   if (f != nullptr) {
@@ -225,14 +174,10 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"total_imbalance\": %.4f, "
                    "\"wall_seconds\": %.4f, \"modeled_t3e_seconds\": %.4f, "
-                   "\"rebalanced_candidates\": %llu, "
-                   "\"balance_sync_words\": %llu, \"exact\": %s,\n"
+                   "\"exact\": %s,\n"
                    "     \"per_pass\": [",
                    r.name.c_str(), r.TotalImbalance(), r.wall_seconds,
-                   r.modeled_seconds,
-                   static_cast<unsigned long long>(r.rebalanced_candidates),
-                   static_cast<unsigned long long>(r.balance_sync_words),
-                   r.exact ? "true" : "false");
+                   r.modeled_seconds, r.exact ? "true" : "false");
       for (std::size_t j = 0; j < r.passes.size(); ++j) {
         const PassRow& row = r.passes[j];
         std::fprintf(f, "%s{\"k\": %d, \"imbalance\": %.4f}",
@@ -240,20 +185,11 @@ int main(int argc, char** argv) {
       }
       std::fprintf(f, "]}%s\n", i + 1 < results.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"hd_grid_rows\": {\"static\": [");
-    for (std::size_t i = 0; i < static_g.size(); ++i) {
-      std::fprintf(f, "%s%d", i > 0 ? ", " : "", static_g[i]);
-    }
-    std::fprintf(f, "], \"adaptive\": [");
-    for (std::size_t i = 0; i < adaptive_g.size(); ++i) {
-      std::fprintf(f, "%s%d", i > 0 ? ", " : "", adaptive_g[i]);
-    }
     std::fprintf(f,
-                 "]},\n"
-                 "  \"adaptive_excess_imbalance_cut\": %.4f,\n"
+                 "  ],\n"
                  "  \"all_exact\": %s\n"
                  "}\n",
-                 adaptive_excess_cut, all_exact ? "true" : "false");
+                 all_exact ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote BENCH_balance.json\n");
   }

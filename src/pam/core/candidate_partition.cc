@@ -27,8 +27,7 @@ CandidatePartition PartitionRoundRobin(std::size_t num_candidates,
 CandidatePartition PartitionByPrefix(const ItemsetCollection& candidates,
                                      std::size_t num_items, int num_parts,
                                      PrefixStrategy strategy,
-                                     bool split_heavy_prefixes,
-                                     const std::vector<std::uint64_t>* item_cost) {
+                                     bool split_heavy_prefixes) {
   assert(num_parts > 0);
   assert(candidates.IsSortedUnique());
   const std::size_t m = candidates.size();
@@ -49,36 +48,20 @@ CandidatePartition PartitionByPrefix(const ItemsetCollection& candidates,
     i = j;
   }
 
-  // A run of c candidates weighs c (the static candidate-count scheme)
-  // or c * item_cost[first] when measured per-item costs are supplied.
-  const auto run_weight = [&](const Run& r) -> std::uint64_t {
-    const std::uint64_t c = r.end - r.begin;
-    if (item_cost == nullptr) return c;
-    const auto f = static_cast<std::size_t>(r.first_item);
-    return c * (f < item_cost->size() ? (*item_cost)[f] : 1);
-  };
-  std::uint64_t total_weight = 0;
-  for (const Run& r : runs) total_weight += run_weight(r);
-
   // Optionally split heavy first-items into sub-ranges so no single element
-  // exceeds the ideal per-part share (of weight, which equals candidate
-  // count in the static scheme).
-  if (split_heavy_prefixes && total_weight > 0) {
-    const std::uint64_t threshold =
-        (total_weight + static_cast<std::uint64_t>(num_parts) - 1) /
-        static_cast<std::uint64_t>(num_parts);
+  // exceeds the ideal per-part share of candidates.
+  if (split_heavy_prefixes && m > 0) {
+    const std::size_t threshold =
+        (m + static_cast<std::size_t>(num_parts) - 1) /
+        static_cast<std::size_t>(num_parts);
     std::vector<Run> refined;
     for (const Run& r : runs) {
-      const std::uint64_t w = run_weight(r);
       const std::size_t c = r.end - r.begin;
-      if (threshold == 0 || w <= threshold) {
+      if (c <= threshold) {
         refined.push_back(r);
         continue;
       }
-      // Split by weight, but sub-range boundaries are positional: never
-      // finer than one candidate per piece.
-      const std::size_t pieces = static_cast<std::size_t>(
-          std::min<std::uint64_t>((w + threshold - 1) / threshold, c));
+      const std::size_t pieces = (c + threshold - 1) / threshold;
       for (std::size_t p = 0; p < pieces; ++p) {
         Run piece = r;
         piece.begin = r.begin + static_cast<std::uint32_t>(p * c / pieces);
@@ -91,7 +74,7 @@ CandidatePartition PartitionByPrefix(const ItemsetCollection& candidates,
 
   std::vector<std::uint64_t> weights;
   weights.reserve(runs.size());
-  for (const Run& r : runs) weights.push_back(run_weight(r));
+  for (const Run& r : runs) weights.push_back(r.end - r.begin);
 
   const BinPackingResult packing = strategy == PrefixStrategy::kBinPacked
                                        ? PackBins(weights, num_parts)
@@ -128,25 +111,6 @@ std::uint64_t PartitionDigest(const CandidatePartition& partition) {
     for (std::uint32_t id : ids) mix(id);
   }
   return h;
-}
-
-std::uint64_t PartitionMoves(const CandidatePartition& a,
-                             const CandidatePartition& b) {
-  std::size_t m = 0;
-  for (const auto& ids : a.ids_per_part) m += ids.size();
-  std::vector<int> owner(m, -1);
-  for (std::size_t p = 0; p < a.ids_per_part.size(); ++p) {
-    for (std::uint32_t id : a.ids_per_part[p]) {
-      if (id < m) owner[id] = static_cast<int>(p);
-    }
-  }
-  std::uint64_t moves = 0;
-  for (std::size_t p = 0; p < b.ids_per_part.size(); ++p) {
-    for (std::uint32_t id : b.ids_per_part[p]) {
-      if (id >= m || owner[id] != static_cast<int>(p)) ++moves;
-    }
-  }
-  return moves;
 }
 
 }  // namespace pam

@@ -51,30 +51,16 @@ CandidatePartition PartitionRoundRobin(std::size_t num_candidates,
 ///
 /// `candidates` must be sorted lexicographically so that candidates sharing
 /// a first item are contiguous. `num_items` sizes the filter bitmaps.
-///
-/// When `item_cost` is non-null it must hold one fixed-point cost per item
-/// id (relative scale is arbitrary); a run of c candidates with first item
-/// f then weighs c * (*item_cost)[f] instead of c, both for the heavy-split
-/// threshold and for the packer. This is how the adaptive load balancer
-/// (DESIGN.md §14) re-packs with measured weights: null reproduces the
-/// static candidate-count partition bit for bit.
-CandidatePartition PartitionByPrefix(
-    const ItemsetCollection& candidates, std::size_t num_items,
-    int num_parts, PrefixStrategy strategy, bool split_heavy_prefixes = true,
-    const std::vector<std::uint64_t>* item_cost = nullptr);
+CandidatePartition PartitionByPrefix(const ItemsetCollection& candidates,
+                                     std::size_t num_items, int num_parts,
+                                     PrefixStrategy strategy,
+                                     bool split_heavy_prefixes = true);
 
 /// FNV-1a fingerprint of a partition's candidate-to-part assignment
 /// (part boundaries and the ascending candidate ids of each part). Two
 /// partitions of the same candidate set collide iff every candidate landed
-/// on the same part — the chaos suite pins rebalancing determinism on it.
+/// on the same part — the chaos suite pins partition determinism on it.
 std::uint64_t PartitionDigest(const CandidatePartition& partition);
-
-/// Number of candidates that `b` assigns to a different part than `a`
-/// (both must partition the same candidate set). This is the adaptive
-/// balancer's "repartition delta": how far the measured-weight packing
-/// moved from the static one.
-std::uint64_t PartitionMoves(const CandidatePartition& a,
-                             const CandidatePartition& b);
 
 }  // namespace pam
 

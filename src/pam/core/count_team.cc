@@ -15,9 +15,7 @@ void AccumulateShardWork(std::vector<std::uint64_t>& into,
 TeamCounter::TeamCounter(CountingPool* pool, HashTree* tree,
                          std::span<Count> counts, SubsetStats* stats,
                          const Bitmap* root_filter,
-                         const CancelToken* cancel,
-                         std::span<std::uint64_t> item_work,
-                         std::span<std::uint64_t> leaf_visits)
+                         const CancelToken* cancel)
     : pool_(pool),
       tree_(tree),
       counts_(counts),
@@ -25,27 +23,12 @@ TeamCounter::TeamCounter(CountingPool* pool, HashTree* tree,
       filter_(root_filter),
       cancel_(cancel != nullptr && cancel->valid() ? cancel : nullptr),
       tracer_(obs::CurrentTracer()),
-      team_(pool->num_threads()),
-      item_work_(item_work),
-      leaf_visits_(leaf_visits) {
-  // Mirrors the kernel's contract: attribution needs leaf_visits sized to
-  // the tree, which is legitimately empty for a rank whose candidate
-  // partition is empty this pass (zero-leaf tree).
-  assert(item_work_.empty() ? leaf_visits_.empty()
-                            : leaf_visits_.size() == tree->num_leaves());
+      team_(pool->num_threads()) {
   if (team_ > 1) {
     strips_.Reset(team_, counts.size());
     scratch_.resize(static_cast<std::size_t>(team_));
     for (HashTree::Scratch& s : scratch_) s = tree->MakeScratch();
     shard_stats_.assign(static_cast<std::size_t>(team_), SubsetStats{});
-    if (!item_work_.empty()) {
-      shard_item_work_.assign(
-          static_cast<std::size_t>(team_ - 1),
-          std::vector<std::uint64_t>(item_work_.size(), 0));
-      shard_leaf_visits_.assign(
-          static_cast<std::size_t>(team_ - 1),
-          std::vector<std::uint64_t>(leaf_visits_.size(), 0));
-    }
   }
 }
 
@@ -63,23 +46,10 @@ void TeamCounter::RunBatch(std::size_t n, const TxAt& tx_at) {
         stats_ != nullptr
             ? &shard_stats_[static_cast<std::size_t>(shard)]
             : nullptr;
-    const std::span<std::uint64_t> item_work =
-        item_work_.empty() ? std::span<std::uint64_t>{}
-        : shard == 0
-            ? item_work_
-            : std::span<std::uint64_t>(
-                  shard_item_work_[static_cast<std::size_t>(shard - 1)]);
-    const std::span<std::uint64_t> leaf_visits =
-        leaf_visits_.empty() ? std::span<std::uint64_t>{}
-        : shard == 0
-            ? leaf_visits_
-            : std::span<std::uint64_t>(
-                  shard_leaf_visits_[static_cast<std::size_t>(shard - 1)]);
     HashTree::Scratch& scratch = scratch_[static_cast<std::size_t>(shard)];
     const HashTree* tree = tree_;
     for (std::size_t i = begin; i < end; ++i) {
-      tree->Subset(tx_at(i), out, stats, filter_, scratch, item_work,
-                   leaf_visits);
+      tree->Subset(tx_at(i), out, stats, filter_, scratch);
     }
   });
 }
@@ -99,8 +69,7 @@ std::size_t TeamCounter::CountSlice(const TransactionDatabase& db,
     }
     if (team_ == 1) {
       for (std::size_t t = begin; t < end; ++t) {
-        tree_->Subset(db.Transaction(t), counts_, stats_, filter_,
-                      item_work_, leaf_visits_);
+        tree_->Subset(db.Transaction(t), counts_, stats_, filter_);
       }
     } else {
       RunBatch(end - begin, [&db, begin](std::size_t i) {
@@ -117,7 +86,7 @@ std::size_t TeamCounter::CountPage(PageView page) {
   if (team_ == 1) {
     std::size_t n = 0;
     ForEachTransaction(page, [&](ItemSpan tx) {
-      tree_->Subset(tx, counts_, stats_, filter_, item_work_, leaf_visits_);
+      tree_->Subset(tx, counts_, stats_, filter_);
       ++n;
     });
     return n;
@@ -133,17 +102,6 @@ void TeamCounter::Finish() {
   finished_ = true;
   if (team_ == 1) return;
   strips_.MergeInto(counts_);
-  // Fold the worker shards' item-work strips into the caller's span
-  // (shard 0 wrote it directly); u64 sums, so order is immaterial, but
-  // keep fixed shard order anyway for symmetry with the stats merge.
-  for (const std::vector<std::uint64_t>& strip : shard_item_work_) {
-    for (std::size_t f = 0; f < strip.size(); ++f) item_work_[f] += strip[f];
-  }
-  for (const std::vector<std::uint64_t>& strip : shard_leaf_visits_) {
-    for (std::size_t l = 0; l < strip.size(); ++l) {
-      leaf_visits_[l] += strip[l];
-    }
-  }
   if (stats_ == nullptr) return;
   // Fixed shard order: the merged stats are identical for every team size
   // (u64 sums of per-transaction contributions) and identical across runs.
@@ -216,22 +174,6 @@ std::size_t TriangleTeam::CountSlice(const TransactionDatabase& db,
     begin = end;
   }
   return n;
-}
-
-std::size_t TriangleTeam::CountPage(PageView page) {
-  if (cancel_ != nullptr) cancel_->Checkpoint();
-  if (team_ == 1) {
-    std::size_t n = 0;
-    ForEachTransaction(page, [&](ItemSpan tx) {
-      tri_->AddTransaction(tx, stats_);
-      ++n;
-    });
-    return n;
-  }
-  page_tx_.clear();
-  ForEachTransaction(page, [this](ItemSpan tx) { page_tx_.push_back(tx); });
-  RunBatch(page_tx_.size(), [this](std::size_t i) { return page_tx_[i]; });
-  return page_tx_.size();
 }
 
 void TriangleTeam::Finish() {

@@ -41,21 +41,13 @@ void AccumulateShardWork(std::vector<std::uint64_t>& into,
 /// the exact pre-team code path, no strips, no extra allocation.
 class TeamCounter {
  public:
-  /// `pool`, `tree`, `counts`, `stats`, `root_filter`, `cancel` and the
-  /// memory behind `item_work` must outlive the counter. `stats` may be
-  /// null (work counters are then not collected); `cancel` may be null or
-  /// point at a null token (no cancellation checks — the exact pre-token
-  /// code path). A non-empty `item_work` span (indexed by item id, caller
-  /// zeroed) turns on work attribution: after Finish() it holds each root
-  /// item's share of the measured subset work, and `leaf_visits` (size
-  /// tree->num_leaves(), caller zeroed, required alongside item_work)
-  /// holds each leaf's distinct-visit count — both merged over shards in
-  /// fixed order (see HashTree::Subset).
+  /// `pool`, `tree`, `counts`, `stats`, `root_filter` and `cancel` must
+  /// outlive the counter. `stats` may be null (work counters are then not
+  /// collected); `cancel` may be null or point at a null token (no
+  /// cancellation checks — the exact pre-token code path).
   TeamCounter(CountingPool* pool, HashTree* tree, std::span<Count> counts,
               SubsetStats* stats, const Bitmap* root_filter = nullptr,
-              const CancelToken* cancel = nullptr,
-              std::span<std::uint64_t> item_work = {},
-              std::span<std::uint64_t> leaf_visits = {});
+              const CancelToken* cancel = nullptr);
 
   /// Counts transactions [slice.begin, slice.end) of `db`; returns how
   /// many transactions were processed.
@@ -90,18 +82,11 @@ class TeamCounter {
   int team_;
   bool finished_ = false;
 
-  std::span<std::uint64_t> item_work_;
-  std::span<std::uint64_t> leaf_visits_;
-
   // Team-active (team_ > 1) state.
   CounterStrips strips_;
   std::vector<HashTree::Scratch> scratch_;     // one per shard
   std::vector<SubsetStats> shard_stats_;       // one per shard
   std::vector<std::uint64_t> shard_work_;
-  // Per-shard attribution strips (shards 1..T-1; shard 0 writes the
-  // caller spans directly), merged by Finish() in fixed shard order.
-  std::vector<std::vector<std::uint64_t>> shard_item_work_;
-  std::vector<std::vector<std::uint64_t>> shard_leaf_visits_;
   std::vector<ItemSpan> page_tx_;  // reusable page-decode buffer
 };
 
@@ -116,7 +101,6 @@ class TriangleTeam {
 
   std::size_t CountSlice(const TransactionDatabase& db,
                          TransactionDatabase::Slice slice);
-  std::size_t CountPage(PageView page);
 
   /// Merges shard triangles and stats. Call exactly once; afterwards the
   /// parent TrianglePairCounter holds the complete counts.
@@ -140,7 +124,6 @@ class TriangleTeam {
   std::vector<TrianglePairCounter::Shard> shards_;  // shards 1..T-1
   std::vector<SubsetStats> shard_stats_;
   std::vector<std::uint64_t> shard_work_;
-  std::vector<ItemSpan> page_tx_;
 };
 
 }  // namespace pam

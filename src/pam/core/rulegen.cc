@@ -125,47 +125,4 @@ std::vector<Rule> GenerateRules(const FrequentItemsets& frequent,
   return rules;
 }
 
-std::vector<Rule> GenerateRulesBruteForce(const FrequentItemsets& frequent,
-                                          std::size_t num_transactions,
-                                          double min_confidence) {
-  std::vector<Rule> rules;
-  const double n = static_cast<double>(num_transactions);
-
-  for (std::size_t level = 1; level < frequent.levels.size(); ++level) {
-    const ItemsetCollection& sets = frequent.levels[level];
-    for (std::size_t s = 0; s < sets.size(); ++s) {
-      ItemSpan full = sets.Get(s);
-      const Count joint = sets.count(s);
-      const std::size_t k = full.size();
-      assert(k < 64);
-      // Every non-empty proper subset mask chooses the consequent.
-      for (std::uint64_t mask = 1; mask + 1 < (1ULL << k); ++mask) {
-        std::vector<Item> antecedent;
-        std::vector<Item> consequent;
-        for (std::size_t i = 0; i < k; ++i) {
-          if (mask & (1ULL << i)) {
-            consequent.push_back(full[i]);
-          } else {
-            antecedent.push_back(full[i]);
-          }
-        }
-        Count ante_count = 0;
-        if (!frequent.Lookup(ItemSpan(antecedent.data(), antecedent.size()),
-                             &ante_count) ||
-            ante_count == 0) {
-          continue;
-        }
-        const double conf =
-            static_cast<double>(joint) / static_cast<double>(ante_count);
-        if (conf >= min_confidence) {
-          rules.push_back(Rule{std::move(antecedent), std::move(consequent),
-                               joint, static_cast<double>(joint) / n, conf});
-        }
-      }
-    }
-  }
-  SortRules(rules);
-  return rules;
-}
-
 }  // namespace pam

@@ -36,13 +36,6 @@ std::vector<Rule> GenerateRules(const FrequentItemsets& frequent,
                                 std::size_t num_transactions,
                                 double min_confidence);
 
-/// Reference implementation for tests: enumerates every non-empty proper
-/// subset of every frequent itemset. Exponential in k — test-sized inputs
-/// only.
-std::vector<Rule> GenerateRulesBruteForce(const FrequentItemsets& frequent,
-                                          std::size_t num_transactions,
-                                          double min_confidence);
-
 }  // namespace pam
 
 #endif  // PAM_CORE_RULEGEN_H_

@@ -11,7 +11,7 @@
 
 namespace pam {
 
-/// Mining parameters shared by the serial algorithm and all four parallel
+/// Mining parameters shared by the serial algorithm and all six parallel
 /// formulations. The miners themselves, serial included, are declared in
 /// pam/parallel/driver.h.
 struct AprioriConfig {

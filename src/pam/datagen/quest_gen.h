@@ -35,11 +35,11 @@ struct QuestConfig {
   /// Skewed-prefix mode (off when hot_items == 0 or hot_item_mass == 0):
   /// every uniform item draw is redirected into the "hot prefix"
   /// [0, hot_items) with probability hot_item_mass. Patterns — and hence
-  /// candidates — then pile up on a few first-items, which is exactly the
-  /// workload where a candidate-count partitioner misjudges per-candidate
-  /// cost (the adaptive balancer's target scenario, DESIGN.md §14). When
-  /// off, the generator's random stream is bit-identical to before the
-  /// knob existed.
+  /// candidates — then pile up on a few first-items, the skew that IDD's
+  /// bin packing and heavy-prefix split must absorb (bench_balance and
+  /// the skewed-prefix table of bench_ablation_partition). When off, the
+  /// generator's random stream is bit-identical to before the knob
+  /// existed.
   Item hot_items = 0;
   double hot_item_mass = 0.0;
   /// Seed for the deterministic generator.

@@ -293,80 +293,40 @@ HashTree::Scratch HashTree::MakeScratch() const {
 }
 
 void HashTree::Subset(ItemSpan transaction, std::span<Count> counts,
-                      SubsetStats* stats, const Bitmap* root_filter,
-                      std::span<std::uint64_t> item_work,
-                      std::span<std::uint64_t> leaf_visits) {
-  Subset(transaction, counts, stats, root_filter, scratch_, item_work,
-         leaf_visits);
+                      SubsetStats* stats, const Bitmap* root_filter) {
+  Subset(transaction, counts, stats, root_filter, scratch_);
 }
 
 void HashTree::Subset(ItemSpan transaction, std::span<Count> counts,
                       SubsetStats* stats, const Bitmap* root_filter,
-                      Scratch& scratch, std::span<std::uint64_t> item_work,
-                      std::span<std::uint64_t> leaf_visits) const {
-  assert((item_work.empty() && leaf_visits.empty()) ||
-         leaf_visits.size() == num_leaves_);
-  // Hoist the stats / root-filter / attribution branches out of the hot
-  // loops: pick one specialized instantiation once per transaction.
-  if (!item_work.empty()) {
-    if (stats != nullptr) {
-      if (root_filter != nullptr) {
-        SubsetFlat<true, true, true>(transaction, counts, stats, root_filter,
-                                     scratch, item_work, leaf_visits);
-      } else {
-        SubsetFlat<true, false, true>(transaction, counts, stats, nullptr,
-                                      scratch, item_work, leaf_visits);
-      }
-    } else {
-      if (root_filter != nullptr) {
-        SubsetFlat<false, true, true>(transaction, counts, nullptr,
-                                      root_filter, scratch, item_work,
-                                      leaf_visits);
-      } else {
-        SubsetFlat<false, false, true>(transaction, counts, nullptr, nullptr,
-                                       scratch, item_work, leaf_visits);
-      }
-    }
-  } else if (stats != nullptr) {
+                      Scratch& scratch) const {
+  // Hoist the stats / root-filter branches out of the hot loops: pick one
+  // specialized instantiation once per transaction.
+  if (stats != nullptr) {
     if (root_filter != nullptr) {
-      SubsetFlat<true, true, false>(transaction, counts, stats, root_filter,
-                                    scratch, {}, {});
+      SubsetFlat<true, true>(transaction, counts, stats, root_filter,
+                             scratch);
     } else {
-      SubsetFlat<true, false, false>(transaction, counts, stats, nullptr,
-                                     scratch, {}, {});
+      SubsetFlat<true, false>(transaction, counts, stats, nullptr, scratch);
     }
   } else {
     if (root_filter != nullptr) {
-      SubsetFlat<false, true, false>(transaction, counts, nullptr,
-                                     root_filter, scratch, {}, {});
+      SubsetFlat<false, true>(transaction, counts, nullptr, root_filter,
+                              scratch);
     } else {
-      SubsetFlat<false, false, false>(transaction, counts, nullptr, nullptr,
-                                      scratch, {}, {});
+      SubsetFlat<false, false>(transaction, counts, nullptr, nullptr,
+                               scratch);
     }
   }
 }
 
-void HashTree::AccumulateCandidateChecks(
-    std::span<const std::uint64_t> leaf_visits,
-    std::span<std::uint64_t> out) const {
-  assert(leaf_visits.size() == num_leaves_);
-  for (std::size_t l = 0; l < num_leaves_; ++l) {
-    const std::uint64_t visits = leaf_visits[l];
-    if (visits == 0) continue;
-    for (std::uint32_t j = leaf_offsets_[l]; j < leaf_offsets_[l + 1]; ++j) {
-      out[leaf_ids_[j]] += visits;
-    }
-  }
-}
-
-template <bool WithStats, bool WithItemWork>
-std::uint32_t HashTree::CheckLeafFlat(
-    std::int32_t leaf, std::span<Count> counts, SubsetStats* stats,
-    Scratch& scratch, std::span<std::uint64_t> leaf_visits) const {
+template <bool WithStats>
+void HashTree::CheckLeafFlat(std::int32_t leaf, std::span<Count> counts,
+                             SubsetStats* stats, Scratch& scratch) const {
   const std::size_t l = static_cast<std::size_t>(leaf);
   // Distinct-leaf detection: a leaf already visited for this transaction
   // contributes no further checking work (paper Section IV).
-  if (scratch.leaf_epoch[l] == scratch.epoch) return 0;
+  if (scratch.leaf_epoch[l] == scratch.epoch) return;
   scratch.leaf_epoch[l] = scratch.epoch;
   const std::uint32_t begin = leaf_offsets_[l];
   const std::uint32_t end = leaf_offsets_[l + 1];
@@ -374,7 +334,6 @@ std::uint32_t HashTree::CheckLeafFlat(
     ++stats->distinct_leaf_visits;
     stats->leaf_candidates_checked += end - begin;
   }
-  if constexpr (WithItemWork) ++leaf_visits[l];
   // Containment via the per-item stamps: every item of the transaction
   // was stamped with the current value on entry, so a candidate is
   // contained iff all k of its items carry the stamp.
@@ -431,15 +390,12 @@ std::uint32_t HashTree::CheckLeafFlat(
     if (all) ++counts[leaf_ids_[j]];
   }
 #endif
-  return end - begin;
 }
 
-template <bool WithStats, bool WithFilter, bool WithItemWork>
+template <bool WithStats, bool WithFilter>
 void HashTree::SubsetFlat(ItemSpan transaction, std::span<Count> counts,
                           SubsetStats* stats, const Bitmap* root_filter,
-                          Scratch& scratch,
-                          std::span<std::uint64_t> item_work,
-                          std::span<std::uint64_t> leaf_visits) const {
+                          Scratch& scratch) const {
   assert(counts.size() == candidates_.size());
   if (static_cast<int>(transaction.size()) < k_) {
     if constexpr (WithStats) ++stats->transactions;
@@ -478,24 +434,14 @@ void HashTree::SubsetFlat(ItemSpan transaction, std::span<Count> counts,
       }
     }
     if constexpr (WithStats) ++stats->root_items_considered;
-    // Attribution: all work of the descent starting at position i is
-    // charged to transaction[i], the root item that triggered it. Kept in
-    // a register and flushed once per root entry.
-    [[maybe_unused]] std::uint64_t entry_work = 0;
     if (root_ref_ <= kLeafBase) {
       // Degenerate single-node tree: check once (first viable item) and
       // stop; further starts revisit the same leaf.
-      const std::uint32_t checked = CheckLeafFlat<WithStats, WithItemWork>(
-          kLeafBase - root_ref_, counts, stats, scratch, leaf_visits);
-      if constexpr (WithItemWork) {
-        if (static_cast<std::size_t>(item) < item_work.size()) {
-          item_work[item] += checked;
-        }
-      }
+      CheckLeafFlat<WithStats>(kLeafBase - root_ref_, counts, stats,
+                               scratch);
       break;
     }
     if constexpr (WithStats) ++stats->traversal_steps;
-    if constexpr (WithItemWork) ++entry_work;
     const std::int32_t child =
         identity_root_
             ? (static_cast<std::size_t>(item) < root_children_.size()
@@ -505,9 +451,7 @@ void HashTree::SubsetFlat(ItemSpan transaction, std::span<Count> counts,
                        (item & mask_)];
     if (child != kAbsent) {
       if (child <= kLeafBase) {
-        const std::uint32_t checked = CheckLeafFlat<WithStats, WithItemWork>(
-            kLeafBase - child, counts, stats, scratch, leaf_visits);
-        if constexpr (WithItemWork) entry_work += checked;
+        CheckLeafFlat<WithStats>(kLeafBase - child, counts, stats, scratch);
       } else {
         // Iterative depth-first traversal below the root child; frames
         // resume the per-node position loop, so the stack never exceeds k
@@ -522,26 +466,17 @@ void HashTree::SubsetFlat(ItemSpan transaction, std::span<Count> counts,
           }
           const Item next = transaction[f.pos++];
           if constexpr (WithStats) ++stats->traversal_steps;
-          if constexpr (WithItemWork) ++entry_work;
           const std::int32_t c =
               children[(static_cast<std::size_t>(f.node) << shift_) +
                        (next & mask_)];
           if (c == kAbsent) continue;
           if (c <= kLeafBase) {
-            const std::uint32_t checked =
-                CheckLeafFlat<WithStats, WithItemWork>(
-                    kLeafBase - c, counts, stats, scratch, leaf_visits);
-            if constexpr (WithItemWork) entry_work += checked;
+            CheckLeafFlat<WithStats>(kLeafBase - c, counts, stats, scratch);
           } else {
             const std::uint32_t pos = f.pos;
             frames[++depth] = Frame{c, pos};
           }
         }
-      }
-    }
-    if constexpr (WithItemWork) {
-      if (static_cast<std::size_t>(item) < item_work.size()) {
-        item_work[item] += entry_work;
       }
     }
   }

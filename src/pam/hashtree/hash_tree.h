@@ -39,10 +39,8 @@ struct HashTreeConfig {
   /// candidate that starts with it, where a hashed root sends it into a
   /// bucket shared by about 1/fanout of all first items — the largest
   /// single cut in counting work, so it is the default in every
-  /// formulation. It also makes Subset's per-root-item work attribution
-  /// exact, which is why the adaptive balancer forces it on. Deeper
-  /// levels hash exactly as before, and counts are unaffected either way
-  /// (only tree shape and stats change).
+  /// formulation. Deeper levels hash exactly as before, and counts are
+  /// unaffected either way (only tree shape and stats change).
   bool identity_root = true;
 
   /// The paper's tuning rule: "the desired value of S can be obtained by
@@ -147,37 +145,15 @@ class HashTree {
   /// `candidates.size()`). If `root_filter` is non-null, transaction items
   /// without their bit set are skipped at the root level — the IDD bitmap
   /// pruning of Figure 8. `stats` may be null.
-  ///
-  /// If `item_work` is non-empty, the kernel additionally attributes
-  /// its work counters (traversal steps + leaf candidates checked) to the
-  /// root item each descent started from: the work of the subtree entered
-  /// via transaction item f accumulates into item_work[f] (items >= the
-  /// span size are skipped), and each distinct leaf visit increments
-  /// `leaf_visits[leaf id]` (which must then have size num_leaves()).
-  /// Together these are the adaptive balancer's measured load signal
-  /// (DESIGN.md §14): item_work gives exact per-first-item run totals,
-  /// leaf_visits gives the exact per-candidate check counts within a run
-  /// (every candidate of a leaf is checked once per distinct visit).
   void Subset(ItemSpan transaction, std::span<Count> counts,
-              SubsetStats* stats, const Bitmap* root_filter = nullptr,
-              std::span<std::uint64_t> item_work = {},
-              std::span<std::uint64_t> leaf_visits = {});
+              SubsetStats* stats, const Bitmap* root_filter = nullptr);
 
   /// Thread-safe counting against caller-owned scratch: the tree itself is
   /// read-only here, so any number of workers may call this concurrently,
-  /// each with its own Scratch, its own counts strip, and its own
-  /// attribution spans (empty to disable attribution).
+  /// each with its own Scratch and its own counts strip.
   void Subset(ItemSpan transaction, std::span<Count> counts,
               SubsetStats* stats, const Bitmap* root_filter,
-              Scratch& scratch, std::span<std::uint64_t> item_work = {},
-              std::span<std::uint64_t> leaf_visits = {}) const;
-
-  /// Expands per-leaf distinct-visit counts (as filled by Subset's
-  /// leaf_visits span) into per-candidate check counts: out[candidate id]
-  /// += visits of the candidate's leaf, for every candidate in this tree.
-  /// `out` is indexed by collection candidate id (size candidates.size()).
-  void AccumulateCandidateChecks(std::span<const std::uint64_t> leaf_visits,
-                                 std::span<std::uint64_t> out) const;
+              Scratch& scratch) const;
 
   /// Fresh zeroed scratch sized for this tree.
   Scratch MakeScratch() const;
@@ -205,15 +181,13 @@ class HashTree {
   void Insert(std::uint32_t candidate_id);
   void SplitLeaf(std::int32_t node_index, int depth);
   void Freeze();
-  template <bool WithStats, bool WithFilter, bool WithItemWork>
+  template <bool WithStats, bool WithFilter>
   void SubsetFlat(ItemSpan transaction, std::span<Count> counts,
                   SubsetStats* stats, const Bitmap* root_filter,
-                  Scratch& scratch, std::span<std::uint64_t> item_work,
-                  std::span<std::uint64_t> leaf_visits) const;
-  template <bool WithStats, bool WithItemWork>
-  std::uint32_t CheckLeafFlat(std::int32_t leaf, std::span<Count> counts,
-                              SubsetStats* stats, Scratch& scratch,
-                              std::span<std::uint64_t> leaf_visits) const;
+                  Scratch& scratch) const;
+  template <bool WithStats>
+  void CheckLeafFlat(std::int32_t leaf, std::span<Count> counts,
+                     SubsetStats* stats, Scratch& scratch) const;
 
   int Hash(Item item) const { return static_cast<int>(item & mask_); }
 

@@ -46,9 +46,6 @@ std::string PassRowJson(int rank, const PassMetrics& m) {
   AppendField(&out, "grid_cols", static_cast<std::uint64_t>(m.grid_cols),
               &first);
   AppendField(&out, "partition_digest", m.partition_digest, &first);
-  AppendField(&out, "rebalanced_candidates", m.rebalanced_candidates,
-              &first);
-  AppendField(&out, "balance_sync_words", m.balance_sync_words, &first);
   AppendField(&out, "threads_per_rank",
               static_cast<std::uint64_t>(m.threads_per_rank), &first);
   out.append(",\"shard_subset_work\":[");

@@ -143,24 +143,15 @@ std::vector<Count> CountPageStream(const ItemsetCollection& candidates,
                                    const std::vector<std::uint32_t>& owned_ids,
                                    const Bitmap* root_filter,
                                    const AprioriConfig& config,
-                                   CountingPool* pool,
-                                   std::span<std::uint64_t> item_work,
-                                   PassMetrics& m, const PageStream& stream) {
+                                   CountingPool* pool, PassMetrics& m,
+                                   const PageStream& stream) {
   obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild);
-  // Per-first-item attribution needs identity root dispatch to stay exact
-  // (no co-bucket cross-charging); counts are shape-independent, so output
-  // is byte-identical either way.
-  HashTreeConfig tree_config = config.tree;
-  if (!item_work.empty()) tree_config.identity_root = true;
-  HashTree tree(candidates, owned_ids, tree_config);
+  HashTree tree(candidates, owned_ids, config.tree);
   m.tree_build_inserts = tree.build_inserts();
   build_span.End();
   std::vector<Count> counts(candidates.size(), 0);
-  std::vector<std::uint64_t> leaf_visits(
-      item_work.empty() ? 0 : tree.num_leaves(), 0);
   TeamCounter team(pool, &tree, std::span<Count>(counts), &m.subset,
-                   root_filter, &config.cancel, item_work,
-                   std::span<std::uint64_t>(leaf_visits));
+                   root_filter, &config.cancel);
   std::int64_t page_index = 0;
   stream([&](PageView page) {
     obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, page_index++);
@@ -173,66 +164,12 @@ std::vector<Count> CountPageStream(const ItemsetCollection& candidates,
 
 CandidatePartition PartitionPass(const ItemsetCollection& candidates,
                                  std::size_t num_items, int parts,
-                                 const ParallelConfig& config,
-                                 const LoadModel* model, PassMetrics& m) {
-  // Empty until the first measured hash-tree pass calibrates the model:
-  // before that the partition is the static candidate-count one.
-  const std::vector<std::uint64_t> item_costs =
-      model != nullptr ? model->ItemCosts(candidates)
-                       : std::vector<std::uint64_t>();
-  CandidatePartition partition = PartitionByPrefix(
-      candidates, num_items, parts, config.prefix_strategy,
-      config.split_heavy_prefixes,
-      item_costs.empty() ? nullptr : &item_costs);
+                                 const ParallelConfig& config, PassMetrics& m) {
+  CandidatePartition partition =
+      PartitionByPrefix(candidates, num_items, parts, config.prefix_strategy,
+                        config.split_heavy_prefixes);
   m.partition_digest = PartitionDigest(partition);
-  if (!item_costs.empty()) {
-    // Repartition delta vs the static candidate-count packing the pass
-    // would have used without feedback.
-    const CandidatePartition static_partition = PartitionByPrefix(
-        candidates, num_items, parts, config.prefix_strategy,
-        config.split_heavy_prefixes);
-    m.rebalanced_candidates = PartitionMoves(static_partition, partition);
-  }
   return partition;
-}
-
-void ObserveBalance(Comm& comm, const ItemsetCollection& candidates,
-                    const std::vector<std::uint64_t>& item_work, int rows,
-                    int cols, PassMetrics& m, LoadModel& model) {
-  LoadModel::PassFeedback feedback;
-  feedback.first_items = LoadModel::DistinctFirstItems(candidates);
-  feedback.item_candidates.assign(feedback.first_items.size(), 0);
-  for (std::size_t i = 0, run = 0; i < candidates.size(); ++i) {
-    while (feedback.first_items[run] != candidates.Get(i)[0]) ++run;
-    ++feedback.item_candidates[run];
-  }
-  const auto p = static_cast<std::size_t>(comm.size());
-  std::vector<std::uint64_t> buf(p + 3 + feedback.first_items.size(), 0);
-  buf[static_cast<std::size_t>(comm.rank())] =
-      m.subset.traversal_steps + m.subset.leaf_candidates_checked;
-  buf[p] = m.transactions_processed;
-  buf[p + 1] = m.subset.traversal_steps;
-  buf[p + 2] = m.subset.leaf_candidates_checked;
-  for (std::size_t i = 0; i < feedback.first_items.size(); ++i) {
-    buf[p + 3 + i] =
-        item_work[static_cast<std::size_t>(feedback.first_items[i])];
-  }
-  comm.AllReduceSum(std::span<std::uint64_t>(buf));
-  m.balance_sync_words = buf.size();
-  m.reduction_words += buf.size();
-
-  feedback.part_work.assign(static_cast<std::size_t>(rows), 0);
-  for (std::size_t r = 0; r < p; ++r) {
-    feedback.part_work[r / static_cast<std::size_t>(cols)] += buf[r];
-  }
-  feedback.transactions = buf[p];
-  feedback.traversal_steps = buf[p + 1];
-  feedback.leaf_checks = buf[p + 2];
-  feedback.item_work.assign(buf.begin() + static_cast<std::ptrdiff_t>(p + 3),
-                            buf.end());
-  feedback.num_candidates = candidates.size();
-  feedback.grid_rows = rows;
-  model.Observe(feedback);
 }
 
 ItemsetCollection ExchangeOwnedFrequent(

@@ -10,7 +10,6 @@
 #include "pam/core/serial_apriori.h"
 #include "pam/hashtree/counting_pool.h"
 #include "pam/mp/comm.h"
-#include "pam/parallel/load_model.h"
 #include "pam/parallel/metrics.h"
 #include "pam/tdb/database.h"
 #include "pam/tdb/page_buffer.h"
@@ -40,17 +39,6 @@ struct ParallelConfig {
   /// Split first-items owning more than M/P candidates across parts
   /// (paper's skew refinement).
   bool split_heavy_prefixes = true;
-  /// Feedback-driven load balancing (DESIGN.md §14). IDD re-runs the
-  /// bin-packed candidate partitioner between passes with measured
-  /// per-first-item costs instead of candidate counts (seeded from pass-1
-  /// supports, refined from each pass's per-rank subset work shared via one
-  /// small AllReduceSum); HD additionally chooses its grid rows G per pass
-  /// from the measured compute/comm ratio. Mining output is byte-identical
-  /// to the static mode — the ring delivers the whole database to every
-  /// rank, so global counts don't depend on who owns which candidate. Only
-  /// honored by IDD and HD; requires prefix_strategy == kBinPacked for the
-  /// repartitioning part (the contiguous ablation stays static).
-  bool adaptive_balance = false;
   /// Single-source mode for IDD (paper Section VI: "when all the data is
   /// coming from a database server or a single file system, one processor
   /// can read data from the single source and pass the data along the
@@ -125,42 +113,21 @@ using PageStream =
 /// (root-filtered by `root_filter` when non-null), counts every page
 /// `stream` delivers through the counting team, and returns counts
 /// indexed by candidate id: complete over the streamed pages for the
-/// owned ids. A non-empty `item_work` (sized to the item count, zeroed)
-/// turns on the adaptive balancer's per-first-item work attribution,
-/// which needs the identity root. Fills the row's tree inserts, subset
-/// stats, shard work and transactions processed.
+/// owned ids. Fills the row's tree inserts, subset stats, shard work and
+/// transactions processed.
 std::vector<Count> CountPageStream(const ItemsetCollection& candidates,
                                    const std::vector<std::uint32_t>& owned_ids,
                                    const Bitmap* root_filter,
                                    const AprioriConfig& config,
-                                   CountingPool* pool,
-                                   std::span<std::uint64_t> item_work,
-                                   PassMetrics& m, const PageStream& stream);
+                                   CountingPool* pool, PassMetrics& m,
+                                   const PageStream& stream);
 
-/// IDD's and HD's candidate partition: PartitionByPrefix of `candidates`
-/// into `parts`, weighted by `model`'s measured item costs once it is
-/// calibrated (null `model` = static candidate-count weights). Records
-/// the partition digest, and how many candidates the weighting moved
-/// against the static packing, in `m`.
+/// IDD's and HD's candidate partition: the static PartitionByPrefix of
+/// `candidates` into `parts` (paper Section III-C). Records the partition
+/// digest in `m`.
 CandidatePartition PartitionPass(const ItemsetCollection& candidates,
                                  std::size_t num_items, int parts,
-                                 const ParallelConfig& config,
-                                 const LoadModel* model, PassMetrics& m);
-
-/// The adaptive balancer's feedback step: shares this rank's measured
-/// subset work, its transaction / traversal / leaf-check counts and its
-/// per-first-item work (`item_work` from CountPageStream, compacted to the
-/// pass's distinct first items, a layout identical on every rank) with
-/// one AllReduceSum of P + 3 + |first items| words over `comm`, and folds
-/// the global totals into `model`. Rank r counted for part r / cols of a
-/// `rows` x `cols` grid (IDD is cols = 1). Only deterministic work
-/// counters travel, never wall time, so every rank folds identical
-/// feedback and recomputes identical decisions, even under recoverable
-/// transport faults. Charges the collective to the row's reduction and
-/// balance-sync words.
-void ObserveBalance(Comm& comm, const ItemsetCollection& candidates,
-                    const std::vector<std::uint64_t>& item_work, int rows,
-                    int cols, PassMetrics& m, LoadModel& model);
+                                 const ParallelConfig& config, PassMetrics& m);
 
 /// F_k of a formulation that partitions candidates: stores `counts`
 /// (global for the owned ids) into `candidates`, keeps the owned frequent

@@ -88,8 +88,7 @@ RankOutput RunDdRank(const TransactionDatabase& db, Comm& comm,
             .ids_per_part[static_cast<std::size_t>(rank)]);
     m.num_candidates_local = my_ids.size();
     std::vector<Count> counts = CountPageStream(
-        candidates, my_ids, /*root_filter=*/nullptr, config.apriori, &pool,
-        /*item_work=*/{}, m,
+        candidates, my_ids, /*root_filter=*/nullptr, config.apriori, &pool, m,
         [&](const std::function<void(PageView)>& process) {
           const std::vector<Page> local_pages =
               Paginate(db, slice, config.page_bytes);

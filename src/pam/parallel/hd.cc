@@ -1,5 +1,4 @@
 #include "pam/parallel/algorithms.h"
-#include "pam/parallel/load_model.h"
 
 namespace pam {
 
@@ -9,13 +8,6 @@ namespace pam {
 // transactions circulate through the IDD ring within each column (step 1),
 // counts are reduced CD-style along rows (step 2), and the frequent subsets
 // are exchanged along columns (step 3).
-//
-// With config.adaptive_balance the per-pass G comes from the LoadModel's
-// measured compute/comm ratio once a tree pass has calibrated it (falling
-// back to the static Table-II heuristic before that), and the row
-// partition uses measured per-first-item weights (DESIGN.md §14). Every
-// input to both decisions is a globally-reduced deterministic counter, so
-// all ranks pick the same grid; output stays byte-identical to static.
 RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
                      const ParallelConfig& config) {
   using parallel_internal::ChooseGridRows;
@@ -26,22 +18,10 @@ RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
   const TransactionDatabase::Slice slice = db.RankSlice(rank, p);
   const Count minsup = config.apriori.ResolveMinsup(db.size());
   CountingPool pool(config.apriori.threads_per_rank);
-  const bool adaptive = config.adaptive_balance;
-  const bool adaptive_weights =
-      adaptive && config.prefix_strategy == PrefixStrategy::kBinPacked;
-  LoadModel model(db.NumItems());
-  // The dynamic-G comm term must be identical on every rank: use the
-  // whole database's wire size divided by P, not this rank's slice.
-  const std::uint64_t wire_bytes_per_rank =
-      db.WireBytes(TransactionDatabase::Slice{0, db.size()}) /
-      static_cast<std::uint64_t>(p);
 
   const PassBody body = [&](int k, ItemsetCollection candidates,
                             PassMetrics& m) {
     // Dynamic grid configuration (Table II), unless pinned by the caller.
-    // With adaptive_balance, a calibrated LoadModel overrides the static
-    // threshold heuristic using the measured compute/comm ratio; until the
-    // first hash-tree pass calibrates it, the static choice stands.
     int rows;
     if (config.hd_forced_rows > 0) {
       rows = p;
@@ -53,13 +33,6 @@ RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
       }
     } else {
       rows = ChooseGridRows(candidates.size(), config.hd_threshold_m, p);
-      if (adaptive) {
-        rows = model.ChooseGridRows(
-            candidates.size(),
-            static_cast<std::uint64_t>(db.size()) /
-                static_cast<std::uint64_t>(p),
-            wire_bytes_per_rank, p, rows);
-      }
     }
     const int cols = p / rows;
     const int my_row = rank / cols;
@@ -79,35 +52,23 @@ RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
         (static_cast<std::uint64_t>(k) << 32) | 0x0000524fULL /* "RO" */);
 
     // Candidate partition among the G rows; identical in every column.
-    // Measured weights kick in once the model is calibrated.
     const CandidatePartition partition = parallel_internal::PartitionPass(
-        candidates, db.NumItems(), rows, config,
-        adaptive_weights ? &model : nullptr, m);
+        candidates, db.NumItems(), rows, config, m);
     const auto part = static_cast<std::size_t>(my_row);
     const std::vector<std::uint32_t>& my_ids = partition.ids_per_part[part];
     m.num_candidates_local = my_ids.size();
 
     // Step 1: IDD within the column — each rank sees the G * N/P
     // transactions of its column.
-    std::vector<std::uint64_t> item_work(adaptive ? db.NumItems() : 0, 0);
     std::vector<Count> counts = parallel_internal::CountPageStream(
         candidates, my_ids,
         config.idd_use_bitmap ? &partition.first_item_filter[part] : nullptr,
-        config.apriori, &pool, std::span<std::uint64_t>(item_work), m,
+        config.apriori, &pool, m,
         [&](const std::function<void(PageView)>& process) {
           m.data_bytes_sent +=
               RingShiftAll(col_comm, Paginate(db, slice, config.page_bytes),
                            process, &m.data_messages_sent);
         });
-
-    // Adaptive feedback over the full grid: each row's items are counted
-    // once per column, and the union of the columns' rings covers the
-    // whole database exactly once, so the sums are the items' true global
-    // work.
-    if (adaptive) {
-      parallel_internal::ObserveBalance(comm, candidates, item_work, rows,
-                                        cols, m, model);
-    }
 
     // Step 2: reduction along the row — every rank of a row holds the same
     // candidate subset; sum their per-column counts.

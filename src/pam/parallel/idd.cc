@@ -1,5 +1,4 @@
 #include "pam/parallel/algorithms.h"
-#include "pam/parallel/load_model.h"
 
 namespace pam {
 
@@ -8,14 +7,6 @@ namespace pam {
 // level of the subset function with a bitmap of its owned first-items
 // (Figure 8), and the database circulates through the ring pipeline of
 // Figure 6 instead of DD's contention-prone all-to-all.
-//
-// With config.adaptive_balance the partitioner's weights come from a
-// LoadModel instead of raw candidate counts: the counting kernel
-// attributes its measured subset work to the root item each descent
-// started from, and one AllReduceSum per pass gives every rank the exact
-// global cost of every first item's candidates (DESIGN.md §14). The ring
-// still delivers every transaction to every rank, so the mining output is
-// byte-identical either way.
 RankOutput RunIddRank(const TransactionDatabase& db, Comm& comm,
                       const ParallelConfig& config) {
   using parallel_internal::RingShiftAll;
@@ -32,11 +23,6 @@ RankOutput RunIddRank(const TransactionDatabase& db, Comm& comm,
           : db.RankSlice(rank, p);
   const Count minsup = config.apriori.ResolveMinsup(db.size());
   CountingPool pool(config.apriori.threads_per_rank);
-  // Measured-weight repartitioning requires the bin-packing strategy; the
-  // contiguous ablation stays static even with the flag on.
-  const bool adaptive = config.adaptive_balance &&
-                        config.prefix_strategy == PrefixStrategy::kBinPacked;
-  LoadModel model(db.NumItems());
 
   const PassBody body = [&](int /*k*/, ItemsetCollection candidates,
                             PassMetrics& m) {
@@ -45,28 +31,20 @@ RankOutput RunIddRank(const TransactionDatabase& db, Comm& comm,
     // likewise computes the first-item histogram, bin-packs, and
     // regenerates the local partition.
     const CandidatePartition partition = parallel_internal::PartitionPass(
-        candidates, db.NumItems(), p, config, adaptive ? &model : nullptr, m);
+        candidates, db.NumItems(), p, config, m);
     const auto part = static_cast<std::size_t>(rank);
     const std::vector<std::uint32_t>& my_ids = partition.ids_per_part[part];
     m.num_candidates_local = my_ids.size();
 
-    std::vector<std::uint64_t> item_work(adaptive ? db.NumItems() : 0, 0);
     std::vector<Count> counts = parallel_internal::CountPageStream(
         candidates, my_ids,
         config.idd_use_bitmap ? &partition.first_item_filter[part] : nullptr,
-        config.apriori, &pool, std::span<std::uint64_t>(item_work), m,
+        config.apriori, &pool, m,
         [&](const std::function<void(PageView)>& process) {
           m.data_bytes_sent +=
               RingShiftAll(comm, Paginate(db, slice, config.page_bytes),
                            process, &m.data_messages_sent);
         });
-    // Feed the measured per-first-item subset work back into the model;
-    // every rank folds identical totals, so the next pass's partition is
-    // recomputed identically with no decision broadcast.
-    if (adaptive) {
-      parallel_internal::ObserveBalance(comm, candidates, item_work, p,
-                                        /*cols=*/1, m, model);
-    }
     return parallel_internal::ExchangeOwnedFrequent(
         comm, candidates, std::move(counts), my_ids, minsup, m);
   };

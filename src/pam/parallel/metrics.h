@@ -66,18 +66,11 @@ struct PassMetrics {
   int grid_rows = 1;
   int grid_cols = 1;
 
-  /// Adaptive load balancing (DESIGN.md §14). partition_digest fingerprints
-  /// this pass's candidate-to-part assignment (0 when the pass used no
-  /// prefix partition); it is identical on every rank and invariant under
-  /// recoverable transport faults — the chaos suite pins rebalancing
-  /// determinism on it. rebalanced_candidates counts candidates the
-  /// measured-weight packing placed on a different part than the static
-  /// candidate-count packing would have (always 0 with adaptive_balance
-  /// off), and balance_sync_words is the size of the feedback all-reduce
-  /// (also charged to reduction_words).
+  /// Fingerprint of this pass's candidate-to-part assignment (0 when the
+  /// pass used no prefix partition); it is identical on every rank and
+  /// invariant under recoverable transport faults — the chaos suite pins
+  /// partition determinism on it.
   std::uint64_t partition_digest = 0;
-  std::uint64_t rebalanced_candidates = 0;
-  std::uint64_t balance_sync_words = 0;
 
   /// Intra-rank counting team shape this pass (DESIGN.md §11): configured
   /// team size, and the subset work (traversal steps + candidates checked)

@@ -1,6 +1,7 @@
 #ifndef PAM_UTIL_FLAGS_H_
 #define PAM_UTIL_FLAGS_H_
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -16,7 +17,8 @@ class FlagParser {
  public:
   /// Parses argv. Returns false (and records an error) on a malformed
   /// argument list (e.g., `--name` at the end when a value was expected is
-  /// treated as boolean, so the only failure mode is an empty flag name).
+  /// treated as boolean, so the only failure mode is an empty flag name:
+  /// `--` or `--=value`).
   bool Parse(int argc, const char* const* argv);
 
   /// True if the flag was present on the command line.
@@ -26,12 +28,23 @@ class FlagParser {
 
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
+  /// The numeric getters return `default_value` when the flag is absent
+  /// and the parsed value when it is well formed (ParseInt / ParseDouble).
+  /// A malformed value also yields `default_value`, and records an error
+  /// naming the flag in error() (the first one is kept), so a tool reads
+  /// all its numbers, then checks error() once before it starts anything.
   std::int64_t GetInt(const std::string& name,
                       std::int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
+  /// True when base-10 strtoll / strtod consume all of `text` (at least
+  /// one character) without ERANGE; `*out` is then their result.
+  static bool ParseInt(const std::string& text, std::int64_t* out);
+  static bool ParseDouble(const std::string& text, double* out);
+
   const std::vector<std::string>& positional() const { return positional_; }
+  /// Why Parse failed, or the first malformed number a getter read.
   const std::string& error() const { return error_; }
 
   /// Flags seen that are not in `known`; lets tools reject typos.
@@ -39,9 +52,12 @@ class FlagParser {
       const std::vector<std::string>& known) const;
 
  private:
+  // Records a malformed-number error for `name` unless one is recorded.
+  void Malformed(const std::string& name, const char* want) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
-  std::string error_;
+  mutable std::string error_;
 };
 
 inline bool FlagParser::Parse(int argc, const char* const* argv) {
@@ -52,7 +68,7 @@ inline bool FlagParser::Parse(int argc, const char* const* argv) {
       continue;
     }
     std::string body = arg.substr(2);
-    if (body.empty()) {
+    if (body.empty() || body[0] == '=') {
       error_ = "empty flag name in '" + arg + "'";
       return false;
     }
@@ -77,19 +93,61 @@ inline std::string FlagParser::GetString(
   return it == values_.end() ? default_value : it->second;
 }
 
+inline bool FlagParser::ParseInt(const std::string& text,
+                                 std::int64_t* out) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(begin, &end, 10);
+  if (text.empty() || end != begin + text.size() || errno == ERANGE) {
+    return false;
+  }
+  *out = static_cast<std::int64_t>(value);
+  return true;
+}
+
+inline bool FlagParser::ParseDouble(const std::string& text, double* out) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(begin, &end);
+  if (text.empty() || end != begin + text.size() || errno == ERANGE) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+inline void FlagParser::Malformed(const std::string& name,
+                                  const char* want) const {
+  if (error_.empty()) {
+    error_ = "--" + name + " must be " + want + ", got '" +
+             values_.at(name) + "'";
+  }
+}
+
 inline std::int64_t FlagParser::GetInt(const std::string& name,
                                        std::int64_t default_value) const {
   auto it = values_.find(name);
-  return it == values_.end()
-             ? default_value
-             : static_cast<std::int64_t>(std::atoll(it->second.c_str()));
+  if (it == values_.end()) return default_value;
+  std::int64_t value = 0;
+  if (!ParseInt(it->second, &value)) {
+    Malformed(name, "an integer");
+    return default_value;
+  }
+  return value;
 }
 
 inline double FlagParser::GetDouble(const std::string& name,
                                     double default_value) const {
   auto it = values_.find(name);
-  return it == values_.end() ? default_value
-                             : std::atof(it->second.c_str());
+  if (it == values_.end()) return default_value;
+  double value = 0.0;
+  if (!ParseDouble(it->second, &value)) {
+    Malformed(name, "a number");
+    return default_value;
+  }
+  return value;
 }
 
 inline bool FlagParser::GetBool(const std::string& name,

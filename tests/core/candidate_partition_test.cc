@@ -1,6 +1,5 @@
 #include "pam/core/candidate_partition.h"
 
-#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -154,88 +153,6 @@ TEST(PrefixPartitionTest, EmptyCandidates) {
   CandidatePartition p = PartitionByPrefix(col, 10, 4,
                                            PrefixStrategy::kBinPacked);
   for (const auto& ids : p.ids_per_part) EXPECT_TRUE(ids.empty());
-}
-
-TEST(WeightedPartitionTest, UniformCostsMatchStaticBitForBit) {
-  // The adaptive balancer's contract: a cost vector that rates every item
-  // equal must reproduce the static candidate-count partition exactly
-  // (weights scale proportionally, LPT order and ties are unchanged).
-  ItemsetCollection col = SkewedCandidates(60, 20, 5);
-  const CandidatePartition statik =
-      PartitionByPrefix(col, 60, 4, PrefixStrategy::kBinPacked, true);
-  for (std::uint64_t cost : {std::uint64_t{1}, std::uint64_t{1024}}) {
-    const std::vector<std::uint64_t> costs(60, cost);
-    const CandidatePartition weighted = PartitionByPrefix(
-        col, 60, 4, PrefixStrategy::kBinPacked, true, &costs);
-    EXPECT_EQ(PartitionDigest(weighted), PartitionDigest(statik))
-        << "cost " << cost;
-    EXPECT_EQ(PartitionMoves(statik, weighted), 0u) << "cost " << cost;
-  }
-}
-
-TEST(WeightedPartitionTest, SkewedCostsMoveCandidates) {
-  // Equal candidate counts per item, but items < 10 cost 8x: the measured
-  // packing must differ from the static one and weigh the parts by cost.
-  ItemsetCollection col = SkewedCandidates(40, 0, 1);
-  std::vector<std::uint64_t> costs(40, 1024);
-  for (Item f = 0; f < 10; ++f) costs[f] = 8 * 1024;
-  const CandidatePartition statik =
-      PartitionByPrefix(col, 40, 4, PrefixStrategy::kBinPacked, true);
-  const CandidatePartition weighted = PartitionByPrefix(
-      col, 40, 4, PrefixStrategy::kBinPacked, true, &costs);
-  ExpectExactCover(weighted, col.size());
-  EXPECT_NE(PartitionDigest(weighted), PartitionDigest(statik));
-  EXPECT_GT(PartitionMoves(statik, weighted), 0u);
-
-  // The weighted parts must be balanced in cost, hence visibly unbalanced
-  // in candidate count (the expensive items crowd out cheap ones).
-  std::vector<std::uint64_t> part_cost(4, 0);
-  for (int part = 0; part < 4; ++part) {
-    for (std::uint32_t id :
-         weighted.ids_per_part[static_cast<std::size_t>(part)]) {
-      part_cost[static_cast<std::size_t>(part)] += costs[col.Get(id)[0]];
-    }
-  }
-  const std::uint64_t max_cost =
-      *std::max_element(part_cost.begin(), part_cost.end());
-  const std::uint64_t min_cost =
-      *std::min_element(part_cost.begin(), part_cost.end());
-  EXPECT_LT(static_cast<double>(max_cost),
-            1.35 * static_cast<double>(min_cost));
-}
-
-TEST(WeightedPartitionTest, WeightedHeavySplitUsesCost) {
-  // One first item whose *cost* (not candidate count) exceeds the per-part
-  // share must be split across parts when splitting is on.
-  ItemsetCollection col = SkewedCandidates(16, 16, 4);  // ~4 cands each
-  std::vector<std::uint64_t> costs(16, 1024);
-  costs[0] = 64 * 1024;  // item 0: 4 candidates but ~84% of total weight
-  const CandidatePartition weighted = PartitionByPrefix(
-      col, 16, 4, PrefixStrategy::kBinPacked, true, &costs);
-  ExpectExactCover(weighted, col.size());
-  int parts_with_item0 = 0;
-  for (int part = 0; part < 4; ++part) {
-    for (std::uint32_t id :
-         weighted.ids_per_part[static_cast<std::size_t>(part)]) {
-      if (col.Get(id)[0] == 0) {
-        ++parts_with_item0;
-        break;
-      }
-    }
-  }
-  EXPECT_GT(parts_with_item0, 1);
-}
-
-TEST(WeightedPartitionTest, DeterministicAcrossCalls) {
-  ItemsetCollection col = SkewedCandidates(50, 25, 3);
-  Prng rng(11);
-  std::vector<std::uint64_t> costs(50);
-  for (auto& c : costs) c = 64 + rng.NextBounded(4096);
-  const std::uint64_t a = PartitionDigest(PartitionByPrefix(
-      col, 50, 8, PrefixStrategy::kBinPacked, true, &costs));
-  const std::uint64_t b = PartitionDigest(PartitionByPrefix(
-      col, 50, 8, PrefixStrategy::kBinPacked, true, &costs));
-  EXPECT_EQ(a, b);
 }
 
 TEST(PrefixPartitionTest, PaperReportedBalanceBand) {

@@ -6,6 +6,7 @@
 
 #include "pam/parallel/driver.h"
 #include "testing/random_db.h"
+#include "testing/reference.h"
 
 namespace pam {
 namespace {
@@ -62,7 +63,7 @@ TEST(RuleGenTest, MatchesBruteForceOnRandomDbs) {
     for (double conf : {0.3, 0.6, 0.9}) {
       std::vector<Rule> fast = GenerateRules(frequent, db.size(), conf);
       std::vector<Rule> slow =
-          GenerateRulesBruteForce(frequent, db.size(), conf);
+          testing::GenerateRulesBruteForce(frequent, db.size(), conf);
       EXPECT_EQ(Keys(fast), Keys(slow))
           << "seed " << seed << " conf " << conf;
       ASSERT_EQ(fast.size(), slow.size());

@@ -139,8 +139,11 @@ std::uint64_t WorkCounterDigest(const RunMetrics& metrics) {
       d.Fold(static_cast<std::uint64_t>(m.grid_rows));
       d.Fold(static_cast<std::uint64_t>(m.grid_cols));
       d.Fold(m.partition_digest);
-      d.Fold(m.rebalanced_candidates);
-      d.Fold(m.balance_sync_words);
+      // Two deleted adaptive-balancer counters were folded here; both read
+      // 0 in every default-config run, so 0 is folded in their place and
+      // the digests keep their constants.
+      d.Fold(std::uint64_t{0});
+      d.Fold(std::uint64_t{0});
       d.Fold(static_cast<std::uint64_t>(m.threads_per_rank));
       d.Fold(m.shard_subset_work);
     }

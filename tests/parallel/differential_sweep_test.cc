@@ -1,7 +1,7 @@
 // Randomized differential sweep: for each seed, draw mining configurations
 // from the cross product {minsup} x {num_ranks} x {page_bytes} x
-// {use_pass2_triangle} x {threads_per_rank} x {adaptive_balance} x
-// {identity_root} and check that CD, DD, IDD, HD and HPA each produce the
+// {use_pass2_triangle} x {threads_per_rank} x {identity_root} and check
+// that CD, DD, IDD, HD and HPA each produce the
 // serial Apriori result byte-for-byte. Fault injection is off here; the
 // chaos harness (tests/testing/chaos_test.cc) covers the faulty transport.
 //
@@ -59,12 +59,11 @@ TEST_P(DifferentialSweep, AllAlgorithmsMatchSerial) {
     cfg.apriori = serial_cfg;
     cfg.page_bytes = page_bytes;
     cfg.hd_threshold_m = 100;  // force HD onto real grids
-    // Adaptive rebalancing must never change mined output: cross it with
-    // everything else (only IDD/HD honor it; the rest must ignore it).
-    cfg.adaptive_balance = rng.NextBounded(2) == 1;
+    // This draw picked the deleted adaptive balancer on or off; it is
+    // still consumed so every seed keeps drawing the cells it always has.
+    (void)rng.NextBounded(2);
     // The serial reference keeps the default tree; the parallel runs
-    // cross the root dispatch with everything else (adaptive IDD/HD force
-    // the identity root whatever the draw).
+    // cross the root dispatch with everything else.
     cfg.apriori.tree.identity_root = shape_rng.NextBounded(2) == 1;
     for (Algorithm alg : {Algorithm::kCD, Algorithm::kDD, Algorithm::kIDD,
                           Algorithm::kHD, Algorithm::kHPA}) {
@@ -76,7 +75,6 @@ TEST_P(DifferentialSweep, AllAlgorithmsMatchSerial) {
           " page=" + std::to_string(page_bytes) + " tri=" +
           (serial_cfg.use_pass2_triangle ? "1" : "0") +
           " threads=" + std::to_string(serial_cfg.threads_per_rank) +
-          " adaptive=" + (cfg.adaptive_balance ? "1" : "0") +
           " idroot=" + (cfg.apriori.tree.identity_root ? "1" : "0");
       MiningReport result = MineParallel(alg, db, p, cfg);
       testing::ExpectMatchesSerial(result, serial_flat, label);

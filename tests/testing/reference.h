@@ -11,14 +11,19 @@
 //   CountBruteForce     O(|T| * |C_k|) subset matching; counts only.
 //   BruteForceFrequent  every itemset of every transaction, enumerated;
 //                       the exactness oracle for whole mining runs.
+//   GenerateRulesBruteForce
+//                       every non-empty proper subset of every frequent
+//                       itemset as a consequent; the oracle for rules.
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <span>
 #include <vector>
 
 #include "pam/core/itemset_collection.h"
+#include "pam/core/rulegen.h"
 #include "pam/hashtree/hash_tree.h"
 #include "pam/tdb/database.h"
 #include "pam/util/bitmap.h"
@@ -226,6 +231,59 @@ inline std::map<std::vector<Item>, Count> BruteForceFrequent(
     if (c >= minsup) frequent[set] = c;
   }
   return frequent;
+}
+
+/// Reference implementation of rule generation: enumerates every non-empty
+/// proper subset of every frequent itemset. Exponential in k — test-sized
+/// inputs only.
+inline std::vector<Rule> GenerateRulesBruteForce(
+    const FrequentItemsets& frequent, std::size_t num_transactions,
+    double min_confidence) {
+  std::vector<Rule> rules;
+  const double n = static_cast<double>(num_transactions);
+
+  for (std::size_t level = 1; level < frequent.levels.size(); ++level) {
+    const ItemsetCollection& sets = frequent.levels[level];
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      ItemSpan full = sets.Get(s);
+      const Count joint = sets.count(s);
+      const std::size_t k = full.size();
+      assert(k < 64);
+      // Every non-empty proper subset mask chooses the consequent.
+      for (std::uint64_t mask = 1; mask + 1 < (1ULL << k); ++mask) {
+        std::vector<Item> antecedent;
+        std::vector<Item> consequent;
+        for (std::size_t i = 0; i < k; ++i) {
+          if (mask & (1ULL << i)) {
+            consequent.push_back(full[i]);
+          } else {
+            antecedent.push_back(full[i]);
+          }
+        }
+        Count ante_count = 0;
+        if (!frequent.Lookup(ItemSpan(antecedent.data(), antecedent.size()),
+                             &ante_count) ||
+            ante_count == 0) {
+          continue;
+        }
+        const double conf =
+            static_cast<double>(joint) / static_cast<double>(ante_count);
+        if (conf >= min_confidence) {
+          rules.push_back(Rule{std::move(antecedent), std::move(consequent),
+                               joint, static_cast<double>(joint) / n, conf});
+        }
+      }
+    }
+  }
+  // GenerateRules' order: descending confidence, then descending support,
+  // then lexicographic.
+  std::sort(rules.begin(), rules.end(), [](const Rule& a, const Rule& b) {
+    if (a.confidence != b.confidence) return a.confidence > b.confidence;
+    if (a.support != b.support) return a.support > b.support;
+    if (a.antecedent != b.antecedent) return a.antecedent < b.antecedent;
+    return a.consequent < b.consequent;
+  });
+  return rules;
 }
 
 }  // namespace pam::testing

@@ -71,13 +71,19 @@ if(NOT same_rc EQUAL 0)
 endif()
 file(REMOVE "${DATA_TEXT}" "${ITEMSETS_TEXT}")
 
-# Unknown flags must be rejected with a non-zero exit.
-execute_process(
-  COMMAND "${MINE}" --input "${DATA}" --no-such-flag
-  RESULT_VARIABLE bad_rc OUTPUT_QUIET ERROR_QUIET)
-if(bad_rc EQUAL 0)
-  message(FATAL_ERROR "pam_mine accepted an unknown flag")
-endif()
+# Unknown flags must be rejected with a non-zero exit. The adaptive
+# balancer and its flag are deleted, so --adaptive-balance is unknown too.
+foreach(bad_flag "--no-such-flag" "--adaptive-balance")
+  execute_process(
+    COMMAND "${MINE}" --input "${DATA}" ${bad_flag}
+    RESULT_VARIABLE bad_rc OUTPUT_QUIET ERROR_VARIABLE bad_err)
+  if(NOT bad_rc STREQUAL "2")
+    message(FATAL_ERROR "pam_mine ${bad_flag} exited '${bad_rc}', want 2")
+  endif()
+  if(NOT bad_err MATCHES "error: unknown flag ${bad_flag}")
+    message(FATAL_ERROR "pam_mine ${bad_flag} gave no error: ${bad_err}")
+  endif()
+endforeach()
 
 # Out-of-range item ids must fail the load with a message and exit code 1,
 # not a crash. A process killed by a signal shows up in RESULT_VARIABLE as
@@ -102,12 +108,15 @@ foreach(bad_line "1 2 -1" "1 2 4000000000" "1 2 99999999999"
 endforeach()
 file(REMOVE "${BAD_TEXT}")
 
-# Numeric flags outside their domain must be rejected with a message
-# naming the flag and exit code 2 before anything runs: no crash, no
-# abort, no mining with a nonsense threshold.
+# Numeric flags outside their domain, or not numbers at all, must be
+# rejected with a message naming the flag and exit code 2 before anything
+# runs: no crash, no abort, no mining with a nonsense threshold. (No large
+# --ranks or --threads-per-rank: a broken check would start that many
+# threads.)
 set(SMALL_TEXT "${WORKDIR}/tools_test_small.txt")
 file(WRITE "${SMALL_TEXT}" "1 2 3\n1 2\n2 3\n1 3\n")
-foreach(case "ranks;0" "ranks;-1" "dhp;-1" "minsup;-5")
+foreach(case "ranks;0" "ranks;-1" "dhp;-1" "minsup;-5" "minsup;abc"
+             "ranks;2x" "threads-per-rank;0")
   list(GET case 0 flag)
   list(GET case 1 value)
   execute_process(
@@ -126,6 +135,19 @@ foreach(case "ranks;0" "ranks;-1" "dhp;-1" "minsup;-5")
   endif()
 endforeach()
 file(REMOVE "${SMALL_TEXT}")
+
+# pam_gen reads its numbers through the same parser: a malformed one exits
+# 2 with the flag named, and nothing is written.
+set(NOT_WRITTEN "${WORKDIR}/tools_test_not_written.bin")
+execute_process(
+  COMMAND "${GEN}" --transactions 20x --output "${NOT_WRITTEN}"
+  RESULT_VARIABLE gen_bad_rc OUTPUT_QUIET ERROR_VARIABLE gen_bad_err)
+if(NOT gen_bad_rc STREQUAL "2" OR
+   NOT gen_bad_err MATCHES "error: --transactions must be an integer" OR
+   EXISTS "${NOT_WRITTEN}")
+  message(FATAL_ERROR
+          "pam_gen --transactions 20x exited '${gen_bad_rc}': ${gen_bad_err}")
+endif()
 
 # DHP filter must preserve the mined itemset count.
 execute_process(

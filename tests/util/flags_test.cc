@@ -1,5 +1,7 @@
 #include "pam/util/flags.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace pam {
@@ -74,6 +76,37 @@ TEST(FlagsTest, EmptyFlagNameIsError) {
   FlagParser p;
   EXPECT_FALSE(p.Parse(2, args));
   EXPECT_FALSE(p.error().empty());
+  // The `=` form has the same empty name.
+  const char* equals_args[] = {"prog", "--=5"};
+  FlagParser q;
+  EXPECT_FALSE(q.Parse(2, equals_args));
+  EXPECT_FALSE(q.error().empty());
+}
+
+TEST(FlagsTest, MalformedNumberNamesTheFlagAndKeepsTheDefault) {
+  FlagParser p = Parse({"--ranks=2x", "--minsup", "1,5", "--top", "20"});
+  EXPECT_EQ(p.GetInt("top", 0), 20);
+  EXPECT_TRUE(p.error().empty());
+  EXPECT_EQ(p.GetInt("ranks", 4), 4);
+  EXPECT_EQ(p.error(), "--ranks must be an integer, got '2x'");
+  // The first malformed number stays the reported one.
+  EXPECT_DOUBLE_EQ(p.GetDouble("minsup", 1.0), 1.0);
+  EXPECT_EQ(p.error(), "--ranks must be an integer, got '2x'");
+
+  for (const char* bad : {"", "abc", "1.5", "9223372036854775808", " 1 "}) {
+    FlagParser q = Parse({"--n", bad});
+    EXPECT_EQ(q.GetInt("n", -1), -1) << "'" << bad << "'";
+    EXPECT_FALSE(q.error().empty()) << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "x", "1,5", "1e999", "0.5s"}) {
+    FlagParser q = Parse({"--d", bad});
+    EXPECT_DOUBLE_EQ(q.GetDouble("d", -1.0), -1.0) << "'" << bad << "'";
+    EXPECT_FALSE(q.error().empty()) << "'" << bad << "'";
+  }
+  FlagParser ok = Parse({"--n=-9223372036854775808", "--d=-2.5e-3"});
+  EXPECT_EQ(ok.GetInt("n", 0), INT64_MIN);
+  EXPECT_DOUBLE_EQ(ok.GetDouble("d", 0.0), -2.5e-3);
+  EXPECT_TRUE(ok.error().empty());
 }
 
 TEST(FlagsTest, LastValueWins) {

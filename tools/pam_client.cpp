@@ -67,6 +67,10 @@ int main(int argc, char** argv) {
   }
 
   int port = static_cast<int>(flags.GetInt("port", 0));
+  if (!flags.error().empty()) {
+    std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(), kUsage);
+    return 2;
+  }
   if (flags.Has("port-file")) {
     std::ifstream port_file(flags.GetString("port-file", ""));
     if (!(port_file >> port)) {

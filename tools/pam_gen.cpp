@@ -69,6 +69,10 @@ int main(int argc, char** argv) {
   config.hot_items = static_cast<pam::Item>(flags.GetInt("hot-items", 0));
   config.hot_item_mass = flags.GetDouble("hot-mass", 0.0);
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
+  if (!flags.error().empty()) {
+    std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(), kUsage);
+    return 2;
+  }
 
   pam::WallTimer timer;
   pam::TransactionDatabase db = pam::GenerateQuest(config);

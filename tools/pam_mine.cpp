@@ -40,9 +40,6 @@ constexpr const char* kUsage = R"(usage: pam_mine [flags]
                      intra-rank counting team size (default 1 = serial
                      counting; results are identical for every T)
   --hd-threshold M   HD candidate threshold m (default 50000)
-  --adaptive-balance rebalance IDD's candidate partition between passes
-                     from measured per-rank work and pick HD's G from the
-                     measured compute/comm ratio (results are identical)
   --max-k K          stop after pass K (default: run to completion)
   --rules            also generate association rules
   --top N            print at most N itemsets/rules (default 20)
@@ -114,7 +111,7 @@ int main(int argc, char** argv) {
       "machine", "explain", "stats",   "maximal",       "save-itemsets",
       "dhp",     "help",    "fault-kind", "fault-rate",  "fault-seed",
       "fault-retries", "fault-timeout", "trace-out", "metrics-out",
-      "threads-per-rank", "adaptive-balance"};
+      "threads-per-rank"};
   for (const std::string& f : flags.UnknownFlags(known)) {
     std::fprintf(stderr, "error: unknown flag --%s\n%s", f.c_str(), kUsage);
     return 2;
@@ -123,14 +120,31 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, flags.Has("input") ? stdout : stderr);
     return flags.GetBool("help", false) ? 0 : 2;
   }
-  // Out-of-domain numbers would reach the miner as no ranks at all, a
-  // bucket count near 2^64, or a negative support: reject them first.
+  // Every number is read before anything is loaded. A malformed one is
+  // reported by the parser; an out-of-domain one would reach the miner as
+  // no ranks at all, a bucket count near 2^64, or a negative support.
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   const std::int64_t ranks = flags.GetInt("ranks", 4);
+  const std::int64_t threads = flags.GetInt("threads-per-rank", 1);
+  const std::int64_t max_k = flags.GetInt("max-k", 0);
+  const std::int64_t hd_threshold = flags.GetInt("hd-threshold", 50000);
   const std::int64_t dhp = flags.GetInt("dhp", 0);
+  const auto top = static_cast<std::size_t>(flags.GetInt("top", 20));
   const double minsup = flags.GetDouble("minsup", 1.0);
+  const double minconf = flags.GetDouble("minconf", 50.0);
+  const double fault_rate = flags.GetDouble("fault-rate", 0.05);
+  const auto fault_seed =
+      static_cast<std::uint64_t>(flags.GetInt("fault-seed", 1));
+  const auto fault_retries = static_cast<int>(flags.GetInt("fault-retries", 3));
+  const auto fault_timeout =
+      static_cast<int>(flags.GetInt("fault-timeout", 5000));
   const char* range_error =
-      ranks < 1 || ranks > std::numeric_limits<int>::max()
-          ? "--ranks must be from 1 to 2147483647"
+      !flags.error().empty() ? flags.error().c_str()
+      : ranks < 1 || ranks > kIntMax ? "--ranks must be from 1 to 2147483647"
+      : threads < 1 || threads > kIntMax
+          ? "--threads-per-rank must be from 1 to 2147483647"
+      : max_k < 0 || max_k > kIntMax ? "--max-k must be from 0 to 2147483647"
+      : hd_threshold < 0 ? "--hd-threshold must be at least 0"
       : dhp < 0 ? "--dhp must be at least 0"
       : !(minsup >= 0.0 && minsup <= 100.0)
           ? "--minsup must be a percent from 0 to 100"
@@ -157,24 +171,16 @@ int main(int argc, char** argv) {
 
   pam::ParallelConfig config;
   config.apriori.minsup_fraction = minsup / 100.0;
-  config.apriori.max_k = static_cast<int>(flags.GetInt("max-k", 0));
-  config.hd_threshold_m =
-      static_cast<std::size_t>(flags.GetInt("hd-threshold", 50000));
-  config.adaptive_balance = flags.GetBool("adaptive-balance", false);
+  config.apriori.max_k = static_cast<int>(max_k);
+  config.hd_threshold_m = static_cast<std::size_t>(hd_threshold);
   config.apriori.dhp_buckets = static_cast<std::size_t>(dhp);
-  config.apriori.threads_per_rank =
-      static_cast<int>(flags.GetInt("threads-per-rank", 1));
-  const std::size_t top =
-      static_cast<std::size_t>(flags.GetInt("top", 20));
+  config.apriori.threads_per_rank = static_cast<int>(threads);
 
   if (flags.Has("fault-kind")) {
     const std::string kind_name = flags.GetString("fault-kind", "");
-    const double rate = flags.GetDouble("fault-rate", 0.05);
-    const auto seed =
-        static_cast<std::uint64_t>(flags.GetInt("fault-seed", 1));
-    const int retries = static_cast<int>(flags.GetInt("fault-retries", 3));
     if (kind_name == "mixed") {
-      config.fault = pam::FaultConfig::Mixed(rate, seed, retries);
+      config.fault =
+          pam::FaultConfig::Mixed(fault_rate, fault_seed, fault_retries);
     } else {
       pam::FaultKind kind;
       if (!ParseFaultKind(kind_name, &kind)) {
@@ -182,10 +188,10 @@ int main(int argc, char** argv) {
                      kind_name.c_str(), kUsage);
         return 2;
       }
-      config.fault = pam::FaultConfig::Uniform(kind, rate, seed, retries);
+      config.fault = pam::FaultConfig::Uniform(kind, fault_rate, fault_seed,
+                                               fault_retries);
     }
-    config.fault.recv_timeout_ms =
-        static_cast<int>(flags.GetInt("fault-timeout", 5000));
+    config.fault.recv_timeout_ms = fault_timeout;
   }
 
   const std::string algorithm_name =
@@ -199,7 +205,7 @@ int main(int argc, char** argv) {
   request.num_ranks = static_cast<int>(ranks);
   request.config = config;
   request.generate_rules = flags.GetBool("rules", false);
-  request.min_confidence = flags.GetDouble("minconf", 50.0) / 100.0;
+  request.min_confidence = minconf / 100.0;
 
   pam::MiningSession session;
   pam::obs::ChromeTraceWriter trace_writer;

@@ -27,7 +27,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -232,6 +231,11 @@ int main(int argc, char** argv) {
   config.result_cache_budget_bytes = static_cast<std::size_t>(
       flags.GetDouble("result-cache-budget-mb", 0.0) * 1024.0 * 1024.0);
   config.result_cache_ttl_ms = flags.GetDouble("result-cache-ttl-ms", 0.0);
+  const int port = static_cast<int>(flags.GetInt("port", 0));
+  if (!flags.error().empty()) {
+    std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(), kUsage);
+    return 2;
+  }
   if (flags.Has("tenant-weights")) {
     std::vector<std::pair<std::string, std::string>> weights;
     if (!ParsePairs(flags.GetString("tenant-weights", ""), &weights)) {
@@ -240,7 +244,11 @@ int main(int argc, char** argv) {
     }
     for (const auto& [tenant, weight] : weights) {
       pam::serve::TenantQuota quota = config.default_quota;
-      quota.weight = std::atof(weight.c_str());
+      if (!pam::FlagParser::ParseDouble(weight, &quota.weight)) {
+        std::fprintf(stderr, "error: bad --tenant-weights entry\n%s",
+                     kUsage);
+        return 2;
+      }
       config.tenant_quotas[tenant] = quota;
     }
   }
@@ -273,7 +281,7 @@ int main(int argc, char** argv) {
   if (flags.GetBool("listen", false)) {
     pam::serve::NetServerConfig net_config;
     net_config.bind_address = flags.GetString("bind", "127.0.0.1");
-    net_config.port = static_cast<int>(flags.GetInt("port", 0));
+    net_config.port = port;
     net_config.allow_shutdown = flags.GetBool("allow-shutdown", false);
     pam::serve::NetServer net(&server, net_config);
     const pam::Status status = net.Start();
