@@ -1,19 +1,21 @@
 // Subset-counting kernel comparison on a T10.I4.D100K-style Quest workload
 // (10-item transactions, 4-item patterns, 100K transactions at scale 1.0).
-// Each pass times the same candidates in four trees:
+// Each pass times the same candidates in four hash trees and the trie:
 //   classic   the recursive pointer-chasing reference traversal of
 //             tests/testing/reference.h on the paper-tuned tree
 //             (TunedFor(M, k, 8), hashed root)
 //   flat      the flat structure-of-arrays kernel on that same tree
 //   identity  flat, same tuned shape with the identity root
-//   default   flat, the library default shape (identity root, fanout 8,
-//             64-candidate leaves)
-// All four must count identically, and classic and flat must report
+//   default   flat, the HashTreeConfig default shape (identity root,
+//             fanout 8, 64-candidate leaves): the hash tree the miners
+//             ran on every tree pass before the trie
+//   trie      the CandidateTrie, the production kernel of every tree pass
+// All five must count identically, and classic and flat must report
 // identical SubsetStats on their shared tree. The bench also times the
 // specialized triangular pass-2 counter, and sweeps the intra-rank counting
-// team over {1, 2, 4, 8} threads on the default shape (counts and stats
-// re-verified at every size). It writes the measurements to
-// BENCH_kernel.json, including the host core count, without which the
+// team over {1, 2, 4, 8} threads on the default hash tree and on the trie
+// (counts and stats re-verified at every size). It writes the measurements
+// to BENCH_kernel.json, including the host core count, without which the
 // thread-sweep numbers cannot be interpreted, and exits non-zero on any
 // count/stats mismatch.
 //
@@ -32,6 +34,7 @@
 #include "bench_util.h"
 #include "pam/core/apriori_gen.h"
 #include "pam/core/count_team.h"
+#include "pam/hashtree/candidate_trie.h"
 #include "pam/hashtree/counting_pool.h"
 #include "pam/hashtree/hash_tree.h"
 #include "pam/hashtree/pair_counter.h"
@@ -91,6 +94,31 @@ KernelRun RunKernel(const TransactionDatabase& db,
   return best;
 }
 
+// The trie counterpart of RunKernel: builds once, counts every transaction
+// through one scratch, keeps the fastest repetition.
+KernelRun RunTrie(const TransactionDatabase& db,
+                  const ItemsetCollection& candidates, int reps) {
+  const CandidateTrie trie(candidates);
+  CandidateTrie::Scratch scratch = trie.MakeScratch();
+  KernelRun best;
+  for (int rep = 0; rep < reps; ++rep) {
+    std::vector<Count> counts(candidates.size(), 0);
+    SubsetStats stats;
+    WallTimer timer;
+    for (std::size_t t = 0; t < db.size(); ++t) {
+      trie.Subset(db.Transaction(t), std::span<Count>(counts), &stats,
+                  nullptr, scratch);
+    }
+    const double s = timer.Seconds();
+    if (rep == 0 || s < best.seconds) {
+      best.seconds = s;
+      best.counts = std::move(counts);
+      best.stats = stats;
+    }
+  }
+  return best;
+}
+
 struct PassReport {
   int k = 0;
   std::size_t num_candidates = 0;
@@ -98,25 +126,27 @@ struct PassReport {
   double flat_seconds = 0.0;
   double identity_seconds = 0.0;
   double default_seconds = 0.0;
+  double trie_seconds = 0.0;
   double triangle_seconds = -1.0;  // < 0 when the pass has no triangle path
   bool counts_identical = false;
   bool stats_identical = false;
   /// Counting-team sweep over the default shape: (threads, best seconds).
   std::vector<std::pair<int, double>> team;
+  /// Same sweep over the trie.
+  std::vector<std::pair<int, double>> trie_team;
   /// Same sweep for the pass-2 triangle team (k == 2 only).
   std::vector<std::pair<int, double>> triangle_team;
 };
 
 constexpr int kTeamSizes[] = {1, 2, 4, 8};
 
-// Times the intra-rank counting team at one size over a flat tree; the
-// merged counts and stats must match the single-threaded flat kernel's on
-// the same shape.
+// Times the intra-rank counting team at one size over `tree`; the merged
+// counts and stats must match the single-threaded run of the same kernel.
+template <typename Tree>
 double RunTeamKernel(const TransactionDatabase& db,
-                     const ItemsetCollection& candidates,
-                     const HashTreeConfig& shape, int threads, int reps,
-                     const KernelRun& expect, bool* ok) {
-  HashTree tree(candidates, shape);
+                     const ItemsetCollection& candidates, const Tree& tree,
+                     int threads, int reps, const KernelRun& expect,
+                     bool* ok) {
   CountingPool pool(threads);
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
@@ -183,13 +213,16 @@ PassReport ComparePass(const TransactionDatabase& db,
       RunKernel<HashTree>(db, candidates, identity, reps);
   KernelRun flat_default =
       RunKernel<HashTree>(db, candidates, production, reps);
+  KernelRun trie = RunTrie(db, candidates, reps);
   r.classic_seconds = classic.seconds;
   r.flat_seconds = flat.seconds;
   r.identity_seconds = flat_identity.seconds;
   r.default_seconds = flat_default.seconds;
+  r.trie_seconds = trie.seconds;
   r.counts_identical = classic.counts == flat.counts &&
                        flat_identity.counts == flat.counts &&
-                       flat_default.counts == flat.counts;
+                       flat_default.counts == flat.counts &&
+                       trie.counts == flat.counts;
   r.stats_identical = classic.stats == flat.stats;
 
   if (r.k == 2 && TrianglePairCounter::Fits(f_prev.size(), 0)) {
@@ -220,11 +253,16 @@ PassReport ComparePass(const TransactionDatabase& db,
     }
   }
 
+  const HashTree default_tree(candidates, production);
+  const CandidateTrie production_trie(candidates);
   for (const int threads : kTeamSizes) {
     bool ok = true;
-    const double s = RunTeamKernel(db, candidates, production, threads, reps,
-                                   flat_default, &ok);
-    r.team.emplace_back(threads, s);
+    r.team.emplace_back(threads,
+                        RunTeamKernel(db, candidates, default_tree, threads,
+                                      reps, flat_default, &ok));
+    r.trie_team.emplace_back(threads,
+                             RunTeamKernel(db, candidates, production_trie,
+                                           threads, reps, trie, &ok));
     r.counts_identical = r.counts_identical && ok;
     r.stats_identical = r.stats_identical && ok;
   }
@@ -254,6 +292,9 @@ void PrintPass(const PassReport& r, std::size_t n) {
   std::printf("  default  %8.3f s  (%10.0f tx/s)  vs flat %.2fx\n",
               r.default_seconds, static_cast<double>(n) / r.default_seconds,
               r.flat_seconds / r.default_seconds);
+  std::printf("  trie     %8.3f s  (%10.0f tx/s)  vs default %.2fx\n",
+              r.trie_seconds, static_cast<double>(n) / r.trie_seconds,
+              r.default_seconds / r.trie_seconds);
   if (r.triangle_seconds >= 0.0) {
     std::printf("  triangle %8.3f s  (%10.0f tx/s)  speedup %.2fx\n",
                 r.triangle_seconds,
@@ -264,6 +305,11 @@ void PrintPass(const PassReport& r, std::size_t n) {
     std::printf("  team x%-2d %8.3f s  (%10.0f tx/s)  vs 1-thread %.2fx\n",
                 threads, seconds, static_cast<double>(n) / seconds,
                 r.team.front().second / seconds);
+  }
+  for (const auto& [threads, seconds] : r.trie_team) {
+    std::printf("  trie x%-2d %8.3f s  (%10.0f tx/s)  vs 1-thread %.2fx\n",
+                threads, seconds, static_cast<double>(n) / seconds,
+                r.trie_team.front().second / seconds);
   }
   for (const auto& [threads, seconds] : r.triangle_team) {
     std::printf("  tri  x%-2d %8.3f s  (%10.0f tx/s)  vs 1-thread %.2fx\n",
@@ -300,6 +346,7 @@ void AppendPassJson(std::string* out, const PassReport& r, std::size_t n) {
       "     \"flat_speedup\": %.4f, \"triangle_seconds\": %.6f,\n"
       "     \"identity_seconds\": %.6f, \"identity_vs_flat\": %.4f,\n"
       "     \"default_seconds\": %.6f, \"default_vs_flat\": %.4f,\n"
+      "     \"trie_seconds\": %.6f, \"trie_vs_default\": %.4f,\n"
       "     \"counts_identical\": %s, \"stats_identical\": %s",
       r.k, r.num_candidates, r.classic_seconds, r.flat_seconds,
       static_cast<double>(n) / r.classic_seconds,
@@ -307,10 +354,12 @@ void AppendPassJson(std::string* out, const PassReport& r, std::size_t n) {
       r.classic_seconds / r.flat_seconds, r.triangle_seconds,
       r.identity_seconds, r.flat_seconds / r.identity_seconds,
       r.default_seconds, r.flat_seconds / r.default_seconds,
+      r.trie_seconds, r.default_seconds / r.trie_seconds,
       r.counts_identical ? "true" : "false",
       r.stats_identical ? "true" : "false");
   *out += buf;
   AppendSweepJson(out, "team", r.team);
+  AppendSweepJson(out, "trie_team", r.trie_team);
   if (!r.triangle_team.empty()) {
     AppendSweepJson(out, "triangle_team", r.triangle_team);
   }
@@ -325,7 +374,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   bench::Banner(
-      "Subset-counting kernel: classic vs flat vs pass-2 triangle",
+      "Subset-counting kernel: classic vs flat vs trie vs pass-2 triangle",
       "engineering baseline for the Section IV counting terms "
       "(T10.I4.D100K workload)");
 
@@ -363,11 +412,15 @@ int main(int argc, char** argv) {
   json += "  \"build_type\": \"" + std::string(PAM_BUILD_TYPE) + "\",\n";
   json += "  \"reps\": " + std::to_string(reps) + ",\n";
   json += "  \"host_cpu_cores\": " + std::to_string(host_cores) + ",\n";
+  // The miners counted every tree pass with the default hash tree before
+  // the trie replaced it.
+  json += "  \"before\": \"default\",\n  \"after\": \"trie\",\n";
   json += "  \"shapes\": {\"classic\": \"TunedFor(M, k, 8), hashed root\", "
           "\"flat\": \"TunedFor(M, k, 8), hashed root\", "
           "\"identity\": \"TunedFor(M, k, 8), identity root\", "
           "\"default\": \"HashTreeConfig{} (identity root, fanout 8, "
-          "leaf capacity 64)\", \"team\": \"default\"},\n";
+          "leaf capacity 64)\", \"trie\": \"CandidateTrie\", "
+          "\"team\": \"default\", \"trie_team\": \"trie\"},\n";
   json += "  \"passes\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     AppendPassJson(&json, reports[i], n);

@@ -47,6 +47,10 @@ int main(int argc, char** argv) {
     pam::MiningRequest request;
     request.num_ranks = p;
     request.config.apriori.minsup_fraction = 0.02;
+    // The modeled times price the paper's hash tree, so every pass counts
+    // through it, as in the figure benches (the default counts pass 2 with
+    // the triangle and later passes with the candidate trie).
+    request.config.apriori.use_pass2_triangle = false;
     request.config.apriori.tree = pam::HashTreeConfig::TunedFor(8000, 2, 8);
     request.config.hd_threshold_m = 2000;
 

@@ -8,7 +8,10 @@
 # gate instead of wedging CI. The chaos suite (ctest label `chaos`:
 # mining under an intentionally faulty transport) additionally gets a
 # dedicated pass under the sanitizers, where the fault-recovery paths
-# are most likely to expose lifetime or data-race bugs.
+# are most likely to expose lifetime or data-race bugs, and so do the
+# counting-kernel differentials (label `threaded`: the candidate trie and
+# the counting team against the hash tree and brute force), where a read
+# past a trie level or a scratch array aborts the test.
 #
 # The tsan job builds under ThreadSanitizer and runs the suites that
 # exercise real threads: the intra-rank counting team differentials
@@ -44,8 +47,9 @@ run_preset() {
 # (a cancelled run tears down mid-pass), TSan for the token/watchdog
 # concurrency.
 run_chaos_sanitized() {
-  echo "=== chaos + serve + balance suites under ASan/UBSan ==="
-  ctest --preset sanitize -L 'chaos|serve|balance' --timeout "$test_timeout"
+  echo "=== chaos + serve + balance + threaded suites under ASan/UBSan ==="
+  ctest --preset sanitize -L 'chaos|serve|balance|threaded' \
+    --timeout "$test_timeout"
 }
 
 # The fuzz drivers (label `fuzz`: mutants of tests/tdb/corpus fed to
@@ -177,9 +181,10 @@ for row in passes:
     assert row["counts_identical"] is True, f"k={row['k']}: counts differ"
     assert row["stats_identical"] is True, f"k={row['k']}: stats differ"
     for key in ("classic_seconds", "flat_seconds", "identity_seconds",
-                "default_seconds"):
+                "default_seconds", "trie_seconds"):
         assert row[key] > 0, (row["k"], key)
     assert row["team"], f"k={row['k']}: no team sweep"
+    assert row["trie_team"], f"k={row['k']}: no trie team sweep"
 print(f"BENCH_kernel.json: {len(passes)} passes, counts and stats exact: ok")
 PYEOF
 }

@@ -5,13 +5,6 @@
 
 namespace pam {
 
-LoadSummary CandidatePartition::CandidateBalance() const {
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(ids_per_part.size());
-  for (const auto& ids : ids_per_part) sizes.push_back(ids.size());
-  return Summarize(sizes);
-}
-
 CandidatePartition PartitionRoundRobin(std::size_t num_candidates,
                                        int num_parts) {
   assert(num_parts > 0);

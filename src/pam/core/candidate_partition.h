@@ -7,7 +7,6 @@
 #include "pam/core/itemset_collection.h"
 #include "pam/util/bin_packing.h"
 #include "pam/util/bitmap.h"
-#include "pam/util/stats.h"
 
 namespace pam {
 
@@ -31,10 +30,6 @@ struct CandidatePartition {
   /// split_heavy_prefixes) live on that part. Empty for round-robin
   /// partitions, which cannot support root filtering.
   std::vector<Bitmap> first_item_filter;
-
-  /// Balance of candidate counts across parts (the paper reports 1.3% for
-  /// P=4 and 2.3% for P=8).
-  LoadSummary CandidateBalance() const;
 };
 
 /// DD's round-robin partition: candidate i goes to part i % num_parts.

@@ -12,10 +12,11 @@ void AccumulateShardWork(std::vector<std::uint64_t>& into,
   for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
 }
 
-TeamCounter::TeamCounter(CountingPool* pool, HashTree* tree,
-                         std::span<Count> counts, SubsetStats* stats,
-                         const Bitmap* root_filter,
-                         const CancelToken* cancel)
+template <typename Tree>
+TeamCounter<Tree>::TeamCounter(CountingPool* pool, const Tree* tree,
+                               std::span<Count> counts, SubsetStats* stats,
+                               const Bitmap* root_filter,
+                               const CancelToken* cancel)
     : pool_(pool),
       tree_(tree),
       counts_(counts),
@@ -24,16 +25,17 @@ TeamCounter::TeamCounter(CountingPool* pool, HashTree* tree,
       cancel_(cancel != nullptr && cancel->valid() ? cancel : nullptr),
       tracer_(obs::CurrentTracer()),
       team_(pool->num_threads()) {
+  scratch_.resize(static_cast<std::size_t>(team_));
+  for (typename Tree::Scratch& s : scratch_) s = tree->MakeScratch();
   if (team_ > 1) {
     strips_.Reset(team_, counts.size());
-    scratch_.resize(static_cast<std::size_t>(team_));
-    for (HashTree::Scratch& s : scratch_) s = tree->MakeScratch();
     shard_stats_.assign(static_cast<std::size_t>(team_), SubsetStats{});
   }
 }
 
+template <typename Tree>
 template <typename TxAt>
-void TeamCounter::RunBatch(std::size_t n, const TxAt& tx_at) {
+void TeamCounter<Tree>::RunBatch(std::size_t n, const TxAt& tx_at) {
   pool_->Run(n, [&](int shard, std::size_t begin, std::size_t end) {
     // Workers install the rank's tracer so their shard spans land on the
     // rank's track; shard 0 already runs on the rank thread.
@@ -46,16 +48,18 @@ void TeamCounter::RunBatch(std::size_t n, const TxAt& tx_at) {
         stats_ != nullptr
             ? &shard_stats_[static_cast<std::size_t>(shard)]
             : nullptr;
-    HashTree::Scratch& scratch = scratch_[static_cast<std::size_t>(shard)];
-    const HashTree* tree = tree_;
+    typename Tree::Scratch& scratch =
+        scratch_[static_cast<std::size_t>(shard)];
+    const Tree* tree = tree_;
     for (std::size_t i = begin; i < end; ++i) {
       tree->Subset(tx_at(i), out, stats, filter_, scratch);
     }
   });
 }
 
-std::size_t TeamCounter::CountSlice(const TransactionDatabase& db,
-                                    TransactionDatabase::Slice slice) {
+template <typename Tree>
+std::size_t TeamCounter<Tree>::CountSlice(const TransactionDatabase& db,
+                                          TransactionDatabase::Slice slice) {
   const std::size_t n = slice.end - slice.begin;
   // With a live token, count in kCancelCheckStride sub-batches and run a
   // progress check point between them — on the rank thread, with the pool
@@ -69,7 +73,8 @@ std::size_t TeamCounter::CountSlice(const TransactionDatabase& db,
     }
     if (team_ == 1) {
       for (std::size_t t = begin; t < end; ++t) {
-        tree_->Subset(db.Transaction(t), counts_, stats_, filter_);
+        tree_->Subset(db.Transaction(t), counts_, stats_, filter_,
+                      scratch_[0]);
       }
     } else {
       RunBatch(end - begin, [&db, begin](std::size_t i) {
@@ -81,12 +86,13 @@ std::size_t TeamCounter::CountSlice(const TransactionDatabase& db,
   return n;
 }
 
-std::size_t TeamCounter::CountPage(PageView page) {
+template <typename Tree>
+std::size_t TeamCounter<Tree>::CountPage(PageView page) {
   if (cancel_ != nullptr) cancel_->Checkpoint();
   if (team_ == 1) {
     std::size_t n = 0;
     ForEachTransaction(page, [&](ItemSpan tx) {
-      tree_->Subset(tx, counts_, stats_, filter_);
+      tree_->Subset(tx, counts_, stats_, filter_, scratch_[0]);
       ++n;
     });
     return n;
@@ -97,7 +103,8 @@ std::size_t TeamCounter::CountPage(PageView page) {
   return page_tx_.size();
 }
 
-void TeamCounter::Finish() {
+template <typename Tree>
+void TeamCounter<Tree>::Finish() {
   assert(!finished_);
   finished_ = true;
   if (team_ == 1) return;
@@ -113,6 +120,9 @@ void TeamCounter::Finish() {
         s.traversal_steps + s.leaf_candidates_checked;
   }
 }
+
+template class TeamCounter<CandidateTrie>;
+template class TeamCounter<HashTree>;
 
 TriangleTeam::TriangleTeam(CountingPool* pool, TrianglePairCounter* tri,
                            SubsetStats* stats, const CancelToken* cancel)

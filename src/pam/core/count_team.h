@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "pam/hashtree/candidate_trie.h"
 #include "pam/hashtree/counting_pool.h"
 #include "pam/hashtree/hash_tree.h"
 #include "pam/hashtree/pair_counter.h"
@@ -29,23 +30,25 @@ inline constexpr std::size_t kCancelCheckStride = 2048;
 void AccumulateShardWork(std::vector<std::uint64_t>& into,
                          const std::vector<std::uint64_t>& from);
 
-/// Drives one pass's hash-tree counting through the intra-rank team
-/// (DESIGN.md §11): transactions are split across the pool's shards, shard
-/// 0 counting on the calling rank thread directly into `counts`, shards
-/// 1..T-1 counting into cache-line padded CounterStrips with per-shard
-/// HashTree::Scratch. Finish() merges strips and per-shard stats in fixed
+/// Drives one pass's tree counting through the intra-rank team (DESIGN.md
+/// §11): transactions are split across the pool's shards, shard 0 counting
+/// on the calling rank thread directly into `counts`, shards 1..T-1
+/// counting into cache-line padded CounterStrips, every shard with its own
+/// Tree::Scratch. Finish() merges strips and per-shard stats in fixed
 /// shard order, so counts and SubsetStats are byte-identical to the
 /// single-threaded path for every team size.
 ///
-/// With a 1-thread pool the team degenerates to direct Subset() calls —
-/// the exact pre-team code path, no strips, no extra allocation.
+/// `Tree` is the counting structure: CandidateTrie in production,
+/// HashTree for the paper's instrumentation. With a 1-thread pool the team
+/// degenerates to direct Subset() calls: no strips, no threads.
+template <typename Tree>
 class TeamCounter {
  public:
   /// `pool`, `tree`, `counts`, `stats`, `root_filter` and `cancel` must
   /// outlive the counter. `stats` may be null (work counters are then not
   /// collected); `cancel` may be null or point at a null token (no
-  /// cancellation checks — the exact pre-token code path).
-  TeamCounter(CountingPool* pool, HashTree* tree, std::span<Count> counts,
+  /// cancellation checks).
+  TeamCounter(CountingPool* pool, const Tree* tree, std::span<Count> counts,
               SubsetStats* stats, const Bitmap* root_filter = nullptr,
               const CancelToken* cancel = nullptr);
 
@@ -73,7 +76,7 @@ class TeamCounter {
   void RunBatch(std::size_t n, const TxAt& tx_at);
 
   CountingPool* pool_;
-  HashTree* tree_;
+  const Tree* tree_;
   std::span<Count> counts_;
   SubsetStats* stats_;
   const Bitmap* filter_;
@@ -82,13 +85,16 @@ class TeamCounter {
   int team_;
   bool finished_ = false;
 
+  std::vector<typename Tree::Scratch> scratch_;  // one per shard
   // Team-active (team_ > 1) state.
   CounterStrips strips_;
-  std::vector<HashTree::Scratch> scratch_;     // one per shard
-  std::vector<SubsetStats> shard_stats_;       // one per shard
+  std::vector<SubsetStats> shard_stats_;  // one per shard
   std::vector<std::uint64_t> shard_work_;
   std::vector<ItemSpan> page_tx_;  // reusable page-decode buffer
 };
+
+extern template class TeamCounter<CandidateTrie>;
+extern template class TeamCounter<HashTree>;
 
 /// The TeamCounter counterpart for the pass-2 triangle kernel: shard 0
 /// counts into the shared TrianglePairCounter, shards 1..T-1 into private

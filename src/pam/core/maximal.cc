@@ -1,14 +1,8 @@
 #include "pam/core/maximal.h"
 
-#include <algorithm>
-
 namespace pam {
-namespace {
 
-// Shared scan: keep itemset (level, i) when no superset one level up
-// satisfies `dominates(count_sub, count_super)`.
-FrequentItemsets Filter(const FrequentItemsets& frequent,
-                        bool require_equal_support) {
+FrequentItemsets ExtractMaximal(const FrequentItemsets& frequent) {
   FrequentItemsets out;
   for (std::size_t level = 0; level < frequent.levels.size(); ++level) {
     const ItemsetCollection& sets = frequent.levels[level];
@@ -18,17 +12,12 @@ FrequentItemsets Filter(const FrequentItemsets& frequent,
                                            : nullptr;
     for (std::size_t i = 0; i < sets.size(); ++i) {
       ItemSpan s = sets.Get(i);
+      // A frequent superset exists iff a one-larger one does (downward
+      // closure), so only level + 1 is scanned.
       bool dominated = false;
       if (supersets != nullptr) {
-        // A (k+1)-superset exists iff some extension of s is frequent;
-        // scan supersets and subset-test (supersets are sorted, and any
-        // frequent superset chain implies a one-larger frequent superset
-        // by downward closure, so checking level+1 suffices).
         for (std::size_t j = 0; j < supersets->size() && !dominated; ++j) {
-          if (IsSortedSubset(s, supersets->Get(j))) {
-            dominated = !require_equal_support ||
-                        supersets->count(j) == sets.count(i);
-          }
+          dominated = IsSortedSubset(s, supersets->Get(j));
         }
       }
       if (!dominated) kept.AddWithCount(s, sets.count(i));
@@ -39,28 +28,6 @@ FrequentItemsets Filter(const FrequentItemsets& frequent,
     out.levels.pop_back();
   }
   return out;
-}
-
-}  // namespace
-
-FrequentItemsets ExtractMaximal(const FrequentItemsets& frequent) {
-  return Filter(frequent, /*require_equal_support=*/false);
-}
-
-FrequentItemsets ExtractClosed(const FrequentItemsets& frequent) {
-  return Filter(frequent, /*require_equal_support=*/true);
-}
-
-bool CoveredByClosure(const FrequentItemsets& maximal, ItemSpan items) {
-  if (items.empty()) return false;
-  for (std::size_t level = items.size() - 1; level < maximal.levels.size();
-       ++level) {
-    const ItemsetCollection& sets = maximal.levels[level];
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      if (IsSortedSubset(items, sets.Get(i))) return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace pam

@@ -16,16 +16,6 @@ namespace pam {
 /// input, counts preserved.
 FrequentItemsets ExtractMaximal(const FrequentItemsets& frequent);
 
-/// Extracts the *closed* frequent itemsets: frequent itemsets with no
-/// superset of equal support. Closed sets preserve not just frequency
-/// membership but every support count.
-FrequentItemsets ExtractClosed(const FrequentItemsets& frequent);
-
-/// True if `items` is frequent according to `frequent` — i.e. present in
-/// the downward closure of the maximal sets. Works on outputs of
-/// ExtractMaximal as well as full FrequentItemsets.
-bool CoveredByClosure(const FrequentItemsets& maximal, ItemSpan items);
-
 }  // namespace pam
 
 #endif  // PAM_CORE_MAXIMAL_H_

@@ -21,7 +21,9 @@ struct AprioriConfig {
   /// Relative minimum support; only used when minsup_count == 0. The
   /// paper's experiments use 0.1% .. 0.025%.
   double minsup_fraction = 0.01;
-  /// Hash tree shape.
+  /// Hash tree shape: used when use_pass2_triangle is off and the tree
+  /// passes count through the paper's hash tree (the candidate trie has
+  /// no shape).
   HashTreeConfig tree;
   /// Stop after this pass (0 = run until F_k is empty). The paper's
   /// Figures 13-15 measure pass 3 only (max_k = 3 with count_only_last_pass
@@ -41,16 +43,18 @@ struct AprioriConfig {
   /// C_2 (the pass the paper's Table II shows ballooning) shrinks.
   /// 0 = disabled.
   std::size_t dhp_buckets = 0;
-  /// Pass-2 specialization: count C_2 with a flat triangular array over
-  /// F_1 ranks instead of the hash tree (see TrianglePairCounter). Exact
-  /// same counts and frequent itemsets, much faster — but no tree means no
-  /// traversal/leaf-visit stats for pass 2, so the Figure 11/12
-  /// instrumentation runs disable it. Only taken when the triangle fits
-  /// max_candidates_in_memory. Such a pass is Count Distribution in every
-  /// miner (the pass loop runs it, DESIGN.md §16): each rank counts its
-  /// own slice into the whole triangle, one reduction completes the
-  /// counts, and no transaction moves. With the flag off, pass 2 runs each
-  /// formulation's own tree pass.
+  /// The specialised counting kernels (DESIGN.md §7). On: pass 2 counts
+  /// every pair of F_1 in a flat triangular array over F_1 ranks (see
+  /// TrianglePairCounter) and reads F_2 off it without generating C_2,
+  /// when the triangle fits max_candidates_in_memory; such a pass is
+  /// Count Distribution in every miner (the pass loop runs it, DESIGN.md
+  /// §16). Every other pass counts through the candidate trie
+  /// (CandidateTrie). Off: every pass, pass 2 included, runs each
+  /// formulation's own tree pass over the paper's hash tree shaped by
+  /// `tree`, whose traversal and leaf-visit counters the figure benches
+  /// and the Section IV cost model read. Mined output is identical either
+  /// way. (The name predates the trie; the end-to-end benchmark reads the
+  /// field, so a rename waits for a change to the benchmark.)
   bool use_pass2_triangle = true;
   /// Size of the intra-rank counting team (DESIGN.md §11): the counting
   /// hot path of every pass splits its transactions across this many

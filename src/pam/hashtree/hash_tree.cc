@@ -278,7 +278,6 @@ void HashTree::Freeze() {
   item_stamp_size_ =
       leaf_ids_.empty() ? 0 : static_cast<std::size_t>(max_item) + 1;
   root_ref_ = encode(0);
-  scratch_ = MakeScratch();
 
   // The node-based tree is no longer needed; release it.
   std::vector<Node>().swap(nodes_);
@@ -294,6 +293,10 @@ HashTree::Scratch HashTree::MakeScratch() const {
 
 void HashTree::Subset(ItemSpan transaction, std::span<Count> counts,
                       SubsetStats* stats, const Bitmap* root_filter) {
+  // Made on first use (a made scratch always has a stack): the counting
+  // team brings its own, and a tree need not hold an unused item-sized
+  // array beside it.
+  if (scratch_.stack.empty()) scratch_ = MakeScratch();
   Subset(transaction, counts, stats, root_filter, scratch_);
 }
 

@@ -16,7 +16,10 @@ namespace pam {
 /// paper tunes the branching factor so that the average number of
 /// candidates per leaf is S; here both knobs are explicit. The defaults
 /// are the fastest measured shape (DESIGN.md §7); the figure benches pin
-/// the paper's hashed tree instead (bench::BenchTreeConfig).
+/// the paper's hashed tree instead (bench::BenchTreeConfig). The miners
+/// count through the hash tree only with
+/// AprioriConfig::use_pass2_triangle off; otherwise their tree passes use
+/// the CandidateTrie.
 struct HashTreeConfig {
   /// Branching factor of internal nodes. Rounded up to the next power of
   /// two at construction so hashing is a bit mask; items hash as
@@ -91,12 +94,13 @@ struct SubsetStats {
 ///
 /// Construction inserts into a conventional node-based tree; the finished
 /// tree is then frozen into a flat structure-of-arrays layout (see
-/// DESIGN.md, "Counting kernel memory layout") and the node storage is
-/// released. Subset() never allocates.
+/// DESIGN.md §7, "The hash tree") and the node storage is released. The
+/// scratch Subset() never allocates.
 ///
 /// Thread safety: the frozen tree is immutable, but each traversal needs
 /// mutable scratch (visit epochs, item stamps, the DFS stack). The
-/// one-argument Subset() uses an internal Scratch and is single-threaded;
+/// one-argument Subset() uses an internal Scratch, made on its first call,
+/// and is single-threaded;
 /// the intra-rank counting team gives every worker its own MakeScratch()
 /// and calls the const overload concurrently on one shared tree.
 class HashTree {
@@ -222,7 +226,7 @@ class HashTree {
   std::vector<std::uint32_t> leaf_ids_;
   std::vector<Item> leaf_items_;
   std::size_t item_stamp_size_ = 0;  // largest candidate item + 1
-  Scratch scratch_;  // backs the single-threaded Subset() overload
+  Scratch scratch_;  // backs the single-threaded Subset(), made on first use
 };
 
 }  // namespace pam

@@ -78,8 +78,15 @@ class TrianglePairCounter {
 
   /// Scatters the triangle into `counts` (indexed by candidate position in
   /// `c2`). Every candidate of `c2` must be a pair of frequent items —
-  /// true for apriori_gen(F_1) output, DHP-filtered or not.
+  /// true for apriori_gen(F_1) output, DHP-filtered or not. The miners
+  /// read F_2 off cells() instead and generate no C_2.
   void Extract(const ItemsetCollection& c2, std::span<Count> counts) const;
+
+  /// The triangle's R(R-1)/2 cells in row order: the cell of ranks a < b
+  /// precedes that of a' < b' iff (a, b) < (a', b'), which is C_2's
+  /// lexicographic order because F_1 is sorted. Writable, so a pass can
+  /// reduce the counts in place.
+  std::span<Count> cells() { return tri_; }
 
   std::size_t num_cells() const { return tri_.size(); }
 

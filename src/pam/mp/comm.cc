@@ -152,7 +152,6 @@ constexpr int kBarrierToken = kCollectiveBase + 0;
 constexpr int kBarrierRelease = kCollectiveBase + 1;
 constexpr int kReduceTag = kCollectiveBase + 2;
 constexpr int kGatherTag = kCollectiveBase + 4;
-constexpr int kBcastTag = kCollectiveBase + 6;
 
 std::span<const std::byte> WordsAsBytes(std::span<const std::uint64_t> s) {
   return std::span<const std::byte>(
@@ -526,57 +525,6 @@ std::vector<Payload> Comm::AllGatherPayload(Payload mine) {
         RecvPayload(LeftNeighbor(), kGatherTag);
   }
   return out;
-}
-
-std::vector<std::vector<std::byte>> Comm::AllGather(
-    std::span<const std::byte> mine) {
-  std::vector<Payload> payloads = AllGatherPayload(Payload::Copy(mine));
-  std::vector<std::vector<std::byte>> out;
-  out.reserve(payloads.size());
-  for (const Payload& payload : payloads) {
-    out.emplace_back(payload.bytes().begin(), payload.bytes().end());
-  }
-  return out;
-}
-
-Payload Comm::BcastPayload(int root, Payload data) {
-  const int p = size();
-  if (p == 1) return data;
-  obs::ScopedSpan span(obs::SpanKind::kCollective, -1, "bcast");
-
-  // Binomial tree rooted at `root` over virtual ranks vrank = (rank -
-  // root) mod P: a non-root receives once from the peer that clears its
-  // lowest set bit, then every holder forwards down the remaining bit
-  // positions. log2(P) depth, and interior nodes pass the received handle
-  // along unchanged.
-  const int vrank = (rank_ - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if (vrank & mask) {
-      const int src = (vrank - mask + root) % p;
-      data = RecvPayload(src, kBcastTag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < p && (vrank & mask) == 0) {
-      const int dst = (vrank + mask + root) % p;
-      Isend(dst, kBcastTag, data);
-    }
-    mask >>= 1;
-  }
-  return data;
-}
-
-std::vector<std::byte> Comm::Bcast(int root,
-                                   std::span<const std::byte> data) {
-  Payload payload =
-      rank_ == root ? Payload::Copy(data) : Payload();
-  payload = BcastPayload(root, std::move(payload));
-  return std::vector<std::byte>(payload.bytes().begin(),
-                                payload.bytes().end());
 }
 
 Comm Comm::Sub(const std::vector<int>& member_ranks,

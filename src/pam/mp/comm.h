@@ -295,18 +295,6 @@ class Comm {
   /// schedule; intermediate hops forward handles without copying.
   std::vector<Payload> AllGatherPayload(Payload mine);
 
-  /// AllGather convenience over raw bytes, returning owned vectors.
-  std::vector<std::vector<std::byte>> AllGather(
-      std::span<const std::byte> mine);
-
-  /// Broadcasts `data` from `root` to all members along a binomial tree
-  /// (log2(P) depth; interior nodes forward the received handle without
-  /// copying); returns the payload on all members.
-  Payload BcastPayload(int root, Payload data);
-
-  /// Bcast convenience over raw bytes, returning an owned vector.
-  std::vector<std::byte> Bcast(int root, std::span<const std::byte> data);
-
   // ---- Topology --------------------------------------------------------
 
   /// Creates a sub-communicator containing `member_ranks` (ranks of *this*

@@ -7,7 +7,7 @@
 namespace pam {
 
 // Count Distribution (paper Section III-A, Figure 4): every rank holds the
-// full candidate hash tree, counts over its local slice, and the global
+// full candidate tree, counts over its local slice, and the global
 // counts are formed by one global reduction. When the candidate set
 // exceeds the configured memory cap, the tree is partitioned and the local
 // transactions are re-scanned once per partition — the behaviour Figure 12
@@ -39,19 +39,18 @@ RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
       const std::size_t hi = std::min(num_candidates, lo + chunk_cap);
       std::vector<std::uint32_t> ids(hi - lo);
       std::iota(ids.begin(), ids.end(), static_cast<std::uint32_t>(lo));
-      obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild,
-                                 static_cast<std::int64_t>(chunk));
-      HashTree tree(candidates, std::move(ids), config.apriori.tree);
-      m.tree_build_inserts += tree.build_inserts();
-      build_span.End();
-      obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount,
-                                 static_cast<std::int64_t>(chunk));
-      TeamCounter team(&pool, &tree, std::span<Count>(counts), &m.subset,
-                       /*root_filter=*/nullptr, &config.apriori.cancel);
-      team.CountSlice(db, slice);
-      team.Finish();
-      AccumulateShardWork(m.shard_subset_work, team.shard_work());
-      count_span.End();
+      const auto index = static_cast<std::int64_t>(chunk);
+      parallel_internal::BuildAndCount(
+          candidates, std::move(ids), config.apriori, index, m,
+          [&](const auto& tree) {
+            obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, index);
+            TeamCounter team(&pool, &tree, std::span<Count>(counts),
+                             &m.subset, /*root_filter=*/nullptr,
+                             &config.apriori.cancel);
+            team.CountSlice(db, slice);
+            team.Finish();
+            AccumulateShardWork(m.shard_subset_work, team.shard_work());
+          });
       // Global reduction of this chunk's counts (the paper reduces per
       // hash-tree partition when memory-capped).
       comm.AllReduceSum(

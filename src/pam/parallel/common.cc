@@ -145,20 +145,18 @@ std::vector<Count> CountPageStream(const ItemsetCollection& candidates,
                                    const AprioriConfig& config,
                                    CountingPool* pool, PassMetrics& m,
                                    const PageStream& stream) {
-  obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild);
-  HashTree tree(candidates, owned_ids, config.tree);
-  m.tree_build_inserts = tree.build_inserts();
-  build_span.End();
   std::vector<Count> counts(candidates.size(), 0);
-  TeamCounter team(pool, &tree, std::span<Count>(counts), &m.subset,
-                   root_filter, &config.cancel);
-  std::int64_t page_index = 0;
-  stream([&](PageView page) {
-    obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, page_index++);
-    m.transactions_processed += team.CountPage(page);
+  BuildAndCount(candidates, owned_ids, config, -1, m, [&](const auto& tree) {
+    TeamCounter team(pool, &tree, std::span<Count>(counts), &m.subset,
+                     root_filter, &config.cancel);
+    std::int64_t page_index = 0;
+    stream([&](PageView page) {
+      obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, page_index++);
+      m.transactions_processed += team.CountPage(page);
+    });
+    team.Finish();
+    AccumulateShardWork(m.shard_subset_work, team.shard_work());
   });
-  team.Finish();
-  AccumulateShardWork(m.shard_subset_work, team.shard_work());
   return counts;
 }
 

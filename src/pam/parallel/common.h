@@ -10,6 +10,7 @@
 #include "pam/core/serial_apriori.h"
 #include "pam/hashtree/counting_pool.h"
 #include "pam/mp/comm.h"
+#include "pam/obs/trace.h"
 #include "pam/parallel/metrics.h"
 #include "pam/tdb/database.h"
 #include "pam/tdb/page_buffer.h"
@@ -108,8 +109,31 @@ int ChooseGridRows(std::size_t num_candidates, std::size_t threshold_m,
 using PageStream =
     std::function<void(const std::function<void(PageView)>& process)>;
 
+/// Builds a tree pass's counting structure over candidates `ids` of
+/// `candidates` under a kTreeBuild span numbered `index`, adds its inserts
+/// to the row and hands it to `count`, a callable taking `const auto&`:
+/// the CandidateTrie wherever config.use_pass2_triangle allows the
+/// specialised kernels, and the paper's HashTree shaped by config.tree
+/// when the flag is off (the figures' and the cost model's instrument).
+template <typename CountFn>
+void BuildAndCount(const ItemsetCollection& candidates,
+                   std::vector<std::uint32_t> ids, const AprioriConfig& config,
+                   std::int64_t index, PassMetrics& m, const CountFn& count) {
+  obs::ScopedSpan build_span(obs::SpanKind::kTreeBuild, index);
+  const auto built = [&](const auto& tree) {
+    m.tree_build_inserts += tree.build_inserts();
+    build_span.End();
+    count(tree);
+  };
+  if (config.use_pass2_triangle) {
+    built(CandidateTrie(candidates, std::move(ids)));
+  } else {
+    built(HashTree(candidates, std::move(ids), config.tree));
+  }
+}
+
 /// The counting step of the formulations that move transactions on a
-/// tree pass (DD, DD+comm, IDD, HD): builds a hash tree over `owned_ids`
+/// tree pass (DD, DD+comm, IDD, HD): builds a counting tree over `owned_ids`
 /// (root-filtered by `root_filter` when non-null), counts every page
 /// `stream` delivers through the counting team, and returns counts
 /// indexed by candidate id: complete over the streamed pages for the

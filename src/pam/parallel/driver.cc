@@ -24,21 +24,49 @@ bool TriangleEligible(int k, const AprioriConfig& config,
                                    config.max_candidates_in_memory);
 }
 
+// The triangle cells (row order) of the pairs of F_1 whose DHP bucket
+// reaches minsup: C_2 as FilterByBuckets would keep it from AprioriGen's
+// pairs, without generating them.
+std::vector<std::size_t> CellsPassingBuckets(const ItemsetCollection& f1,
+                                             const std::vector<Count>& buckets,
+                                             Count minsup) {
+  std::vector<std::size_t> kept;
+  Item pair[2];
+  std::size_t cell = 0;
+  for (std::size_t a = 0; a + 1 < f1.size(); ++a) {
+    pair[0] = f1.Get(a)[0];
+    for (std::size_t b = a + 1; b < f1.size(); ++b, ++cell) {
+      pair[1] = f1.Get(b)[0];
+      const std::size_t bucket =
+          HashItemset(ItemSpan(pair, 2)) % buckets.size();
+      if (buckets[bucket] >= minsup) kept.push_back(cell);
+    }
+  }
+  return kept;
+}
+
 // A triangle pass is Count Distribution in every formulation (DESIGN.md
 // §16): the whole F_1 x F_1 triangle fits on every rank, so each rank
 // counts its own slice into it with its counting team, one AllReduceSum
-// of |C_2| words completes the counts, and every rank prunes the same
-// global counts. No transaction moves and nothing is exchanged.
+// completes the counts, and every rank reads the same F_2 off them. No
+// transaction moves, nothing is exchanged, and no C_2 is generated: the
+// triangle holds one cell per pair of F_1, in C_2's lexicographic order.
+// Without DHP (`kept` null) the reduction runs over the triangle's cells
+// in place; with it, over the cells of the pairs that pass the buckets,
+// gathered in that order, so |C_2| and the reduction have the filtered
+// candidate set's size.
 ItemsetCollection TrianglePass(const TransactionDatabase& db,
                                TransactionDatabase::Slice slice, Comm& comm,
                                const ItemsetCollection& f1,
-                               ItemsetCollection candidates, Count minsup,
-                               const AprioriConfig& config,
+                               const std::vector<std::size_t>* kept,
+                               Count minsup, const AprioriConfig& config,
                                CountingPool& pool, PassMetrics& m) {
-  m.grid_cols = comm.size();
-  m.num_candidates_local = candidates.size();
-  m.transactions_processed = slice.size();
   TrianglePairCounter tri(f1);
+  const std::span<Count> cells = tri.cells();
+  m.grid_cols = comm.size();
+  m.num_candidates_global = kept != nullptr ? kept->size() : cells.size();
+  m.num_candidates_local = m.num_candidates_global;
+  m.transactions_processed = slice.size();
   {
     obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, /*index=*/0,
                                "triangle");
@@ -47,13 +75,36 @@ ItemsetCollection TrianglePass(const TransactionDatabase& db,
     team.Finish();
     AccumulateShardWork(m.shard_subset_work, team.shard_work());
   }
-  std::vector<Count> counts(candidates.size(), 0);
-  tri.Extract(candidates, std::span<Count>(counts));
-  comm.AllReduceSum(std::span<std::uint64_t>(counts));
-  m.reduction_words += counts.size();
-  candidates.counts() = std::move(counts);
-  candidates.PruneBelow(minsup);
-  return candidates;
+  if (kept == nullptr) {
+    comm.AllReduceSum(cells);
+    m.reduction_words += cells.size();
+  } else {
+    std::vector<Count> gathered;
+    gathered.reserve(kept->size());
+    for (const std::size_t cell : *kept) gathered.push_back(cells[cell]);
+    comm.AllReduceSum(std::span<Count>(gathered));
+    m.reduction_words += gathered.size();
+    // A rejected pair's bucket fell below minsup, so minsup >= 1 and a
+    // zeroed cell never reaches it.
+    std::fill(cells.begin(), cells.end(), 0);
+    for (std::size_t i = 0; i < kept->size(); ++i) {
+      cells[(*kept)[i]] = gathered[i];
+    }
+  }
+
+  ItemsetCollection f2(2);
+  Item pair[2];
+  std::size_t cell = 0;
+  for (std::size_t a = 0; a + 1 < f1.size(); ++a) {
+    pair[0] = f1.Get(a)[0];
+    for (std::size_t b = a + 1; b < f1.size(); ++b, ++cell) {
+      if (cells[cell] >= minsup) {
+        pair[1] = f1.Get(b)[0];
+        f2.AddWithCount(ItemSpan(pair, 2), cells[cell]);
+      }
+    }
+  }
+  return f2;
 }
 
 }  // namespace
@@ -103,9 +154,22 @@ RankOutput RunPasses(const TransactionDatabase& db,
       m.grid_cols = comm.size();
       frequent = parallel_internal::ParallelPass1(db, slice, comm, minsup, &m,
                                                   &config, &dhp_buckets);
+    } else if (const ItemsetCollection& prev = out.frequent.levels.back();
+               TriangleEligible(k, apriori, prev.size())) {
+      std::vector<std::size_t> kept;
+      if (!dhp_buckets.empty()) {
+        kept = CellsPassingBuckets(prev, dhp_buckets, minsup);
+        if (kept.empty()) {
+          pass_span.Cancel();  // no PassMetrics row, so no pass span either
+          break;
+        }
+      }
+      frequent = TrianglePass(db, slice, comm, prev,
+                              dhp_buckets.empty() ? nullptr : &kept, minsup,
+                              apriori, pool, m);
+      m.num_frequent_global = frequent.size();
     } else {
       // Every rank generates the same C_k from the same F_{k-1}.
-      const ItemsetCollection& prev = out.frequent.levels.back();
       ItemsetCollection candidates = AprioriGen(prev);
       if (k == 2 && !dhp_buckets.empty()) {
         candidates = FilterByBuckets(candidates, dhp_buckets, minsup);
@@ -115,11 +179,7 @@ RankOutput RunPasses(const TransactionDatabase& db,
         break;
       }
       m.num_candidates_global = candidates.size();
-      frequent = TriangleEligible(k, apriori, prev.size())
-                     ? TrianglePass(db, slice, comm, prev,
-                                    std::move(candidates), minsup, apriori,
-                                    pool, m)
-                     : body(k, std::move(candidates), m);
+      frequent = body(k, std::move(candidates), m);
       m.num_frequent_global = frequent.size();
     }
     const CommFaultStats faults = comm.MyFaultStats();

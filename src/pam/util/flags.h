@@ -36,6 +36,9 @@ class FlagParser {
   std::int64_t GetInt(const std::string& name,
                       std::int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
+  /// Accepts `true`, `1`, `yes` (and a bare `--name`) as true and `false`,
+  /// `0`, `no` as false; anything else yields `default_value` and records
+  /// an error in error(), as the numeric getters do.
   bool GetBool(const std::string& name, bool default_value) const;
 
   /// True when base-10 strtoll / strtod consume all of `text` (at least
@@ -44,7 +47,7 @@ class FlagParser {
   static bool ParseDouble(const std::string& text, double* out);
 
   const std::vector<std::string>& positional() const { return positional_; }
-  /// Why Parse failed, or the first malformed number a getter read.
+  /// Why Parse failed, or the first malformed value a getter read.
   const std::string& error() const { return error_; }
 
   /// Flags seen that are not in `known`; lets tools reject typos.
@@ -52,7 +55,7 @@ class FlagParser {
       const std::vector<std::string>& known) const;
 
  private:
-  // Records a malformed-number error for `name` unless one is recorded.
+  // Records a malformed-value error for `name` unless one is recorded.
   void Malformed(const std::string& name, const char* want) const;
 
   std::map<std::string, std::string> values_;
@@ -154,7 +157,11 @@ inline bool FlagParser::GetBool(const std::string& name,
                                 bool default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  Malformed(name, "true, 1, yes, false, 0 or no");
+  return default_value;
 }
 
 inline std::vector<std::string> FlagParser::UnknownFlags(

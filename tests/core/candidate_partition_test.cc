@@ -6,6 +6,7 @@
 
 #include "pam/core/apriori_gen.h"
 #include "pam/util/prng.h"
+#include "testing/test_support.h"
 
 namespace pam {
 namespace {
@@ -95,10 +96,10 @@ TEST(PrefixPartitionTest, BinPackedBeatsContiguousOnSkew) {
       col, 100, 2, PrefixStrategy::kBinPacked, false);
   CandidatePartition contiguous = PartitionByPrefix(
       col, 100, 2, PrefixStrategy::kContiguous, false);
-  EXPECT_LT(packed.CandidateBalance().imbalance,
-            contiguous.CandidateBalance().imbalance);
-  EXPECT_GT(contiguous.CandidateBalance().imbalance_percent, 50.0);
-  EXPECT_LT(packed.CandidateBalance().imbalance_percent, 10.0);
+  EXPECT_LT(testing::CandidateBalance(packed).imbalance,
+            testing::CandidateBalance(contiguous).imbalance);
+  EXPECT_GT(testing::CandidateBalance(contiguous).imbalance_percent, 50.0);
+  EXPECT_LT(testing::CandidateBalance(packed).imbalance_percent, 10.0);
 }
 
 TEST(PrefixPartitionTest, HeavyPrefixSplittingCapsDominantItem) {
@@ -119,8 +120,8 @@ TEST(PrefixPartitionTest, HeavyPrefixSplittingCapsDominantItem) {
       col, 100, 4, PrefixStrategy::kBinPacked, false);
   CandidatePartition split = PartitionByPrefix(
       col, 100, 4, PrefixStrategy::kBinPacked, true);
-  EXPECT_GT(no_split.CandidateBalance().imbalance, 3.0);
-  EXPECT_LT(split.CandidateBalance().imbalance, 1.5);
+  EXPECT_GT(testing::CandidateBalance(no_split).imbalance, 3.0);
+  EXPECT_LT(testing::CandidateBalance(split).imbalance, 1.5);
   ExpectExactCover(split, col.size());
 
   // The split item's bit must be set on every part that owns a piece.
@@ -174,7 +175,7 @@ TEST(PrefixPartitionTest, PaperReportedBalanceBand) {
   for (int p : {4, 8}) {
     CandidatePartition part = PartitionByPrefix(
         col, 1000, p, PrefixStrategy::kBinPacked);
-    EXPECT_LT(part.CandidateBalance().imbalance_percent, 5.0)
+    EXPECT_LT(testing::CandidateBalance(part).imbalance_percent, 5.0)
         << "P=" << p;
   }
 }

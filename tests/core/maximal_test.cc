@@ -7,6 +7,7 @@
 
 #include "pam/parallel/driver.h"
 #include "testing/random_db.h"
+#include "testing/reference.h"
 
 namespace pam {
 namespace {
@@ -65,12 +66,12 @@ TEST(MaximalTest, ClosureRecoversAllFrequentSets) {
   // nothing non-frequent is.
   for (const auto& level : frequent.levels) {
     for (std::size_t i = 0; i < level.size(); ++i) {
-      EXPECT_TRUE(CoveredByClosure(maximal, level.Get(i)));
+      EXPECT_TRUE(testing::CoveredByClosure(maximal, level.Get(i)));
     }
   }
   std::vector<Item> bogus = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
   EXPECT_FALSE(
-      CoveredByClosure(maximal, ItemSpan(bogus.data(), bogus.size())));
+      testing::CoveredByClosure(maximal, ItemSpan(bogus.data(), bogus.size())));
 }
 
 TEST(ClosedTest, ClosedSupersetOfMaximal) {
@@ -79,7 +80,7 @@ TEST(ClosedTest, ClosedSupersetOfMaximal) {
   TransactionDatabase db = testing::RandomDb(150, 12, 8, 71);
   FrequentItemsets frequent = Mine(db, 8);
   auto maximal = Sets(ExtractMaximal(frequent));
-  auto closed = Sets(ExtractClosed(frequent));
+  auto closed = Sets(testing::ExtractClosed(frequent));
   auto all = Sets(frequent);
   for (const auto& s : maximal) EXPECT_TRUE(closed.count(s));
   for (const auto& s : closed) EXPECT_TRUE(all.count(s));
@@ -97,7 +98,7 @@ TEST(ClosedTest, ClosedPreservesSupportInformation) {
       counts[std::vector<Item>(s.begin(), s.end())] = level.count(i);
     }
   }
-  auto closed = Sets(ExtractClosed(frequent));
+  auto closed = Sets(testing::ExtractClosed(frequent));
   for (const auto& [set, count] : counts) {
     bool has_equal_superset = false;
     for (const auto& [other, other_count] : counts) {
@@ -115,9 +116,9 @@ TEST(ClosedTest, ClosedPreservesSupportInformation) {
 TEST(MaximalTest, EmptyInput) {
   FrequentItemsets empty;
   EXPECT_EQ(ExtractMaximal(empty).TotalCount(), 0u);
-  EXPECT_EQ(ExtractClosed(empty).TotalCount(), 0u);
+  EXPECT_EQ(testing::ExtractClosed(empty).TotalCount(), 0u);
   std::vector<Item> probe = {1};
-  EXPECT_FALSE(CoveredByClosure(empty, ItemSpan(probe.data(), 1)));
+  EXPECT_FALSE(testing::CoveredByClosure(empty, ItemSpan(probe.data(), 1)));
 }
 
 }  // namespace

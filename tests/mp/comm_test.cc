@@ -7,6 +7,7 @@
 
 #include "pam/mp/runtime.h"
 #include "pam/util/prng.h"
+#include "testing/collectives.h"
 
 namespace pam {
 namespace {
@@ -160,7 +161,7 @@ TEST(CommTest, AllGatherCollectsInRankOrder) {
     std::vector<std::uint32_t> mine(
         static_cast<std::size_t>(comm.rank()) + 1,
         static_cast<std::uint32_t>(comm.rank()));
-    auto blobs = comm.AllGather(std::span<const std::byte>(
+    auto blobs = testing::AllGather(comm, std::span<const std::byte>(
         reinterpret_cast<const std::byte*>(mine.data()),
         mine.size() * sizeof(std::uint32_t)));
     ASSERT_EQ(blobs.size(), static_cast<std::size_t>(comm.size()));
@@ -182,7 +183,7 @@ TEST(CommTest, BcastDistributesRootData) {
     if (comm.rank() == 2) {
       data = {std::byte{9}, std::byte{8}};
     }
-    std::vector<std::byte> got = comm.Bcast(2, data);
+    std::vector<std::byte> got = testing::Bcast(comm, 2, data);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0], std::byte{9});
   });
@@ -336,7 +337,7 @@ TEST(CommTest, BcastFromEveryRootNonPowerOfTwo) {
         data = {std::byte{static_cast<unsigned char>(root)},
                 std::byte{42}};
       }
-      const std::vector<std::byte> got = comm.Bcast(root, data);
+      const std::vector<std::byte> got = testing::Bcast(comm, root, data);
       ASSERT_EQ(got.size(), 2u);
       EXPECT_EQ(got[0], std::byte{static_cast<unsigned char>(root)});
       EXPECT_EQ(got[1], std::byte{42});

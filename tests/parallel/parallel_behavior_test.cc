@@ -381,9 +381,11 @@ TEST(ParallelBehaviorTest, DdCommVolumeMatchesDd) {
 }
 
 // The hash tree defaults (identity root, 64-candidate leaves) reach every
-// formulation: a default-config run does exactly the counting work of a
-// run pinning that shape, and less traversal than a run pinning the
-// paper's hashed root. Tree shape never changes what is mined.
+// formulation: a run with the default shape does exactly the counting work
+// of a run pinning that shape, and less traversal than a run pinning the
+// paper's hashed root. Tree shape never changes what is mined. Every run
+// turns the specialised kernels off, so every pass counts through the hash
+// tree (by default passes k >= 3 count through the candidate trie).
 //
 // Traversal is compared rank by rank, since each rank builds its own tree.
 // Where the hashed root has split, the identity root never traverses more
@@ -397,6 +399,7 @@ TEST(ParallelBehaviorTest, TreeDefaultsReachEveryFormulation) {
   const TransactionDatabase db = testing::SeededQuestDb(404);
   const int p = 2;
   ParallelConfig defaults = BaseConfig();
+  defaults.apriori.use_pass2_triangle = false;
   ParallelConfig pinned = defaults;
   pinned.apriori.tree.identity_root = true;
   pinned.apriori.tree.leaf_capacity = 64;

@@ -14,6 +14,10 @@
 //   GenerateRulesBruteForce
 //                       every non-empty proper subset of every frequent
 //                       itemset as a consequent; the oracle for rules.
+//   ExtractClosed       frequent itemsets with no superset of equal
+//                       support, beside the library's ExtractMaximal.
+//   CoveredByClosure    membership in the downward closure of a set of
+//                       itemsets (e.g. ExtractMaximal's output).
 
 #include <algorithm>
 #include <cassert>
@@ -284,6 +288,49 @@ inline std::vector<Rule> GenerateRulesBruteForce(
     return a.consequent < b.consequent;
   });
   return rules;
+}
+
+/// The closed frequent itemsets: those with no superset of equal support.
+/// Closed sets keep every support count, where maximal sets keep only
+/// which itemsets are frequent. Grouped by size like the input.
+inline FrequentItemsets ExtractClosed(const FrequentItemsets& frequent) {
+  FrequentItemsets out;
+  for (std::size_t level = 0; level < frequent.levels.size(); ++level) {
+    const ItemsetCollection& sets = frequent.levels[level];
+    ItemsetCollection kept(sets.k());
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      // An equal-support superset implies a one-larger one of equal
+      // support (support only falls along a chain), so level + 1 suffices.
+      bool dominated = false;
+      if (level + 1 < frequent.levels.size()) {
+        const ItemsetCollection& supersets = frequent.levels[level + 1];
+        for (std::size_t j = 0; j < supersets.size() && !dominated; ++j) {
+          dominated = IsSortedSubset(sets.Get(i), supersets.Get(j)) &&
+                      supersets.count(j) == sets.count(i);
+        }
+      }
+      if (!dominated) kept.AddWithCount(sets.Get(i), sets.count(i));
+    }
+    out.levels.push_back(std::move(kept));
+  }
+  while (!out.levels.empty() && out.levels.back().empty()) {
+    out.levels.pop_back();
+  }
+  return out;
+}
+
+/// True if `items` is a subset of some itemset of `sets` of at least its
+/// size: for ExtractMaximal's output, whether `items` is frequent.
+inline bool CoveredByClosure(const FrequentItemsets& sets, ItemSpan items) {
+  if (items.empty()) return false;
+  for (std::size_t level = items.size() - 1; level < sets.levels.size();
+       ++level) {
+    const ItemsetCollection& level_sets = sets.levels[level];
+    for (std::size_t i = 0; i < level_sets.size(); ++i) {
+      if (IsSortedSubset(items, level_sets.Get(i))) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace pam::testing

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "pam/api/session.h"
+#include "pam/core/candidate_partition.h"
 #include "pam/core/serial_apriori.h"
 #include "pam/datagen/quest_gen.h"
 #include "pam/parallel/driver.h"
 #include "pam/tdb/database.h"
+#include "pam/util/stats.h"
 #include "testing/random_db.h"
 
 namespace pam::testing {
@@ -28,6 +30,15 @@ inline std::map<std::vector<Item>, Count> Flatten(const FrequentItemsets& fi) {
     }
   }
   return out;
+}
+
+/// Balance of candidate counts across a partition's parts (the paper
+/// reports 1.3% for P=4 and 2.3% for P=8).
+inline LoadSummary CandidateBalance(const CandidatePartition& partition) {
+  std::vector<std::uint64_t> sizes;
+  sizes.reserve(partition.ids_per_part.size());
+  for (const auto& ids : partition.ids_per_part) sizes.push_back(ids.size());
+  return Summarize(sizes);
 }
 
 /// The standard small Quest workload used by the equivalence tests:

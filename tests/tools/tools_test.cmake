@@ -134,6 +134,21 @@ foreach(case "ranks;0" "ranks;-1" "dhp;-1" "minsup;-5" "minsup;abc"
             "pam_mine --${flag} ${value} did not name the flag: ${range_err}")
   endif()
 endforeach()
+# A switch takes true, 1, yes, false, 0 or no: a typo exits 2 naming the
+# flag instead of silently turning the switch off.
+foreach(switch "rules=ture" "maximal=2" "stats=off" "help=maybe")
+  string(REGEX REPLACE "=.*" "" flag "${switch}")
+  execute_process(
+    COMMAND "${MINE}" --input "${SMALL_TEXT}" --format text --${switch}
+    RESULT_VARIABLE switch_rc OUTPUT_VARIABLE switch_out
+    ERROR_VARIABLE switch_err)
+  if(NOT switch_rc STREQUAL "2" OR
+     NOT switch_err MATCHES "error: --${flag} must be true, 1, yes")
+    message(FATAL_ERROR
+            "pam_mine --${switch} exited '${switch_rc}', want 2: "
+            "${switch_out}${switch_err}")
+  endif()
+endforeach()
 file(REMOVE "${SMALL_TEXT}")
 
 # pam_gen reads its numbers through the same parser: a malformed one exits
@@ -147,6 +162,15 @@ if(NOT gen_bad_rc STREQUAL "2" OR
    EXISTS "${NOT_WRITTEN}")
   message(FATAL_ERROR
           "pam_gen --transactions 20x exited '${gen_bad_rc}': ${gen_bad_err}")
+endif()
+execute_process(
+  COMMAND "${GEN}" --transactions 20 --text=maybe --output "${NOT_WRITTEN}"
+  RESULT_VARIABLE gen_switch_rc OUTPUT_QUIET ERROR_VARIABLE gen_switch_err)
+if(NOT gen_switch_rc STREQUAL "2" OR
+   NOT gen_switch_err MATCHES "error: --text must be true, 1, yes" OR
+   EXISTS "${NOT_WRITTEN}")
+  message(FATAL_ERROR
+          "pam_gen --text=maybe exited '${gen_switch_rc}': ${gen_switch_err}")
 endif()
 
 # DHP filter must preserve the mined itemset count.

@@ -55,13 +55,34 @@ TEST(FlagsTest, PositionalArguments) {
 }
 
 TEST(FlagsTest, BooleanSpellings) {
-  FlagParser p =
-      Parse({"--a=true", "--b=1", "--c=yes", "--d=false", "--e=0"});
+  FlagParser p = Parse(
+      {"--a=true", "--b=1", "--c=yes", "--d=false", "--e=0", "--f=no"});
   EXPECT_TRUE(p.GetBool("a", false));
   EXPECT_TRUE(p.GetBool("b", false));
   EXPECT_TRUE(p.GetBool("c", false));
   EXPECT_FALSE(p.GetBool("d", true));
   EXPECT_FALSE(p.GetBool("e", true));
+  EXPECT_FALSE(p.GetBool("f", true));
+  EXPECT_TRUE(p.error().empty());
+}
+
+TEST(FlagsTest, MalformedBoolNamesTheFlagAndKeepsTheDefault) {
+  FlagParser p = Parse({"--rules=ture", "--quiet", "off", "--text=yes"});
+  EXPECT_TRUE(p.GetBool("text", false));
+  EXPECT_TRUE(p.error().empty());
+  EXPECT_FALSE(p.GetBool("rules", false));
+  EXPECT_EQ(p.error(),
+            "--rules must be true, 1, yes, false, 0 or no, got 'ture'");
+  // The first malformed value stays the reported one.
+  EXPECT_TRUE(p.GetBool("quiet", true));
+  EXPECT_EQ(p.error(),
+            "--rules must be true, 1, yes, false, 0 or no, got 'ture'");
+
+  for (const char* bad : {"", "TRUE", "2", "y", "nope", " 1"}) {
+    FlagParser q = Parse({"--b", bad});
+    EXPECT_TRUE(q.GetBool("b", true)) << "'" << bad << "'";
+    EXPECT_FALSE(q.error().empty()) << "'" << bad << "'";
+  }
 }
 
 TEST(FlagsTest, UnknownFlagDetection) {

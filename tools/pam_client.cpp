@@ -61,12 +61,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown flag --%s\n%s", f.c_str(), kUsage);
     return 2;
   }
-  if (flags.GetBool("help", false)) {
+  const bool help = flags.GetBool("help", false);
+  if (help) {
     std::fputs(kUsage, stdout);
     return 0;
   }
 
   int port = static_cast<int>(flags.GetInt("port", 0));
+  const bool quiet = flags.GetBool("quiet", false);
   if (!flags.error().empty()) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(), kUsage);
     return 2;
@@ -104,7 +106,6 @@ int main(int argc, char** argv) {
     }
   }
   std::istream& in = flags.Has("script") ? script : std::cin;
-  const bool quiet = flags.GetBool("quiet", false);
 
   // Send everything first; the server pipelines and responses arrive as
   // they complete. Tags are assigned locally; ids map onto them so

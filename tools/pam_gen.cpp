@@ -51,9 +51,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown flag --%s\n%s", f.c_str(), kUsage);
     return 2;
   }
-  if (flags.GetBool("help", false) || !flags.Has("output")) {
+  const bool help = flags.GetBool("help", false);
+  if (help || !flags.Has("output")) {
     std::fputs(kUsage, flags.Has("output") ? stdout : stderr);
-    return flags.GetBool("help", false) ? 0 : 2;
+    return help ? 0 : 2;
   }
 
   pam::QuestConfig config;
@@ -69,6 +70,7 @@ int main(int argc, char** argv) {
   config.hot_items = static_cast<pam::Item>(flags.GetInt("hot-items", 0));
   config.hot_item_mass = flags.GetDouble("hot-mass", 0.0);
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
+  const bool text = flags.GetBool("text", false);
   if (!flags.error().empty()) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(), kUsage);
     return 2;
@@ -77,9 +79,8 @@ int main(int argc, char** argv) {
   pam::WallTimer timer;
   pam::TransactionDatabase db = pam::GenerateQuest(config);
   const std::string path = flags.GetString("output", "");
-  const pam::Status status = flags.GetBool("text", false)
-                                 ? pam::WriteText(db, path)
-                                 : pam::WriteBinary(db, path);
+  const pam::Status status =
+      text ? pam::WriteText(db, path) : pam::WriteBinary(db, path);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.message().c_str());
     return 1;

@@ -116,13 +116,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown flag --%s\n%s", f.c_str(), kUsage);
     return 2;
   }
-  if (flags.GetBool("help", false) || !flags.Has("input")) {
+  const bool help = flags.GetBool("help", false);
+  if (help || !flags.Has("input")) {
     std::fputs(kUsage, flags.Has("input") ? stdout : stderr);
-    return flags.GetBool("help", false) ? 0 : 2;
+    return help ? 0 : 2;
   }
-  // Every number is read before anything is loaded. A malformed one is
-  // reported by the parser; an out-of-domain one would reach the miner as
-  // no ranks at all, a bucket count near 2^64, or a negative support.
+  // Every number and switch is read before anything is loaded. A malformed
+  // one is reported by the parser; an out-of-domain number would reach the
+  // miner as no ranks at all, a bucket count near 2^64, or a negative
+  // support.
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   const std::int64_t ranks = flags.GetInt("ranks", 4);
   const std::int64_t threads = flags.GetInt("threads-per-rank", 1);
@@ -138,6 +140,10 @@ int main(int argc, char** argv) {
   const auto fault_retries = static_cast<int>(flags.GetInt("fault-retries", 3));
   const auto fault_timeout =
       static_cast<int>(flags.GetInt("fault-timeout", 5000));
+  const bool print_stats = flags.GetBool("stats", false);
+  const bool rules = flags.GetBool("rules", false);
+  const bool explain = flags.GetBool("explain", false);
+  const bool maximal = flags.GetBool("maximal", false);
   const char* range_error =
       !flags.error().empty() ? flags.error().c_str()
       : ranks < 1 || ranks > kIntMax ? "--ranks must be from 1 to 2147483647"
@@ -165,7 +171,7 @@ int main(int argc, char** argv) {
   const pam::TransactionDatabase& db = loaded.value();
   std::printf("loaded %zu transactions, %zu items, avg length %.2f\n",
               db.size(), db.NumItems(), db.AverageLength());
-  if (flags.GetBool("stats", false)) {
+  if (print_stats) {
     std::printf("%s", pam::ComputeDbStats(db).ToString().c_str());
   }
 
@@ -204,7 +210,7 @@ int main(int argc, char** argv) {
   }
   request.num_ranks = static_cast<int>(ranks);
   request.config = config;
-  request.generate_rules = flags.GetBool("rules", false);
+  request.generate_rules = rules;
   request.min_confidence = minconf / 100.0;
 
   pam::MiningSession session;
@@ -252,7 +258,7 @@ int main(int argc, char** argv) {
     const pam::CostModel model(machine == "sp2"
                                    ? pam::MachineModel::IbmSp2()
                                    : pam::MachineModel::CrayT3E());
-    if (flags.GetBool("explain", false)) {
+    if (explain) {
       std::printf("%s", pam::ExplainRun(model, algorithm,
                                         report.metrics)
                             .c_str());
@@ -294,7 +300,7 @@ int main(int argc, char** argv) {
     std::printf("saved frequent itemsets to %s\n", out_path.c_str());
   }
 
-  if (flags.GetBool("maximal", false)) {
+  if (maximal) {
     pam::FrequentItemsets maximal = pam::ExtractMaximal(frequent);
     std::printf("maximal ");
     PrintItemsets(maximal, db.size(), top);

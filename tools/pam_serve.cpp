@@ -210,9 +210,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown flag --%s\n%s", f.c_str(), kUsage);
     return 2;
   }
-  if (flags.GetBool("help", false) || !flags.Has("datasets")) {
+  const bool help = flags.GetBool("help", false);
+  if (help || !flags.Has("datasets")) {
     std::fputs(kUsage, flags.Has("datasets") ? stdout : stderr);
-    return flags.GetBool("help", false) ? 0 : 2;
+    return help ? 0 : 2;
   }
 
   pam::serve::ServerConfig config;
@@ -232,6 +233,9 @@ int main(int argc, char** argv) {
       flags.GetDouble("result-cache-budget-mb", 0.0) * 1024.0 * 1024.0);
   config.result_cache_ttl_ms = flags.GetDouble("result-cache-ttl-ms", 0.0);
   const int port = static_cast<int>(flags.GetInt("port", 0));
+  const bool quiet = flags.GetBool("quiet", false);
+  const bool listen_tcp = flags.GetBool("listen", false);
+  const bool allow_shutdown = flags.GetBool("allow-shutdown", false);
   if (!flags.error().empty()) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(), kUsage);
     return 2;
@@ -272,17 +276,16 @@ int main(int argc, char** argv) {
     });
   }
 
-  const bool quiet = flags.GetBool("quiet", false);
   std::printf("pam_serve: %zu datasets, %d ranks, %d workers, queue %zu\n",
               catalog.size(), config.pool_ranks, config.workers,
               config.max_queue);
 
   int failures = 0;
-  if (flags.GetBool("listen", false)) {
+  if (listen_tcp) {
     pam::serve::NetServerConfig net_config;
     net_config.bind_address = flags.GetString("bind", "127.0.0.1");
     net_config.port = port;
-    net_config.allow_shutdown = flags.GetBool("allow-shutdown", false);
+    net_config.allow_shutdown = allow_shutdown;
     pam::serve::NetServer net(&server, net_config);
     const pam::Status status = net.Start();
     if (!status.ok()) {
