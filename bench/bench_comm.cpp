@@ -3,7 +3,8 @@
 // zero-copy rework — the Figure 6 ring pipeline circulating a
 // T10.I4.D100K database at P = 8 — and a cross-formulation equivalence
 // check (serial vs CD/DD/IDD/HD frequent itemsets must be identical).
-// Writes BENCH_comm.json. Exits non-zero if any formulation disagrees.
+// Writes BENCH_comm.json, with the build type and the host core count the
+// timings were taken under. Exits non-zero if any formulation disagrees.
 //
 // "legacy" mode reproduces the pre-payload transport cost model inside the
 // current API: every hop receives into an owned vector (one copy out of
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -273,6 +275,9 @@ int main(int argc, char** argv) {
   std::string json = "{\n";
   json += "  \"workload\": \"T10.I4.D" + std::to_string(n) + "\",\n";
   json += "  \"smoke\": " + std::string(smoke ? "true" : "false") + ",\n";
+  json += "  \"build_type\": \"" + std::string(PAM_BUILD_TYPE) + "\",\n";
+  json += "  \"host_cpu_cores\": " +
+          std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"reps\": " + std::to_string(reps) + ",\n";
   json += "  \"forward_sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {

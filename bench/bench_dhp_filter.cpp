@@ -28,7 +28,6 @@ int main() {
         std::size_t{1} << 18, std::size_t{1} << 22}) {
     ParallelConfig cfg;
     cfg.apriori.minsup_fraction = 0.0075;
-    cfg.apriori.tree = bench::BenchTreeConfig();
     cfg.apriori.dhp_buckets = buckets;
     cfg.apriori.use_pass2_triangle = false;  // instrument pass 2 via the tree
     MiningReport result = bench::Mine(Algorithm::kCD, db, p, cfg);

@@ -37,7 +37,6 @@ int main() {
         tx_per_rank * static_cast<std::size_t>(p)));
     ParallelConfig cfg;
     cfg.apriori.minsup_fraction = 0.02;
-    cfg.apriori.tree = bench::BenchTreeConfig();
     cfg.apriori.use_pass2_triangle = false;  // instrument pass 2 via the tree
     cfg.hd_threshold_m = 2000;  // scaled analogue of the paper's threshold
 

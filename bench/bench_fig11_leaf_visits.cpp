@@ -29,12 +29,11 @@ int main() {
     ParallelConfig cfg;
     cfg.apriori.minsup_fraction = 0.005;
     cfg.apriori.use_pass2_triangle = false;  // instrument pass 2 via the tree
-    // The paper's hashed tree (fanout 8, 16-candidate leaves): an identity
-    // root would hand DD the same per-first-item root skip that IDD's
-    // bitmap gives, erasing the gap this figure measures.
+    // The paper's hashed tree at fanout 8 with 16-candidate leaves, the
+    // shape this figure has always been recorded with (not the 64/8
+    // default the other figures use).
     cfg.apriori.tree.fanout = 8;
     cfg.apriori.tree.leaf_capacity = 16;
-    cfg.apriori.tree.identity_root = false;
 
     MiningReport dd = bench::Mine(Algorithm::kDD, db, p, cfg);
     MiningReport idd = bench::Mine(Algorithm::kIDD, db, p, cfg);

@@ -39,7 +39,6 @@ int main() {
   for (double minsup : {0.01, 0.0075, 0.005, 0.0035, 0.0025}) {
     ParallelConfig cfg;
     cfg.apriori.minsup_fraction = minsup;
-    cfg.apriori.tree = bench::BenchTreeConfig();
     cfg.apriori.use_pass2_triangle = false;  // instrument pass 2 via the tree
     cfg.hd_threshold_m = scaled_sp2.memory_capacity_candidates;
 

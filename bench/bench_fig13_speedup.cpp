@@ -28,7 +28,6 @@ int main() {
   ParallelConfig base;
   base.apriori.minsup_fraction = 0.02;
   base.apriori.max_k = 3;
-  base.apriori.tree = bench::BenchTreeConfig();
   base.apriori.use_pass2_triangle = false;  // instrument pass 2 via the tree
   // PAM_THREADS_PER_RANK=T adds the intra-rank counting team (wall-clock
   // only; the T3E cost model charges the single-threaded work terms).

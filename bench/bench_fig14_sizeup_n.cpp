@@ -31,7 +31,6 @@ int main() {
     // way the paper holds M = 0.7M across its N sweep.
     cfg.apriori.minsup_fraction = 0.02;
     cfg.apriori.max_k = 3;
-    cfg.apriori.tree = bench::BenchTreeConfig();
     cfg.apriori.use_pass2_triangle = false;  // instrument pass 2 via the tree
     cfg.hd_forced_rows = 4;  // fixed grid, the paper's 8x8 analogue
 

@@ -37,7 +37,6 @@ int main() {
     ParallelConfig cfg;
     cfg.apriori.minsup_fraction = minsup;
     cfg.apriori.max_k = 3;
-    cfg.apriori.tree = bench::BenchTreeConfig();
     cfg.apriori.use_pass2_triangle = false;  // instrument pass 2 via the tree
     cfg.hd_threshold_m = capacity;  // grid adapts with M, as in the paper
 

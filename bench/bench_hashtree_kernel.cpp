@@ -1,16 +1,15 @@
 // Subset-counting kernel comparison on a T10.I4.D100K-style Quest workload
 // (10-item transactions, 4-item patterns, 100K transactions at scale 1.0).
-// Each pass times the same candidates in four hash trees and the trie:
+// Each pass times the same candidates in three hash trees and the trie:
 //   classic   the recursive pointer-chasing reference traversal of
 //             tests/testing/reference.h on the paper-tuned tree
-//             (TunedFor(M, k, 8), hashed root)
+//             (TunedFor(M, k, 8))
 //   flat      the flat structure-of-arrays kernel on that same tree
-//   identity  flat, same tuned shape with the identity root
-//   default   flat, the HashTreeConfig default shape (identity root,
-//             fanout 8, 64-candidate leaves): the hash tree the miners
-//             ran on every tree pass before the trie
+//   default   flat, the HashTreeConfig default shape (fanout 64,
+//             8-candidate leaves): the hash tree every pass counts
+//             through with use_pass2_triangle off, as in the figures
 //   trie      the CandidateTrie, the production kernel of every tree pass
-// All five must count identically, and classic and flat must report
+// All four must count identically, and classic and flat must report
 // identical SubsetStats on their shared tree. The bench also times the
 // specialized triangular pass-2 counter, and sweeps the intra-rank counting
 // team over {1, 2, 4, 8} threads on the default hash tree and on the trie
@@ -124,7 +123,6 @@ struct PassReport {
   std::size_t num_candidates = 0;
   double classic_seconds = 0.0;
   double flat_seconds = 0.0;
-  double identity_seconds = 0.0;
   double default_seconds = 0.0;
   double trie_seconds = 0.0;
   double triangle_seconds = -1.0;  // < 0 when the pass has no triangle path
@@ -199,28 +197,21 @@ PassReport ComparePass(const TransactionDatabase& db,
   r.k = candidates.k();
   r.num_candidates = candidates.size();
 
-  HashTreeConfig hashed =
+  const HashTreeConfig tuned =
       HashTreeConfig::TunedFor(candidates.size(), candidates.k(), 8);
-  hashed.identity_root = false;
-  HashTreeConfig identity = hashed;
-  identity.identity_root = true;
   const HashTreeConfig production;
 
   KernelRun classic =
-      RunKernel<testing::ReferenceHashTree>(db, candidates, hashed, reps);
-  KernelRun flat = RunKernel<HashTree>(db, candidates, hashed, reps);
-  KernelRun flat_identity =
-      RunKernel<HashTree>(db, candidates, identity, reps);
+      RunKernel<testing::ReferenceHashTree>(db, candidates, tuned, reps);
+  KernelRun flat = RunKernel<HashTree>(db, candidates, tuned, reps);
   KernelRun flat_default =
       RunKernel<HashTree>(db, candidates, production, reps);
   KernelRun trie = RunTrie(db, candidates, reps);
   r.classic_seconds = classic.seconds;
   r.flat_seconds = flat.seconds;
-  r.identity_seconds = flat_identity.seconds;
   r.default_seconds = flat_default.seconds;
   r.trie_seconds = trie.seconds;
   r.counts_identical = classic.counts == flat.counts &&
-                       flat_identity.counts == flat.counts &&
                        flat_default.counts == flat.counts &&
                        trie.counts == flat.counts;
   r.stats_identical = classic.stats == flat.stats;
@@ -285,10 +276,6 @@ void PrintPass(const PassReport& r, std::size_t n) {
   std::printf("  flat     %8.3f s  (%10.0f tx/s)  speedup %.2fx\n",
               r.flat_seconds, flat_tps,
               r.classic_seconds / r.flat_seconds);
-  std::printf("  identity %8.3f s  (%10.0f tx/s)  vs flat %.2fx\n",
-              r.identity_seconds,
-              static_cast<double>(n) / r.identity_seconds,
-              r.flat_seconds / r.identity_seconds);
   std::printf("  default  %8.3f s  (%10.0f tx/s)  vs flat %.2fx\n",
               r.default_seconds, static_cast<double>(n) / r.default_seconds,
               r.flat_seconds / r.default_seconds);
@@ -344,7 +331,6 @@ void AppendPassJson(std::string* out, const PassReport& r, std::size_t n) {
       "     \"classic_seconds\": %.6f, \"flat_seconds\": %.6f,\n"
       "     \"classic_tx_per_sec\": %.1f, \"flat_tx_per_sec\": %.1f,\n"
       "     \"flat_speedup\": %.4f, \"triangle_seconds\": %.6f,\n"
-      "     \"identity_seconds\": %.6f, \"identity_vs_flat\": %.4f,\n"
       "     \"default_seconds\": %.6f, \"default_vs_flat\": %.4f,\n"
       "     \"trie_seconds\": %.6f, \"trie_vs_default\": %.4f,\n"
       "     \"counts_identical\": %s, \"stats_identical\": %s",
@@ -352,7 +338,6 @@ void AppendPassJson(std::string* out, const PassReport& r, std::size_t n) {
       static_cast<double>(n) / r.classic_seconds,
       static_cast<double>(n) / r.flat_seconds,
       r.classic_seconds / r.flat_seconds, r.triangle_seconds,
-      r.identity_seconds, r.flat_seconds / r.identity_seconds,
       r.default_seconds, r.flat_seconds / r.default_seconds,
       r.trie_seconds, r.default_seconds / r.trie_seconds,
       r.counts_identical ? "true" : "false",
@@ -412,14 +397,13 @@ int main(int argc, char** argv) {
   json += "  \"build_type\": \"" + std::string(PAM_BUILD_TYPE) + "\",\n";
   json += "  \"reps\": " + std::to_string(reps) + ",\n";
   json += "  \"host_cpu_cores\": " + std::to_string(host_cores) + ",\n";
-  // The miners counted every tree pass with the default hash tree before
-  // the trie replaced it.
+  // A tree pass counts through the default hash tree with
+  // use_pass2_triangle off and through the trie with it on.
   json += "  \"before\": \"default\",\n  \"after\": \"trie\",\n";
-  json += "  \"shapes\": {\"classic\": \"TunedFor(M, k, 8), hashed root\", "
-          "\"flat\": \"TunedFor(M, k, 8), hashed root\", "
-          "\"identity\": \"TunedFor(M, k, 8), identity root\", "
-          "\"default\": \"HashTreeConfig{} (identity root, fanout 8, "
-          "leaf capacity 64)\", \"trie\": \"CandidateTrie\", "
+  json += "  \"shapes\": {\"classic\": \"TunedFor(M, k, 8)\", "
+          "\"flat\": \"TunedFor(M, k, 8)\", "
+          "\"default\": \"HashTreeConfig{} (fanout 64, leaf capacity 8)\", "
+          "\"trie\": \"CandidateTrie\", "
           "\"team\": \"default\", \"trie_team\": \"trie\"},\n";
   json += "  \"passes\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {

@@ -20,7 +20,6 @@ int main() {
       GenerateQuest(bench::PaperWorkload(bench::ScaledN(4000)));
   ParallelConfig cfg;
   cfg.apriori.minsup_fraction = 0.0075;
-  cfg.apriori.tree = bench::BenchTreeConfig();
   // Route pass 2's pairs too (Section III-E): a triangle pass sends none.
   cfg.apriori.use_pass2_triangle = false;
 

@@ -38,7 +38,6 @@ int main() {
     TransactionDatabase db = GenerateQuest(quest);
     ParallelConfig cfg;
     cfg.apriori.minsup_fraction = 0.02;
-    cfg.apriori.tree = bench::BenchTreeConfig();
     cfg.apriori.use_pass2_triangle = false;  // instrument pass 2 via the tree
     cfg.hd_threshold_m = 2000;
 
@@ -76,7 +75,6 @@ int main() {
                                                       1997));
     ParallelConfig clean_cfg;
     clean_cfg.apriori.minsup_fraction = 0.02;
-    clean_cfg.apriori.tree = bench::BenchTreeConfig();
     // Move pages on pass 2 too: a triangle pass sends no data.
     clean_cfg.apriori.use_pass2_triangle = false;
     ParallelConfig faulty_cfg = clean_cfg;

@@ -21,7 +21,6 @@ int main() {
   ParallelConfig cfg;
   cfg.apriori.minsup_fraction = 0.02;
   cfg.apriori.max_k = 3;
-  cfg.apriori.tree = bench::BenchTreeConfig();
   cfg.apriori.use_pass2_triangle = false;  // instrument pass 2 via the tree
   cfg.hd_forced_rows = 4;
 

@@ -30,11 +30,9 @@ int main() {
     ItemsetCollection c2 = AprioriGen(f1);
     if (c2.empty()) continue;
 
-    // The paper's hashed root: Equation 1 models leaves reached through
-    // hashed buckets, not an item-indexed root.
-    HashTreeConfig shape{8, 8};
-    shape.identity_root = false;
-    HashTree tree(c2, shape);
+    // Equation 1 is checked against a fanout-8 tree with 8-candidate
+    // leaves, not the 64/8 default.
+    HashTree tree(c2, HashTreeConfig{8, 8});
     std::vector<Count> counts(c2.size(), 0);
     SubsetStats stats;
     for (std::size_t t = 0; t < db.size(); ++t) {

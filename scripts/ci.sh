@@ -71,10 +71,20 @@ run_tsan() {
 
 # Smoke pass of the transport benchmark: exercises the zero-copy vs
 # copy-per-hop comparison end to end (including the cross-formulation
-# mining-equivalence check, which exits non-zero on any mismatch).
+# mining-equivalence check, which exits non-zero on any mismatch), then
+# checks that BENCH_comm.json records the host it was timed on.
 run_bench_comm_smoke() {
   echo "=== bench_comm smoke ==="
   (cd build-release/bench && ./bench_comm --smoke)
+  python3 - build-release/bench/BENCH_comm.json <<'PYEOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+assert doc["smoke"] is True, doc
+assert doc["host_cpu_cores"] > 0 and doc["build_type"], doc
+print(f"BENCH_comm.json: {doc['build_type']} build, "
+      f"{doc['host_cpu_cores']} host cores: ok")
+PYEOF
 }
 
 # Smoke pass of the serving benchmark: drives the multi-tenant mining
@@ -162,8 +172,8 @@ EOF
 }
 
 # Smoke pass of the counting-kernel benchmark: the classic and flat
-# kernels on the hashed tree, the flat kernel on the identity-root and
-# default shapes, and the counting-team sweep, on a 10K-transaction workload
+# kernels on the tuned tree, the flat kernel on the default shape, the
+# trie, and the counting-team sweeps, on a 10K-transaction workload
 # (bench_hashtree_kernel exits non-zero on any count or stats mismatch),
 # then checks that every pass row of BENCH_kernel.json records exact
 # counts and stats.
@@ -180,8 +190,8 @@ assert passes, "no passes"
 for row in passes:
     assert row["counts_identical"] is True, f"k={row['k']}: counts differ"
     assert row["stats_identical"] is True, f"k={row['k']}: stats differ"
-    for key in ("classic_seconds", "flat_seconds", "identity_seconds",
-                "default_seconds", "trie_seconds"):
+    for key in ("classic_seconds", "flat_seconds", "default_seconds",
+                "trie_seconds"):
         assert row[key] > 0, (row["k"], key)
     assert row["team"], f"k={row['k']}: no team sweep"
     assert row["trie_team"], f"k={row['k']}: no trie team sweep"

@@ -5,17 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-// The AVX2 subset kernel is compiled in only when the build enables SIMD
-// (PAM_ENABLE_SIMD, set by the PAM_ENABLE_SIMD CMake option) and the
-// compiler targets AVX2; every other build uses the portable scalar path.
-// Both produce bit-identical counts and stats.
-#if defined(PAM_ENABLE_SIMD) && defined(__AVX2__)
-#define PAM_HASHTREE_AVX2 1
-#include <immintrin.h>
-
-#include <bit>
-#endif
-
 namespace pam {
 
 namespace {
@@ -87,23 +76,13 @@ HashTree::HashTree(const ItemsetCollection& candidates,
       mask_(static_cast<Item>(fanout_ - 1)),
       shift_(Log2Pow2(fanout_)),
       leaf_capacity_(config.leaf_capacity),
-      k_(candidates.k()),
-      identity_root_(config.identity_root) {
+      k_(candidates.k()) {
   assert(fanout_ >= 2);
   assert(leaf_capacity_ >= 1);
-  if (identity_root_) {
-    // Root is internal from the start: its children are indexed by first
-    // item value and grown on demand in Insert. num_leaves_ stays 0 until
-    // the first child leaf appears.
-    nodes_.emplace_back();
-    nodes_[0].is_leaf = false;
-  } else {
-    nodes_.emplace_back();  // root starts as an empty leaf
-    num_leaves_ = 1;
-  }
+  nodes_.emplace_back();  // root starts as an empty leaf
+  num_leaves_ = 1;
   num_candidates_ = candidate_ids.size();
   for (std::uint32_t id : candidate_ids) Insert(id);
-  num_nodes_ = nodes_.size();
   Freeze();
 }
 
@@ -122,20 +101,13 @@ void HashTree::Insert(std::uint32_t candidate_id) {
   std::int32_t node = 0;
   int depth = 0;
   while (!nodes_[static_cast<std::size_t>(node)].is_leaf) {
-    const Item it = items[static_cast<std::size_t>(depth)];
+    const std::size_t n = static_cast<std::size_t>(node);
     const std::size_t bucket =
-        identity_root_ && depth == 0
-            ? static_cast<std::size_t>(it)
-            : static_cast<std::size_t>(Hash(it));
-    Node& parent = nodes_[static_cast<std::size_t>(node)];
-    if (bucket >= parent.children.size()) {
-      // Only reachable at the identity root, whose children grow with the
-      // largest first item seen; hashed levels are always fanout-sized.
-      parent.children.resize(bucket + 1, -1);
-    }
-    std::int32_t& child = parent.children[bucket];
+        static_cast<std::size_t>(Hash(items[static_cast<std::size_t>(depth)]));
+    std::int32_t child = nodes_[n].children[bucket];
     if (child < 0) {
       child = static_cast<std::int32_t>(nodes_.size());
+      nodes_[n].children[bucket] = child;
       nodes_.emplace_back();
       ++num_leaves_;
     }
@@ -213,16 +185,6 @@ void HashTree::Freeze() {
   for (std::size_t i = 0; i < n; ++i) {
     const Node& node = nodes_[i];
     if (node.is_leaf) continue;
-    if (identity_root_ && i == 0) {
-      // The identity root's children block has item-indexed width, not
-      // fanout width; it freezes into its own array (its fanout-sized
-      // slot in children_ stays kAbsent and is never read).
-      root_children_.assign(node.children.size(), kAbsent);
-      for (std::size_t b = 0; b < node.children.size(); ++b) {
-        root_children_[b] = encode(node.children[b]);
-      }
-      continue;
-    }
     std::int32_t* block =
         children_.data() +
         (static_cast<std::size_t>(flat_id[i]) << shift_);
@@ -247,34 +209,17 @@ void HashTree::Freeze() {
     std::uint32_t at = leaf_offsets_[static_cast<std::size_t>(flat_id[i])];
     for (std::uint32_t id : node.leaf_candidates) leaf_ids_[at++] = id;
   }
-  // Candidate item tuples copied leaf-ordered: the inner subset check
-  // walks this array sequentially instead of bouncing through the
-  // collection in candidate-id order.
+  // Candidate item tuples copied leaf-ordered and row-major: the inner
+  // subset check walks this array sequentially instead of bouncing
+  // through the collection in candidate-id order.
   const std::size_t k = static_cast<std::size_t>(k_);
   leaf_items_.resize(leaf_ids_.size() * k);
   Item max_item = 0;
-#if PAM_HASHTREE_AVX2
-  // Column-major per leaf: item column a of an n-candidate leaf occupies
-  // n contiguous slots, so the SIMD kernel loads eight candidates' a-th
-  // items with one unaligned load.
-  for (std::size_t l = 0; l < num_leaves; ++l) {
-    const std::size_t off = leaf_offsets_[l];
-    const std::size_t cnt = leaf_offsets_[l + 1] - off;
-    Item* base = leaf_items_.data() + off * k;
-    for (std::size_t j = 0; j < cnt; ++j) {
-      ItemSpan items = candidates_.Get(leaf_ids_[off + j]);
-      for (std::size_t a = 0; a < k; ++a) base[a * cnt + j] = items[a];
-      max_item = std::max(max_item, items.back());
-    }
-  }
-#else
-  // Row-major: candidate j's whole tuple is contiguous.
   for (std::size_t j = 0; j < leaf_ids_.size(); ++j) {
     ItemSpan items = candidates_.Get(leaf_ids_[j]);
     std::copy(items.begin(), items.end(), leaf_items_.begin() + j * k);
     max_item = std::max(max_item, items.back());
   }
-#endif
   item_stamp_size_ =
       leaf_ids_.empty() ? 0 : static_cast<std::size_t>(max_item) + 1;
   root_ref_ = encode(0);
@@ -343,44 +288,6 @@ void HashTree::CheckLeafFlat(std::int32_t leaf, std::span<Count> counts,
   const std::uint32_t e = scratch.stamp;
   const std::uint32_t* present = scratch.item_stamp.data();
   const std::size_t k = static_cast<std::size_t>(k_);
-#if PAM_HASHTREE_AVX2
-  // Column-major leaf layout: 8 candidates per iteration, one gathered
-  // stamp compare per item column, AND-accumulated into a lane mask.
-  // Candidate items are always < item_stamp_size_, so the gather needs no
-  // bounds mask.
-  const std::uint32_t cnt = end - begin;
-  const Item* base = leaf_items_.data() + static_cast<std::size_t>(begin) * k;
-  const __m256i vstamp = _mm256_set1_epi32(static_cast<int>(e));
-  std::uint32_t j = 0;
-  for (; j + 8 <= cnt; j += 8) {
-    __m256i all = _mm256_set1_epi32(-1);
-    for (std::size_t a = 0; a < k; ++a) {
-      const __m256i idx = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(base + a * cnt + j));
-      const __m256i got = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(present), idx, 4);
-      all = _mm256_and_si256(all, _mm256_cmpeq_epi32(got, vstamp));
-    }
-    unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(all)));
-    while (mask != 0) {
-      const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-      mask &= mask - 1;
-      ++counts[leaf_ids_[begin + j + lane]];
-    }
-  }
-  // Scalar tail over the same columns.
-  for (; j < cnt; ++j) {
-    bool all = true;
-    for (std::size_t a = 0; a < k; ++a) {
-      if (present[base[a * cnt + j]] != e) {
-        all = false;
-        break;
-      }
-    }
-    if (all) ++counts[leaf_ids_[begin + j]];
-  }
-#else
   const Item* tuple = leaf_items_.data() + static_cast<std::size_t>(begin) * k;
   for (std::uint32_t j = begin; j < end; ++j, tuple += k) {
     bool all = true;
@@ -392,7 +299,6 @@ void HashTree::CheckLeafFlat(std::int32_t leaf, std::span<Count> counts,
     }
     if (all) ++counts[leaf_ids_[j]];
   }
-#endif
 }
 
 template <bool WithStats, bool WithFilter>
@@ -446,12 +352,8 @@ void HashTree::SubsetFlat(ItemSpan transaction, std::span<Count> counts,
     }
     if constexpr (WithStats) ++stats->traversal_steps;
     const std::int32_t child =
-        identity_root_
-            ? (static_cast<std::size_t>(item) < root_children_.size()
-                   ? root_children_[static_cast<std::size_t>(item)]
-                   : kAbsent)
-            : children[(static_cast<std::size_t>(root_ref_) << shift_) +
-                       (item & mask_)];
+        children[(static_cast<std::size_t>(root_ref_) << shift_) +
+                 (item & mask_)];
     if (child != kAbsent) {
       if (child <= kLeafBase) {
         CheckLeafFlat<WithStats>(kLeafBase - child, counts, stats, scratch);

@@ -15,36 +15,21 @@ namespace pam {
 /// Shape parameters of the candidate hash tree (paper Section II). The
 /// paper tunes the branching factor so that the average number of
 /// candidates per leaf is S; here both knobs are explicit. The defaults
-/// are the fastest measured shape (DESIGN.md §7); the figure benches pin
-/// the paper's hashed tree instead (bench::BenchTreeConfig). The miners
-/// count through the hash tree only with
+/// are the shape the figure benches measure (DESIGN.md §7): a wide
+/// fanout keeps the distinct depth-k hash paths (fanout^k) well above the
+/// candidate count, so leaves stay near capacity instead of chaining. The
+/// miners count through the hash tree only with
 /// AprioriConfig::use_pass2_triangle off; otherwise their tree passes use
 /// the CandidateTrie.
 struct HashTreeConfig {
-  /// Branching factor of internal nodes. Rounded up to the next power of
-  /// two at construction so hashing is a bit mask; items hash as
-  /// `item & (fanout - 1)`.
-  int fanout = 8;
+  /// Branching factor of internal nodes, the root's included. Rounded up
+  /// to the next power of two at construction so hashing is a bit mask;
+  /// items hash as `item & (fanout - 1)`.
+  int fanout = 64;
   /// A leaf splits into an internal node when it would exceed this many
   /// candidates (unless its depth already equals k, where chaining is
-  /// unavoidable because the hash path is exhausted). The 8-lane AVX2
-  /// leaf check tests a large leaf for about what the extra traversal
-  /// levels of small leaves cost, so 64 beats 16 by 28-40% end to end;
-  /// 64 is where the measured curve flattens on the T15.I6 benchmark
-  /// workload (DESIGN.md §7 has the sweep).
-  int leaf_capacity = 64;
-  /// When true the root level dispatches on the first item's value
-  /// directly (child index == item id, sized by the largest first item;
-  /// the readers bound ids by kMaxItemId) instead of hashing it with the
-  /// fanout mask. Every first item then owns a disjoint subtree, which is
-  /// the paper's IDD picture of the tree (the root bitmap of Figure 8).
-  /// A transaction item never descends into a root subtree holding no
-  /// candidate that starts with it, where a hashed root sends it into a
-  /// bucket shared by about 1/fanout of all first items — the largest
-  /// single cut in counting work, so it is the default in every
-  /// formulation. Deeper levels hash exactly as before, and counts are
-  /// unaffected either way (only tree shape and stats change).
-  bool identity_root = true;
+  /// unavoidable because the hash path is exhausted).
+  int leaf_capacity = 8;
 
   /// The paper's tuning rule: "the desired value of S can be obtained by
   /// adjusting the branching factor". Returns a config whose fanout is
@@ -127,9 +112,10 @@ class HashTree {
     friend class HashTree;
     // Distinct-leaf-visit epoch (64-bit: never wraps in practice).
     std::uint64_t epoch = 0;
-    // Item stamp for the O(k) leaf containment check. 32-bit so the AVX2
-    // kernel gathers one stamp per lane; on wrap the array is cleared and
-    // the stamp restarts at 1, preserving exactness.
+    // Item stamp for the O(k) leaf containment check. 32-bit to halve the
+    // per-item array (one entry per item id up to the largest candidate
+    // item); on wrap the array is cleared and the stamp restarts at 1,
+    // preserving exactness.
     std::uint32_t stamp = 0;
     std::vector<std::uint64_t> leaf_epoch;
     std::vector<std::uint32_t> item_stamp;
@@ -164,11 +150,7 @@ class HashTree {
 
   /// Number of leaf nodes (the L of the paper's analysis).
   std::size_t num_leaves() const { return num_leaves_; }
-  std::size_t num_nodes() const { return num_nodes_; }
   std::size_t num_candidates() const { return num_candidates_; }
-  /// Effective branching factor (config fanout rounded up to a power of
-  /// two).
-  int fanout() const { return fanout_; }
   /// Number of candidate insertions performed during construction; the cost
   /// model charges hash tree construction (the O(M) term) per insertion.
   std::uint64_t build_inserts() const { return build_inserts_; }
@@ -201,9 +183,7 @@ class HashTree {
   const int shift_;        // log2(fanout_)
   const int leaf_capacity_;
   const int k_;
-  const bool identity_root_;
   std::vector<Node> nodes_;  // construction only; cleared by Freeze()
-  std::size_t num_nodes_ = 0;
   std::size_t num_leaves_ = 0;
   std::size_t num_candidates_ = 0;
   std::uint64_t build_inserts_ = 0;
@@ -211,17 +191,10 @@ class HashTree {
   // Frozen structure-of-arrays layout. children_ holds one fanout_-sized
   // block per internal node; leaves are a CSR pair
   // (leaf_offsets_, leaf_ids_) plus the candidates' item tuples copied
-  // leaf-ordered into leaf_items_ so the inner subset check reads
-  // contiguous memory. Scalar builds store a leaf's tuples row-major
-  // (candidate-contiguous); the AVX2 build stores them column-major per
-  // leaf (item position a of candidate j of an n-candidate leaf at
-  // base + a*n + j) so one 8-lane load reads item column a of eight
-  // neighbouring candidates — the SIMD lane layout of DESIGN.md §11.
+  // leaf-ordered and row-major (candidate j's k items contiguous) into
+  // leaf_items_, so the inner subset check reads contiguous memory.
   std::int32_t root_ref_ = kAbsent;
   std::vector<std::int32_t> children_;
-  // identity_root only: encoded root child per first-item value (the
-  // root's children block has item-indexed width, not fanout width).
-  std::vector<std::int32_t> root_children_;
   std::vector<std::uint32_t> leaf_offsets_;
   std::vector<std::uint32_t> leaf_ids_;
   std::vector<Item> leaf_items_;

@@ -3,42 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#if defined(PAM_ENABLE_SIMD) && defined(__AVX2__)
-#define PAM_PAIR_COUNTER_AVX2 1
-#include <immintrin.h>
-
-#include <bit>
-#endif
-
 namespace pam {
-
-#if PAM_PAIR_COUNTER_AVX2
-namespace {
-
-// Order-preserving left-compaction permutations for
-// _mm256_permutevar8x32_epi32: entry m lists the lane indices of the set
-// bits of m, ascending, padded with 0 (the padded lanes are overstored
-// past the logical end and never read).
-struct CompactLut {
-  alignas(32) std::uint32_t idx[256][8];
-  CompactLut() {
-    for (int m = 0; m < 256; ++m) {
-      int n = 0;
-      for (int b = 0; b < 8; ++b) {
-        if (m & (1 << b)) idx[m][n++] = static_cast<std::uint32_t>(b);
-      }
-      for (; n < 8; ++n) idx[m][n] = 0;
-    }
-  }
-};
-
-const CompactLut& Lut() {
-  static const CompactLut lut;
-  return lut;
-}
-
-}  // namespace
-#endif  // PAM_PAIR_COUNTER_AVX2
 
 TrianglePairCounter::TrianglePairCounter(const ItemsetCollection& f1)
     : r_(f1.size()) {
@@ -58,49 +23,18 @@ TrianglePairCounter::TrianglePairCounter(const ItemsetCollection& f1)
 
 std::size_t TrianglePairCounter::CollectRanks(
     ItemSpan transaction, std::vector<std::uint32_t>& ranks) const {
-  if (ranks.size() < transaction.size() + 8) {
-    ranks.resize(transaction.size() + 8);
-  }
+  if (ranks.size() < transaction.size()) ranks.resize(transaction.size());
+  // No branch on frequency, which is data-dependent and mispredicts:
+  // every in-range item's rank is stored, and the cursor advances only
+  // past a frequent one, so the next store overwrites an infrequent
+  // item's slot. Only items above F_1's largest item take the bound
+  // check's branch.
   std::size_t n = 0;
-  std::size_t i = 0;
-#if PAM_PAIR_COUNTER_AVX2
-  if (!rank_.empty()) {
-    // 8 items per iteration: masked gather of item -> rank (bounds mask
-    // via signed compares — item values are dense ids < 2^31, so an
-    // out-of-range unsigned item reads as negative or >= limit and its
-    // lane keeps the kNotFrequent src), then an order-preserving
-    // compaction of the frequent lanes.
-    const CompactLut& lut = Lut();
-    const __m256i vzero = _mm256_setzero_si256();
-    const __m256i vlimit =
-        _mm256_set1_epi32(static_cast<int>(rank_.size()));
-    const __m256i vnf = _mm256_set1_epi32(static_cast<int>(kNotFrequent));
-    const int* base = reinterpret_cast<const int*>(rank_.data());
-    for (; i + 8 <= transaction.size(); i += 8) {
-      const __m256i items = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(transaction.data() + i));
-      const __m256i neg = _mm256_cmpgt_epi32(vzero, items);
-      const __m256i below = _mm256_cmpgt_epi32(vlimit, items);
-      const __m256i inb = _mm256_andnot_si256(neg, below);
-      const __m256i got =
-          _mm256_mask_i32gather_epi32(vnf, base, items, inb, 4);
-      const unsigned drop = static_cast<unsigned>(_mm256_movemask_ps(
-          _mm256_castsi256_ps(_mm256_cmpeq_epi32(got, vnf))));
-      const unsigned keep = ~drop & 0xffu;
-      const __m256i packed = _mm256_permutevar8x32_epi32(
-          got, _mm256_load_si256(
-                   reinterpret_cast<const __m256i*>(lut.idx[keep])));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(ranks.data() + n),
-                          packed);
-      n += static_cast<std::size_t>(std::popcount(keep));
-    }
-  }
-#endif
-  for (; i < transaction.size(); ++i) {
-    const Item item = transaction[i];
+  for (const Item item : transaction) {
     if (static_cast<std::size_t>(item) >= rank_.size()) continue;
     const std::uint32_t r = rank_[item];
-    if (r != kNotFrequent) ranks[n++] = r;
+    ranks[n] = r;
+    n += r != kNotFrequent;
   }
   return n;
 }

@@ -101,9 +101,9 @@ class TrianglePairCounter {
 
   // Collects the F_1 ranks of the transaction's frequent items into
   // `ranks` (ascending, because transactions and F_1 are both sorted) and
-  // returns how many. `ranks` is grown to transaction.size() + 8: the AVX2
-  // path stores a full 8-lane vector per iteration and relies on the
-  // slack.
+  // returns how many. `ranks` is grown to at least transaction.size(),
+  // one slot per item: the loop stores every in-range item's rank before
+  // it knows whether to keep it.
   std::size_t CollectRanks(ItemSpan transaction,
                            std::vector<std::uint32_t>& ranks) const;
 

@@ -13,7 +13,7 @@ namespace pam {
 
 /// The largest item id a database may hold: FromCsr, and so both readers,
 /// return an error for any id above it. Consumers size per-item arrays by
-/// NumItems() (F1 counts, root bitmaps, the hash tree's identity root), so
+/// NumItems() (F1 counts, root bitmaps, the trie's root, item stamps), so
 /// an unbounded id in an untrusted file would become an unbounded
 /// allocation. 2^24 - 1 leaves four orders of magnitude over the largest
 /// item space in the repository's workloads (2000 items).

@@ -65,9 +65,12 @@ std::vector<Count> Expected(const TransactionDatabase& db,
   return expected;
 }
 
-// The trie against the production-default hash tree and brute force on
-// one candidate subset. The root-level counters share their definition
-// with the hash tree, so they must agree too.
+// The trie against the hash tree and brute force on one candidate subset
+// (every subset below holds many candidates). The root-level counters
+// share their definition with a hash tree whose root has split (a root
+// leaf is checked once, for the first viable item, and the rest go
+// uncounted), so the tree has one-candidate leaves: its root splits once
+// it holds two candidates.
 void ExpectSubsetAgrees(const TransactionDatabase& db,
                         const ItemsetCollection& candidates,
                         const std::vector<std::uint32_t>& ids,
@@ -75,7 +78,7 @@ void ExpectSubsetAgrees(const TransactionDatabase& db,
   const CandidateTrie trie(candidates, ids);
   EXPECT_EQ(trie.num_candidates(), ids.size()) << label;
   EXPECT_EQ(trie.build_inserts(), ids.size()) << label;
-  const HashTree tree(candidates, ids, HashTreeConfig{});
+  const HashTree tree(candidates, ids, HashTreeConfig{64, 1});
   const Counted by_trie = CountAll(trie, db, candidates.size(), filter);
   const Counted by_tree = CountAll(tree, db, candidates.size(), filter);
   EXPECT_EQ(by_trie.counts, Expected(db, candidates, ids, filter)) << label;

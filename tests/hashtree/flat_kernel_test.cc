@@ -73,22 +73,17 @@ TEST(FlatKernelTest, MatchesClassicAndBruteForceAcrossRandomShapes) {
       ItemsetCollection candidates =
           RandomCandidates(k, 180, 30, 7000 + seed * 10 + k);
       // Non-power-of-two fanouts exercise the construction-time rounding;
-      // both kernels must round identically, under either root dispatch.
+      // both kernels must round identically.
       for (int fanout : {3, 8, 17}) {
-        for (const bool identity_root : {false, true}) {
-          HashTreeConfig config{fanout, 4};
-          config.identity_root = identity_root;
-          const std::vector<std::uint32_t> ids = AllIds(candidates.size());
-          KernelOutput flat = RunKernel<Flat>(db, candidates, ids, config);
-          KernelOutput classic =
-              RunKernel<Classic>(db, candidates, ids, config);
-          EXPECT_EQ(flat.counts, classic.counts)
-              << "seed=" << seed << " k=" << k << " fanout=" << fanout
-              << " identity_root=" << identity_root;
-          ExpectSameStats(flat.stats, classic.stats);
-          EXPECT_EQ(flat.counts,
-                    CountBruteForce(db, {0, db.size()}, candidates));
-        }
+        const HashTreeConfig config{fanout, 4};
+        const std::vector<std::uint32_t> ids = AllIds(candidates.size());
+        KernelOutput flat = RunKernel<Flat>(db, candidates, ids, config);
+        KernelOutput classic = RunKernel<Classic>(db, candidates, ids, config);
+        EXPECT_EQ(flat.counts, classic.counts)
+            << "seed=" << seed << " k=" << k << " fanout=" << fanout;
+        ExpectSameStats(flat.stats, classic.stats);
+        EXPECT_EQ(flat.counts,
+                  CountBruteForce(db, {0, db.size()}, candidates));
       }
     }
   }
@@ -108,17 +103,13 @@ TEST(FlatKernelTest, MatchesClassicWithRootFilter) {
     }
   }
   ASSERT_FALSE(owned.empty());
-  for (const bool identity_root : {false, true}) {
-    HashTreeConfig config{4, 2};
-    config.identity_root = identity_root;
-    KernelOutput flat =
-        RunKernel<Flat>(db, candidates, owned, config, &filter);
-    KernelOutput classic =
-        RunKernel<Classic>(db, candidates, owned, config, &filter);
-    EXPECT_EQ(flat.counts, classic.counts) << identity_root;
-    ExpectSameStats(flat.stats, classic.stats);
-    EXPECT_GT(flat.stats.root_items_skipped, 0u);
-  }
+  const HashTreeConfig config{4, 2};
+  KernelOutput flat = RunKernel<Flat>(db, candidates, owned, config, &filter);
+  KernelOutput classic =
+      RunKernel<Classic>(db, candidates, owned, config, &filter);
+  EXPECT_EQ(flat.counts, classic.counts);
+  ExpectSameStats(flat.stats, classic.stats);
+  EXPECT_GT(flat.stats.root_items_skipped, 0u);
 }
 
 TEST(FlatKernelTest, MatchesClassicOnPartitionedChunks) {
@@ -142,12 +133,9 @@ TEST(FlatKernelTest, MatchesClassicOnPartitionedChunks) {
 TEST(FlatKernelTest, DegenerateSingleLeafTree) {
   // Capacity large enough that the root never splits: the degenerate
   // root-leaf path must agree between kernels (one check per transaction).
-  // Only a hashed root can be a leaf; the identity root is internal from
-  // the start.
   TransactionDatabase db = testing::RandomDb(120, 15, 8, 101);
   ItemsetCollection candidates = RandomCandidates(2, 40, 15, 102);
-  HashTreeConfig config{4, 1000};
-  config.identity_root = false;
+  const HashTreeConfig config{4, 1000};
   const std::vector<std::uint32_t> ids = AllIds(candidates.size());
   KernelOutput flat = RunKernel<Flat>(db, candidates, ids, config);
   KernelOutput classic = RunKernel<Classic>(db, candidates, ids, config);
@@ -156,9 +144,35 @@ TEST(FlatKernelTest, DegenerateSingleLeafTree) {
   EXPECT_EQ(flat.counts, CountBruteForce(db, {0, db.size()}, candidates));
 }
 
+// A draw the uniform ones miss: at minsup 30, 16 frequent items (ids up
+// to 195) spread among 2,000 rare ones, so every transaction holds more
+// than 16 items, most of them infrequent, and many above F_1's largest
+// item. The triangle's rank loop then skips most items of every
+// transaction.
+TransactionDatabase SparseLongDb() {
+  Prng rng(4242);
+  TransactionDatabase db;
+  std::vector<Item> tx;
+  for (int t = 0; t < 300; ++t) {
+    tx.clear();
+    for (Item hot = 0; hot < 16; ++hot) {
+      if (rng.NextBounded(2) == 1) tx.push_back(hot * 13);
+    }
+    for (int i = 0; i < 20; ++i) {
+      tx.push_back(static_cast<Item>(rng.NextBounded(2000)));
+    }
+    db.Add(tx);
+  }
+  return db;
+}
+
 TEST(TrianglePairCounterTest, MatchesTreeCountsOnC2) {
+  std::vector<TransactionDatabase> draws;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    TransactionDatabase db = testing::RandomDb(300, 40, 15, 500 + seed);
+    draws.push_back(testing::RandomDb(300, 40, 15, 500 + seed));
+  }
+  draws.push_back(SparseLongDb());
+  for (const TransactionDatabase& db : draws) {
     std::vector<Count> item_counts = CountItems(db, {0, db.size()});
     ItemsetCollection f1 = MakeF1(item_counts, 30);
     if (f1.size() < 2) continue;

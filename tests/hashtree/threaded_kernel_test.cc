@@ -70,31 +70,26 @@ TEST(ThreadedKernelTest, TreeCountsIdenticalAcrossTeamSizes) {
   const ItemsetCollection candidates = RandomCandidates(3, 300, 30, 99);
   for (const int leaf_capacity : {1, 4, 16}) {
     for (const int fanout : {4, 8}) {
-      for (const bool identity_root : {false, true}) {
-        HashTreeConfig config;
-        config.leaf_capacity = leaf_capacity;
-        config.fanout = fanout;
-        config.identity_root = identity_root;
-        const TeamRun base = RunTeam(db, candidates, config, 1);
-        EXPECT_TRUE(base.shard_work.empty());  // degenerate team collects none
-        for (const int threads : {2, 3, 4, 8}) {
-          const std::string label =
-              "leaf=" + std::to_string(leaf_capacity) +
-              " fanout=" + std::to_string(fanout) +
-              " identity_root=" + std::to_string(identity_root) +
-              " threads=" + std::to_string(threads);
-          const TeamRun run = RunTeam(db, candidates, config, threads);
-          EXPECT_EQ(run.counts, base.counts) << label;
-          ExpectStatsEqual(run.stats, base.stats, label);
-          // The per-shard work decomposition must cover the whole pass.
-          ASSERT_EQ(run.shard_work.size(),
-                    static_cast<std::size_t>(threads)) << label;
-          std::uint64_t shard_total = 0;
-          for (const std::uint64_t w : run.shard_work) shard_total += w;
-          EXPECT_EQ(shard_total, run.stats.traversal_steps +
-                                     run.stats.leaf_candidates_checked)
-              << label;
-        }
+      HashTreeConfig config;
+      config.leaf_capacity = leaf_capacity;
+      config.fanout = fanout;
+      const TeamRun base = RunTeam(db, candidates, config, 1);
+      EXPECT_TRUE(base.shard_work.empty());  // degenerate team collects none
+      for (const int threads : {2, 3, 4, 8}) {
+        const std::string label = "leaf=" + std::to_string(leaf_capacity) +
+                                  " fanout=" + std::to_string(fanout) +
+                                  " threads=" + std::to_string(threads);
+        const TeamRun run = RunTeam(db, candidates, config, threads);
+        EXPECT_EQ(run.counts, base.counts) << label;
+        ExpectStatsEqual(run.stats, base.stats, label);
+        // The per-shard work decomposition must cover the whole pass.
+        ASSERT_EQ(run.shard_work.size(),
+                  static_cast<std::size_t>(threads)) << label;
+        std::uint64_t shard_total = 0;
+        for (const std::uint64_t w : run.shard_work) shard_total += w;
+        EXPECT_EQ(shard_total, run.stats.traversal_steps +
+                                   run.stats.leaf_candidates_checked)
+            << label;
       }
     }
   }

@@ -208,22 +208,26 @@ TEST(GoldenTest, EveryMinerReproducesTheGoldenWorkCounters) {
 }
 
 // With the specialised kernels off, every pass counts through the paper's
-// hash tree (the figures' and the cost model's instrument); these digests
-// pin its work counters, captured before the candidate trie existed.
+// hash tree (the figures' and the cost model's instrument) at its default
+// shape, fanout 64 with 8-candidate leaves; these digests pin its work
+// counters. They were captured with that shape pinned while the default
+// was still an identity-root tree, so they also show that the hashed path
+// did not move when the identity root was deleted. HPA counts through no
+// tree, so its digest does not depend on the shape.
 TEST(GoldenTest, HashTreeInEveryPassReproducesTheGoldenWorkCounters) {
   ParallelConfig cfg;
   cfg.apriori.minsup_fraction = 0.02;
   cfg.apriori.use_pass2_triangle = false;
   ExpectGoldenWorkCounters(cfg,
                            {
-                               {Algorithm::kCD, 0x55748d386b04141dull},
-                               {Algorithm::kDD, 0xa85574681daf8799ull},
-                               {Algorithm::kDDComm, 0xa2f6083615da1258ull},
-                               {Algorithm::kIDD, 0x314d57a913c1779bull},
-                               {Algorithm::kHD, 0xe5ec9bbb3e189330ull},
+                               {Algorithm::kCD, 0xd535081725d3335eull},
+                               {Algorithm::kDD, 0xfd677b9d3da50eaaull},
+                               {Algorithm::kDDComm, 0x24bee7c24635d09bull},
+                               {Algorithm::kIDD, 0x4449709d35152a50ull},
+                               {Algorithm::kHD, 0xf29102b51487267aull},
                                {Algorithm::kHPA, 0x5543522e01d58311ull},
                            },
-                           0x0596964182179950ull);
+                           0x538381a8f87a60d5ull);
 }
 
 }  // namespace

@@ -39,10 +39,10 @@ namespace pam::testing {
 /// HashTreeConfig as a HashTree, by its own insertion code, and traversed
 /// recursively node by node. Its counts and SubsetStats must equal the
 /// production kernel's bit for bit: the shape rules (fanout rounded up to
-/// a power of two, leaves split above leaf_capacity until depth k, the
-/// identity root indexed by first item) and the work the counters charge
-/// are the contract both implement. Not thread-safe: the traversal stamps
-/// leaves with a per-transaction epoch.
+/// a power of two, every level hashed, leaves split above leaf_capacity
+/// until depth k) and the work the counters charge are the contract both
+/// implement. Not thread-safe: the traversal stamps leaves with a
+/// per-transaction epoch.
 class ReferenceHashTree {
  public:
   ReferenceHashTree(const ItemsetCollection& candidates,
@@ -51,12 +51,8 @@ class ReferenceHashTree {
       : candidates_(candidates),
         fanout_(RoundUpPow2(std::max(2, config.fanout))),
         leaf_capacity_(config.leaf_capacity),
-        k_(candidates.k()),
-        identity_root_(config.identity_root) {
-    nodes_.emplace_back();
-    // The identity root is internal from the start, its children indexed
-    // by first item and grown on demand; a hashed root starts as a leaf.
-    nodes_[0].is_leaf = !identity_root_;
+        k_(candidates.k()) {
+    nodes_.emplace_back();  // the root starts as a leaf
     for (const std::uint32_t id : candidate_ids) Insert(id);
   }
 
@@ -84,7 +80,7 @@ class ReferenceHashTree {
         break;
       }
       if (stats) ++stats->traversal_steps;
-      const std::int32_t child = Child(0, item, /*depth=*/0);
+      const std::int32_t child = Child(0, item);
       if (child >= 0) Visit(child, transaction, i + 1, counts, stats);
     }
   }
@@ -103,28 +99,20 @@ class ReferenceHashTree {
     return p;
   }
 
-  std::size_t Bucket(Item item, int depth) const {
-    return identity_root_ && depth == 0
-               ? static_cast<std::size_t>(item)
-               : static_cast<std::size_t>(item) &
-                     static_cast<std::size_t>(fanout_ - 1);
+  std::size_t Bucket(Item item) const {
+    return static_cast<std::size_t>(item) &
+           static_cast<std::size_t>(fanout_ - 1);
   }
 
-  std::int32_t Child(std::int32_t node, Item item, int depth) const {
-    const std::vector<std::int32_t>& children =
-        nodes_[static_cast<std::size_t>(node)].children;
-    const std::size_t b = Bucket(item, depth);
-    return b < children.size() ? children[b] : -1;
+  std::int32_t Child(std::int32_t node, Item item) const {
+    return nodes_[static_cast<std::size_t>(node)].children[Bucket(item)];
   }
 
   // Returns the child of `node` for `item`, creating an empty leaf there
   // if none exists yet.
-  std::int32_t ChildOrNew(std::int32_t node, Item item, int depth) {
-    const std::size_t b = Bucket(item, depth);
-    std::vector<std::int32_t>& children =
-        nodes_[static_cast<std::size_t>(node)].children;
-    if (b >= children.size()) children.resize(b + 1, -1);
-    std::int32_t child = children[b];
+  std::int32_t ChildOrNew(std::int32_t node, Item item) {
+    const std::size_t b = Bucket(item);
+    std::int32_t child = nodes_[static_cast<std::size_t>(node)].children[b];
     if (child < 0) {
       child = static_cast<std::int32_t>(nodes_.size());
       nodes_[static_cast<std::size_t>(node)].children[b] = child;
@@ -138,7 +126,7 @@ class ReferenceHashTree {
     std::int32_t node = 0;
     int depth = 0;
     while (!nodes_[static_cast<std::size_t>(node)].is_leaf) {
-      node = ChildOrNew(node, items[static_cast<std::size_t>(depth)], depth);
+      node = ChildOrNew(node, items[static_cast<std::size_t>(depth)]);
       ++depth;
     }
     AddToLeaf(node, depth, id);
@@ -159,7 +147,7 @@ class ReferenceHashTree {
     node.children.assign(static_cast<std::size_t>(fanout_), -1);
     for (const std::uint32_t m : moved) {
       const Item item = candidates_.Get(m)[static_cast<std::size_t>(depth)];
-      AddToLeaf(ChildOrNew(leaf, item, depth), depth + 1, m);
+      AddToLeaf(ChildOrNew(leaf, item), depth + 1, m);
     }
   }
 
@@ -182,8 +170,7 @@ class ReferenceHashTree {
     }
     for (std::size_t i = pos; i < transaction.size(); ++i) {
       if (stats) ++stats->traversal_steps;
-      // Below the root every level hashes, whatever its depth.
-      const std::int32_t child = Child(index, transaction[i], /*depth=*/1);
+      const std::int32_t child = Child(index, transaction[i]);
       if (child >= 0) Visit(child, transaction, i + 1, counts, stats);
     }
   }
@@ -192,7 +179,6 @@ class ReferenceHashTree {
   const int fanout_;
   const int leaf_capacity_;
   const int k_;
-  const bool identity_root_;
   std::vector<Node> nodes_;
   std::uint64_t epoch_ = 0;
 };
