@@ -12,8 +12,9 @@
 // All four must count identically, and classic and flat must report
 // identical SubsetStats on their shared tree. The bench also times the
 // specialized triangular pass-2 counter, and sweeps the intra-rank counting
-// team over {1, 2, 4, 8} threads on the default hash tree and on the trie
-// (counts and stats re-verified at every size). It writes the measurements
+// team over {1, 2, 4, 8} threads on the default hash tree, on the trie and
+// (at k = 2) on the triangle, all through the one TeamCounter (counts and
+// stats re-verified at every size). It writes the measurements
 // to BENCH_kernel.json, including the host core count, without which the
 // thread-sweep numbers cannot be interpreted, and exits non-zero on any
 // count/stats mismatch.
@@ -163,29 +164,6 @@ double RunTeamKernel(const TransactionDatabase& db,
   return best;
 }
 
-// Times the pass-2 triangle team at one size; counts must match the flat
-// kernel's.
-double RunTriangleTeam(const TransactionDatabase& db,
-                       const ItemsetCollection& f_prev,
-                       const ItemsetCollection& candidates, int threads,
-                       int reps, const std::vector<Count>& expect, bool* ok) {
-  CountingPool pool(threads);
-  double best = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    TrianglePairCounter tri(f_prev);
-    std::vector<Count> counts(candidates.size(), 0);
-    WallTimer timer;
-    TriangleTeam team(&pool, &tri, nullptr);
-    team.CountSlice(db, {0, db.size()});
-    team.Finish();
-    tri.Extract(candidates, std::span<Count>(counts));
-    const double s = timer.Seconds();
-    if (rep == 0 || s < best) best = s;
-    if (rep == 0) *ok = *ok && counts == expect;
-  }
-  return best;
-}
-
 // Compares the kernels and tree shapes (and, at k == 2, the triangular
 // counter) on one candidate set. Returns the frequent survivors for the
 // next pass.
@@ -216,31 +194,37 @@ PassReport ComparePass(const TransactionDatabase& db,
                        trie.counts == flat.counts;
   r.stats_identical = classic.stats == flat.stats;
 
+  // Unfiltered C_2 = apriori_gen(F_1) is every pair of F_1 in the
+  // triangle's row order, so the triangle counts straight into C_2-indexed
+  // arrays, and its team sweep checks against its own 1-thread stats.
   if (r.k == 2 && TrianglePairCounter::Fits(f_prev.size(), 0)) {
-    double tri_best = 0.0;
-    std::vector<Count> tri_counts;
+    const TrianglePairCounter tri(f_prev);
+    TrianglePairCounter::Scratch scratch = tri.MakeScratch();
+    KernelRun single;
     for (int rep = 0; rep < reps; ++rep) {
-      TrianglePairCounter tri(f_prev);
-      std::vector<Count> counts(candidates.size(), 0);
+      std::vector<Count> counts(tri.num_cells(), 0);
+      SubsetStats stats;
       WallTimer timer;
       for (std::size_t t = 0; t < db.size(); ++t) {
-        tri.AddTransaction(db.Transaction(t), nullptr);
+        tri.Subset(db.Transaction(t), std::span<Count>(counts), &stats,
+                   nullptr, scratch);
       }
-      tri.Extract(candidates, std::span<Count>(counts));
       const double s = timer.Seconds();
-      if (rep == 0 || s < tri_best) {
-        tri_best = s;
-        tri_counts = std::move(counts);
+      if (rep == 0 || s < single.seconds) {
+        single.seconds = s;
+        single.counts = std::move(counts);
+        single.stats = stats;
       }
     }
-    r.triangle_seconds = tri_best;
-    r.counts_identical = r.counts_identical && tri_counts == flat.counts;
+    r.triangle_seconds = single.seconds;
+    r.counts_identical = r.counts_identical && single.counts == flat.counts;
     for (const int threads : kTeamSizes) {
       bool ok = true;
-      const double s = RunTriangleTeam(db, f_prev, candidates, threads,
-                                       reps, flat.counts, &ok);
-      r.triangle_team.emplace_back(threads, s);
+      r.triangle_team.emplace_back(
+          threads,
+          RunTeamKernel(db, candidates, tri, threads, reps, single, &ok));
       r.counts_identical = r.counts_identical && ok;
+      r.stats_identical = r.stats_identical && ok;
     }
   }
 
@@ -404,7 +388,8 @@ int main(int argc, char** argv) {
           "\"flat\": \"TunedFor(M, k, 8)\", "
           "\"default\": \"HashTreeConfig{} (fanout 64, leaf capacity 8)\", "
           "\"trie\": \"CandidateTrie\", "
-          "\"team\": \"default\", \"trie_team\": \"trie\"},\n";
+          "\"team\": \"default\", \"trie_team\": \"trie\", "
+          "\"triangle_team\": \"TrianglePairCounter\"},\n";
   json += "  \"passes\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     AppendPassJson(&json, reports[i], n);

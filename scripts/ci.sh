@@ -176,7 +176,7 @@ EOF
 # trie, and the counting-team sweeps, on a 10K-transaction workload
 # (bench_hashtree_kernel exits non-zero on any count or stats mismatch),
 # then checks that every pass row of BENCH_kernel.json records exact
-# counts and stats.
+# counts and stats, and that the k = 2 row sweeps the triangle's team.
 run_bench_kernel_smoke() {
   echo "=== bench_hashtree_kernel smoke ==="
   (cd build-release/bench && ./bench_hashtree_kernel --smoke)
@@ -195,6 +195,8 @@ for row in passes:
         assert row[key] > 0, (row["k"], key)
     assert row["team"], f"k={row['k']}: no team sweep"
     assert row["trie_team"], f"k={row['k']}: no trie team sweep"
+pass2 = [row for row in passes if row["k"] == 2]
+assert pass2 and pass2[0].get("triangle_team"), "k=2: no triangle team sweep"
 print(f"BENCH_kernel.json: {len(passes)} passes, counts and stats exact: ok")
 PYEOF
 }

@@ -123,84 +123,6 @@ void TeamCounter<Tree>::Finish() {
 
 template class TeamCounter<CandidateTrie>;
 template class TeamCounter<HashTree>;
-
-TriangleTeam::TriangleTeam(CountingPool* pool, TrianglePairCounter* tri,
-                           SubsetStats* stats, const CancelToken* cancel)
-    : pool_(pool),
-      tri_(tri),
-      stats_(stats),
-      cancel_(cancel != nullptr && cancel->valid() ? cancel : nullptr),
-      tracer_(obs::CurrentTracer()),
-      team_(pool->num_threads()) {
-  if (team_ > 1) {
-    shards_.reserve(static_cast<std::size_t>(team_ - 1));
-    for (int w = 1; w < team_; ++w) shards_.emplace_back(*tri);
-    shard_stats_.assign(static_cast<std::size_t>(team_), SubsetStats{});
-  }
-}
-
-template <typename TxAt>
-void TriangleTeam::RunBatch(std::size_t n, const TxAt& tx_at) {
-  pool_->Run(n, [&](int shard, std::size_t begin, std::size_t end) {
-    std::optional<obs::ScopedTracerInstall> install;
-    if (shard != 0) install.emplace(tracer_);
-    obs::ScopedSpan span(obs::SpanKind::kSubsetCountShard, shard);
-    SubsetStats* stats =
-        stats_ != nullptr
-            ? &shard_stats_[static_cast<std::size_t>(shard)]
-            : nullptr;
-    if (shard == 0) {
-      for (std::size_t i = begin; i < end; ++i) {
-        tri_->AddTransaction(tx_at(i), stats);
-      }
-    } else {
-      TrianglePairCounter::Shard& mine =
-          shards_[static_cast<std::size_t>(shard - 1)];
-      for (std::size_t i = begin; i < end; ++i) {
-        mine.AddTransaction(tx_at(i), stats);
-      }
-    }
-  });
-}
-
-std::size_t TriangleTeam::CountSlice(const TransactionDatabase& db,
-                                     TransactionDatabase::Slice slice) {
-  const std::size_t n = slice.end - slice.begin;
-  for (std::size_t begin = slice.begin; begin < slice.end;) {
-    std::size_t end = slice.end;
-    if (cancel_ != nullptr) {
-      cancel_->Checkpoint();
-      end = std::min(end, begin + kCancelCheckStride);
-    }
-    if (team_ == 1) {
-      for (std::size_t t = begin; t < end; ++t) {
-        tri_->AddTransaction(db.Transaction(t), stats_);
-      }
-    } else {
-      RunBatch(end - begin, [&db, begin](std::size_t i) {
-        return db.Transaction(begin + i);
-      });
-    }
-    begin = end;
-  }
-  return n;
-}
-
-void TriangleTeam::Finish() {
-  assert(!finished_);
-  finished_ = true;
-  if (team_ == 1) return;
-  for (const TrianglePairCounter::Shard& shard : shards_) {
-    tri_->MergeShard(shard);
-  }
-  if (stats_ == nullptr) return;
-  shard_work_.assign(static_cast<std::size_t>(team_), 0);
-  for (int w = 0; w < team_; ++w) {
-    const SubsetStats& s = shard_stats_[static_cast<std::size_t>(w)];
-    stats_->Accumulate(s);
-    shard_work_[static_cast<std::size_t>(w)] =
-        s.traversal_steps + s.leaf_candidates_checked;
-  }
-}
+template class TeamCounter<TrianglePairCounter>;
 
 }  // namespace pam

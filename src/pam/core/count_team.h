@@ -30,7 +30,7 @@ inline constexpr std::size_t kCancelCheckStride = 2048;
 void AccumulateShardWork(std::vector<std::uint64_t>& into,
                          const std::vector<std::uint64_t>& from);
 
-/// Drives one pass's tree counting through the intra-rank team (DESIGN.md
+/// Drives one pass's counting through the intra-rank team (DESIGN.md
 /// §11): transactions are split across the pool's shards, shard 0 counting
 /// on the calling rank thread directly into `counts`, shards 1..T-1
 /// counting into cache-line padded CounterStrips, every shard with its own
@@ -38,9 +38,11 @@ void AccumulateShardWork(std::vector<std::uint64_t>& into,
 /// shard order, so counts and SubsetStats are byte-identical to the
 /// single-threaded path for every team size.
 ///
-/// `Tree` is the counting structure: CandidateTrie in production,
-/// HashTree for the paper's instrumentation. With a 1-thread pool the team
-/// degenerates to direct Subset() calls: no strips, no threads.
+/// `Tree` is the counting structure: TrianglePairCounter for pass 2 (with
+/// `counts` its cells() and no root filter), CandidateTrie for every later
+/// production pass, HashTree for the paper's instrumentation. With a
+/// 1-thread pool the team degenerates to direct Subset() calls: no strips,
+/// no threads.
 template <typename Tree>
 class TeamCounter {
  public:
@@ -63,9 +65,6 @@ class TeamCounter {
   /// Merges the team's strips and stats into `counts` / `stats`. Call
   /// exactly once, after the last CountSlice/CountPage.
   void Finish();
-
-  /// Effective team size (1 when the team is degenerate).
-  int team() const { return team_; }
 
   /// Subset work (traversal steps + candidates checked) per shard, valid
   /// after Finish(). Empty when the team is degenerate or stats was null.
@@ -95,41 +94,17 @@ class TeamCounter {
 
 extern template class TeamCounter<CandidateTrie>;
 extern template class TeamCounter<HashTree>;
+extern template class TeamCounter<TrianglePairCounter>;
 
-/// The TeamCounter counterpart for the pass-2 triangle kernel: shard 0
-/// counts into the shared TrianglePairCounter, shards 1..T-1 into private
-/// TrianglePairCounter::Shard triangles merged in fixed shard order by
-/// Finish(). Same determinism guarantee as TeamCounter.
-class TriangleTeam {
+/// The pass-2 team counting into the triangle's own cells(). The miners
+/// spell it TeamCounter<TrianglePairCounter>; this name stays only because
+/// the end-to-end benchmark's replay (e2ebench/harness/layers.cc)
+/// constructs it, and that harness changes only with the benchmark.
+class TriangleTeam : public TeamCounter<TrianglePairCounter> {
  public:
   TriangleTeam(CountingPool* pool, TrianglePairCounter* tri,
-               SubsetStats* stats, const CancelToken* cancel = nullptr);
-
-  std::size_t CountSlice(const TransactionDatabase& db,
-                         TransactionDatabase::Slice slice);
-
-  /// Merges shard triangles and stats. Call exactly once; afterwards the
-  /// parent TrianglePairCounter holds the complete counts.
-  void Finish();
-
-  int team() const { return team_; }
-  const std::vector<std::uint64_t>& shard_work() const { return shard_work_; }
-
- private:
-  template <typename TxAt>
-  void RunBatch(std::size_t n, const TxAt& tx_at);
-
-  CountingPool* pool_;
-  TrianglePairCounter* tri_;
-  SubsetStats* stats_;
-  const CancelToken* cancel_;
-  obs::RankTracer* tracer_;
-  int team_;
-  bool finished_ = false;
-
-  std::vector<TrianglePairCounter::Shard> shards_;  // shards 1..T-1
-  std::vector<SubsetStats> shard_stats_;
-  std::vector<std::uint64_t> shard_work_;
+               SubsetStats* stats)
+      : TeamCounter(pool, tri, tri->cells(), stats) {}
 };
 
 }  // namespace pam

@@ -90,8 +90,6 @@ class CounterStrips {
   /// Adds every strip into `out` (size width), strips in shard order.
   void MergeInto(std::span<Count> out) const;
 
-  int num_strips() const { return num_strips_; }
-
  private:
   // 8 Counts == one 64-byte cache line.
   static constexpr std::size_t kLineCounts = 8;

@@ -18,12 +18,16 @@ TrianglePairCounter::TrianglePairCounter(const ItemsetCollection& f1)
     rank_[f1.Get(i)[0]] = static_cast<std::uint32_t>(i);
   }
   tri_.assign(CellsFor(r_), 0);
-  scratch_.reserve(64);
 }
 
-std::size_t TrianglePairCounter::CollectRanks(
-    ItemSpan transaction, std::vector<std::uint32_t>& ranks) const {
-  if (ranks.size() < transaction.size()) ranks.resize(transaction.size());
+TrianglePairCounter::Scratch TrianglePairCounter::MakeScratch() const {
+  Scratch scratch;
+  scratch.ranks.resize(r_ + 1);
+  return scratch;
+}
+
+std::size_t TrianglePairCounter::CollectRanks(ItemSpan transaction,
+                                              std::uint32_t* ranks) const {
   // No branch on frequency, which is data-dependent and mispredicts:
   // every in-range item's rank is stored, and the cursor advances only
   // past a frequent one, so the next store overwrites an infrequent
@@ -39,13 +43,18 @@ std::size_t TrianglePairCounter::CollectRanks(
   return n;
 }
 
-void TrianglePairCounter::CountInto(ItemSpan transaction, SubsetStats* stats,
-                                    Count* tri,
-                                    std::vector<std::uint32_t>& ranks) const {
+void TrianglePairCounter::Subset(ItemSpan transaction,
+                                 std::span<Count> counts, SubsetStats* stats,
+                                 [[maybe_unused]] const Bitmap* root_filter,
+                                 Scratch& scratch) const {
+  assert(root_filter == nullptr);
+  assert(counts.size() == tri_.size());
+  assert(scratch.ranks.size() == r_ + 1);
   if (stats != nullptr) ++stats->transactions;
   // Transactions are sorted by item and F_1 is sorted too, so the
   // collected ranks come out ascending — exactly the ri < rj order the
   // triangle indexing needs.
+  std::uint32_t* ranks = scratch.ranks.data();
   const std::size_t n = CollectRanks(transaction, ranks);
   if (n < 2) return;
   if (stats != nullptr) {
@@ -55,22 +64,12 @@ void TrianglePairCounter::CountInto(ItemSpan transaction, SubsetStats* stats,
     const std::size_t ri = ranks[a];
     // Hoist the row base: cells of row ri are contiguous, so the inner
     // loop is a sequential streak of increments.
-    Count* row = tri + ri * (2 * r_ - ri - 1) / 2;
+    Count* row = counts.data() + ri * (2 * r_ - ri - 1) / 2;
     const std::size_t off = ri + 1;
     for (std::size_t b = a + 1; b < n; ++b) {
       ++row[ranks[b] - off];
     }
   }
-}
-
-void TrianglePairCounter::AddTransaction(ItemSpan transaction,
-                                         SubsetStats* stats) {
-  CountInto(transaction, stats, tri_.data(), scratch_);
-}
-
-void TrianglePairCounter::MergeShard(const Shard& shard) {
-  assert(shard.tri_.size() == tri_.size());
-  for (std::size_t i = 0; i < tri_.size(); ++i) tri_[i] += shard.tri_[i];
 }
 
 void TrianglePairCounter::Extract(const ItemsetCollection& c2,

@@ -24,6 +24,10 @@ namespace pam {
 /// counting, not an approximation); only the SubsetStats work profile
 /// differs, which is why the AprioriConfig::use_pass2_triangle flag exists
 /// for the paper's Section IV instrumentation runs.
+///
+/// It counts through the interface CandidateTrie and HashTree share
+/// (MakeScratch() and a const Subset()), so one TeamCounter drives all
+/// three kernels; a pass counts into cells().
 class TrianglePairCounter {
  public:
   /// Builds the item -> F_1-rank map. `f1` must be the frequent
@@ -44,37 +48,32 @@ class TrianglePairCounter {
                             CellsFor(f1_size) <= max_candidates_in_memory);
   }
 
-  /// Counts every pair of frequent items of `transaction`. Mirrors one
-  /// HashTree::Subset call for the stats that remain meaningful without a
-  /// tree: `transactions` always increments and `leaf_candidates_checked`
-  /// counts the pair cells touched; the traversal/leaf-visit counters stay
-  /// zero (there is no tree — disable the triangle path to reproduce the
-  /// paper's Figure 11/12 traversal instrumentation). `stats` may be null.
-  void AddTransaction(ItemSpan transaction, SubsetStats* stats);
-
-  /// A per-worker shard of the counting team: the same kernel accumulating
-  /// into a private triangle, merged into the parent with MergeShard().
-  /// The parent must outlive and not be mutated under its shards; shards
-  /// on distinct threads never share state.
-  class Shard {
+  /// Per-transaction mutable state: the buffer the transaction's F_1
+  /// ranks are collected into. Opaque: obtain via MakeScratch().
+  class Scratch {
    public:
-    explicit Shard(const TrianglePairCounter& parent)
-        : parent_(&parent), tri_(parent.tri_.size(), 0) {}
-
-    void AddTransaction(ItemSpan transaction, SubsetStats* stats) {
-      parent_->CountInto(transaction, stats, tri_.data(), ranks_);
-    }
+    Scratch() = default;
 
    private:
     friend class TrianglePairCounter;
-    const TrianglePairCounter* parent_;
-    std::vector<Count> tri_;
-    std::vector<std::uint32_t> ranks_;  // per-transaction rank buffer
+    std::vector<std::uint32_t> ranks;
   };
 
-  /// Adds a shard's triangle into this counter. Call once per shard, in
-  /// fixed shard order, after the team has joined.
-  void MergeShard(const Shard& shard);
+  /// Counts every pair of frequent items of `transaction` into `counts`,
+  /// which holds num_cells() cells in cells()' order: the counter's own
+  /// cells(), or a counting team's strip. Mirrors one HashTree::Subset call
+  /// for the stats that remain meaningful without a tree: `transactions`
+  /// always increments and `leaf_candidates_checked` counts the pair cells
+  /// touched; the traversal/leaf-visit counters stay zero (there is no
+  /// tree — disable the triangle path to reproduce the paper's Figure
+  /// 11/12 traversal instrumentation). The triangle has no root to filter,
+  /// so `root_filter` must be null. `stats` may be null. Never allocates.
+  void Subset(ItemSpan transaction, std::span<Count> counts,
+              SubsetStats* stats, const Bitmap* root_filter,
+              Scratch& scratch) const;
+
+  /// Fresh scratch sized for this counter.
+  Scratch MakeScratch() const;
 
   /// Scatters the triangle into `counts` (indexed by candidate position in
   /// `c2`). Every candidate of `c2` must be a pair of frequent items —
@@ -101,22 +100,14 @@ class TrianglePairCounter {
 
   // Collects the F_1 ranks of the transaction's frequent items into
   // `ranks` (ascending, because transactions and F_1 are both sorted) and
-  // returns how many. `ranks` is grown to at least transaction.size(),
-  // one slot per item: the loop stores every in-range item's rank before
-  // it knows whether to keep it.
-  std::size_t CollectRanks(ItemSpan transaction,
-                           std::vector<std::uint32_t>& ranks) const;
-
-  // The shared kernel behind AddTransaction and Shard::AddTransaction:
-  // counts into the caller-supplied triangle using the caller's rank
-  // buffer. Touches no mutable state of *this.
-  void CountInto(ItemSpan transaction, SubsetStats* stats, Count* tri,
-                 std::vector<std::uint32_t>& ranks) const;
+  // returns how many. `ranks` holds R + 1 slots: the loop stores every
+  // in-range item's rank before it knows whether to keep it, so one slot
+  // past the R frequent ones may be written.
+  std::size_t CollectRanks(ItemSpan transaction, std::uint32_t* ranks) const;
 
   std::size_t r_ = 0;                 // |F_1|
   std::vector<std::uint32_t> rank_;   // item -> rank, kNotFrequent if absent
   std::vector<Count> tri_;            // R * (R-1) / 2 cells
-  std::vector<std::uint32_t> scratch_;  // per-transaction rank buffer
 };
 
 }  // namespace pam

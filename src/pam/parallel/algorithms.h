@@ -35,13 +35,14 @@ struct RankOutput {
 
 /// One formulation's tree pass k >= 2 (DESIGN.md §16): given C_k
 /// (`candidates`, non-empty and identical on every rank), it decides which
-/// candidates this rank owns, brings the transactions to them, turns the
-/// counts into F_k, and fills the formulation's fields of this rank's row
-/// `m`. The returned F_k, with global counts, must be identical on every
-/// rank. Per-run state (load model, grid inputs) lives in the body's
-/// capturing scope. The loop never calls it on a triangle pass.
+/// candidates this rank owns, brings the transactions to them, counts them
+/// with the rank's counting team on `pool`, turns the counts into F_k, and
+/// fills the formulation's fields of this rank's row `m`. The returned
+/// F_k, with global counts, must be identical on every rank. Per-run state
+/// (grid inputs) lives in the body's capturing scope. The loop never calls
+/// it on a triangle pass.
 using PassBody = std::function<ItemsetCollection(
-    int k, ItemsetCollection candidates, PassMetrics& m)>;
+    int k, ItemsetCollection candidates, CountingPool& pool, PassMetrics& m)>;
 
 /// The Figure-1 Apriori pass loop every miner shares. It runs pass 1
 /// (ParallelPass1 over `slice`, plus the DHP buckets) and then, for each
@@ -49,15 +50,15 @@ using PassBody = std::function<ItemsetCollection(
 /// cancel checkpoint, the pass span, candidate generation, the pass
 /// itself, and the row's common fields (k, |C_k|, |F_k|, slice wire
 /// bytes, team size, fault delta, wall time), which it streams to the
-/// rank's tracer. A pass the pass-2 triangle can count is Count
-/// Distribution in every formulation: the loop counts `slice` into the
-/// triangle with `pool`, reduces the counts over all ranks and prunes,
-/// and `body` runs only on the other passes. Minsup resolves against the
-/// whole database.
+/// rank's tracer. The loop owns the rank's CountingPool of
+/// `threads_per_rank` threads and hands it to every pass. A pass the
+/// pass-2 triangle can count is Count Distribution in every formulation:
+/// the loop counts `slice` into the triangle with that pool, reduces the
+/// counts over all ranks and prunes, and `body` runs only on the other
+/// passes. Minsup resolves against the whole database.
 RankOutput RunPasses(const TransactionDatabase& db,
                      TransactionDatabase::Slice slice, Comm& comm,
-                     const ParallelConfig& config, CountingPool& pool,
-                     const PassBody& body);
+                     const ParallelConfig& config, const PassBody& body);
 
 /// Rank programs. Each must be executed by every rank of `comm` (the
 /// driver wires them into Runtime::Run); `db` is the shared read-only

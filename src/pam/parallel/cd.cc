@@ -19,10 +19,9 @@ RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
       db.RankSlice(comm.rank(), comm.size());
   const Count minsup = config.apriori.ResolveMinsup(db.size());
   const std::size_t cap = config.apriori.max_candidates_in_memory;
-  CountingPool pool(config.apriori.threads_per_rank);
 
   const PassBody body = [&](int /*k*/, ItemsetCollection candidates,
-                            PassMetrics& m) {
+                            CountingPool& pool, PassMetrics& m) {
     const std::size_t num_candidates = candidates.size();
     m.grid_cols = comm.size();
     m.num_candidates_local = num_candidates;
@@ -62,7 +61,7 @@ RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
     candidates.PruneBelow(minsup);
     return candidates;
   };
-  return RunPasses(db, slice, comm, config, pool, body);
+  return RunPasses(db, slice, comm, config, body);
 }
 
 }  // namespace pam

@@ -126,17 +126,20 @@ std::uint64_t RingShiftAll(Comm& comm, const std::vector<Page>& local_pages,
   return bytes_sent;
 }
 
-int ChooseGridRows(std::size_t num_candidates, std::size_t threshold_m,
-                   int num_ranks) {
-  if (threshold_m == 0 || num_candidates < threshold_m) return 1;
-  const std::size_t want =
-      (num_candidates + threshold_m - 1) / threshold_m;  // ceil(M / m)
+int SmallestDivisorAtLeast(std::size_t want, int num_ranks) {
   if (want >= static_cast<std::size_t>(num_ranks)) return num_ranks;
-  // Smallest divisor of P that is >= want.
-  for (int g = static_cast<int>(want); g <= num_ranks; ++g) {
+  for (int g = static_cast<int>(want); g < num_ranks; ++g) {
     if (num_ranks % g == 0) return g;
   }
   return num_ranks;
+}
+
+int ChooseGridRows(std::size_t num_candidates, std::size_t threshold_m,
+                   int num_ranks) {
+  if (threshold_m == 0 || num_candidates < threshold_m) return 1;
+  return SmallestDivisorAtLeast(
+      (num_candidates + threshold_m - 1) / threshold_m,  // ceil(M / m)
+      num_ranks);
 }
 
 std::vector<Count> CountPageStream(const ItemsetCollection& candidates,

@@ -99,6 +99,10 @@ std::uint64_t RingShiftAll(Comm& comm, const std::vector<Page>& local_pages,
                            const std::function<void(PageView)>& process,
                            std::uint64_t* messages_sent);
 
+/// The smallest divisor of P that is >= `want` (>= 1), capped at P: HD's
+/// grid rows, from the threshold or from a hd_forced_rows pin.
+int SmallestDivisorAtLeast(std::size_t want, int num_ranks);
+
 /// HD grid-rows choice: 1 if M < m, else the smallest divisor of P that is
 /// >= ceil(M / m) (capped at P).
 int ChooseGridRows(std::size_t num_candidates, std::size_t threshold_m,

@@ -76,10 +76,9 @@ RankOutput RunDdRank(const TransactionDatabase& db, Comm& comm,
   const int rank = comm.rank();
   const TransactionDatabase::Slice slice = db.RankSlice(rank, p);
   const Count minsup = config.apriori.ResolveMinsup(db.size());
-  CountingPool pool(config.apriori.threads_per_rank);
 
   const PassBody body = [&](int /*k*/, ItemsetCollection candidates,
-                            PassMetrics& m) {
+                            CountingPool& pool, PassMetrics& m) {
     m.grid_rows = p;
     // Every rank regenerates the full candidate set, then keeps its
     // round-robin share in its hash tree.
@@ -104,7 +103,7 @@ RankOutput RunDdRank(const TransactionDatabase& db, Comm& comm,
     return ExchangeOwnedFrequent(comm, candidates, std::move(counts), my_ids,
                                  minsup, m);
   };
-  return RunPasses(db, slice, comm, config, pool, body);
+  return RunPasses(db, slice, comm, config, body);
 }
 
 }  // namespace pam

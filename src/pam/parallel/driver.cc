@@ -70,7 +70,8 @@ ItemsetCollection TrianglePass(const TransactionDatabase& db,
   {
     obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, /*index=*/0,
                                "triangle");
-    TriangleTeam team(&pool, &tri, &m.subset, &config.cancel);
+    TeamCounter team(&pool, &tri, cells, &m.subset, /*root_filter=*/nullptr,
+                     &config.cancel);
     team.CountSlice(db, slice);
     team.Finish();
     AccumulateShardWork(m.shard_subset_work, team.shard_work());
@@ -129,10 +130,10 @@ std::string AlgorithmName(Algorithm algorithm) {
 
 RankOutput RunPasses(const TransactionDatabase& db,
                      TransactionDatabase::Slice slice, Comm& comm,
-                     const ParallelConfig& config, CountingPool& pool,
-                     const PassBody& body) {
+                     const ParallelConfig& config, const PassBody& body) {
   const AprioriConfig& apriori = config.apriori;
   const Count minsup = apriori.ResolveMinsup(db.size());
+  CountingPool pool(apriori.threads_per_rank);
   std::vector<Count> dhp_buckets;  // PDM-style DHP filter state (optional)
   RankOutput out;
   // Pass 1 runs whatever max_k says; every later pass needs two sets in
@@ -179,7 +180,7 @@ RankOutput RunPasses(const TransactionDatabase& db,
         break;
       }
       m.num_candidates_global = candidates.size();
-      frequent = body(k, std::move(candidates), m);
+      frequent = body(k, std::move(candidates), pool, m);
       m.num_frequent_global = frequent.size();
     }
     const CommFaultStats faults = comm.MyFaultStats();

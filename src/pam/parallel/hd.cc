@@ -12,28 +12,21 @@ RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
                      const ParallelConfig& config) {
   using parallel_internal::ChooseGridRows;
   using parallel_internal::RingShiftAll;
+  using parallel_internal::SmallestDivisorAtLeast;
 
   const int p = comm.size();
   const int rank = comm.rank();
   const TransactionDatabase::Slice slice = db.RankSlice(rank, p);
   const Count minsup = config.apriori.ResolveMinsup(db.size());
-  CountingPool pool(config.apriori.threads_per_rank);
 
   const PassBody body = [&](int k, ItemsetCollection candidates,
-                            PassMetrics& m) {
+                            CountingPool& pool, PassMetrics& m) {
     // Dynamic grid configuration (Table II), unless pinned by the caller.
-    int rows;
-    if (config.hd_forced_rows > 0) {
-      rows = p;
-      for (int g = config.hd_forced_rows; g <= p; ++g) {
-        if (p % g == 0) {
-          rows = g;
-          break;
-        }
-      }
-    } else {
-      rows = ChooseGridRows(candidates.size(), config.hd_threshold_m, p);
-    }
+    const int rows =
+        config.hd_forced_rows > 0
+            ? SmallestDivisorAtLeast(
+                  static_cast<std::size_t>(config.hd_forced_rows), p)
+            : ChooseGridRows(candidates.size(), config.hd_threshold_m, p);
     const int cols = p / rows;
     const int my_row = rank / cols;
     const int my_col = rank % cols;
@@ -89,7 +82,7 @@ RankOutput RunHdRank(const TransactionDatabase& db, Comm& comm,
     return parallel_internal::ExchangeOwnedFrequent(
         col_comm, candidates, std::move(counts), my_ids, minsup, m);
   };
-  return RunPasses(db, slice, comm, config, pool, body);
+  return RunPasses(db, slice, comm, config, body);
 }
 
 }  // namespace pam

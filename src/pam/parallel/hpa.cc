@@ -144,10 +144,9 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
   const int rank = comm.rank();
   const TransactionDatabase::Slice slice = db.RankSlice(rank, p);
   const Count minsup = config.apriori.ResolveMinsup(db.size());
-  CountingPool pool(config.apriori.threads_per_rank);
 
   const PassBody body = [&](int k, ItemsetCollection candidates,
-                            PassMetrics& m) {
+                            CountingPool& /*pool*/, PassMetrics& m) {
     m.grid_rows = p;
     // Hash ownership; the collection stays sorted so owners can probe
     // incoming subsets with one binary search.
@@ -191,7 +190,7 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
     return parallel_internal::ExchangeOwnedFrequent(
         comm, candidates, std::move(counts), my_ids, minsup, m);
   };
-  return RunPasses(db, slice, comm, config, pool, body);
+  return RunPasses(db, slice, comm, config, body);
 }
 
 }  // namespace pam

@@ -22,10 +22,9 @@ RankOutput RunIddRank(const TransactionDatabase& db, Comm& comm,
                        : TransactionDatabase::Slice{db.size(), db.size()})
           : db.RankSlice(rank, p);
   const Count minsup = config.apriori.ResolveMinsup(db.size());
-  CountingPool pool(config.apriori.threads_per_rank);
 
   const PassBody body = [&](int /*k*/, ItemsetCollection candidates,
-                            PassMetrics& m) {
+                            CountingPool& pool, PassMetrics& m) {
     m.grid_rows = p;
     // Keep only the bin-packed share of C_k; the paper's implementation
     // likewise computes the first-item histogram, bin-packs, and
@@ -48,7 +47,7 @@ RankOutput RunIddRank(const TransactionDatabase& db, Comm& comm,
     return parallel_internal::ExchangeOwnedFrequent(
         comm, candidates, std::move(counts), my_ids, minsup, m);
   };
-  return RunPasses(db, slice, comm, config, pool, body);
+  return RunPasses(db, slice, comm, config, body);
 }
 
 }  // namespace pam

@@ -1,6 +1,8 @@
 #include "pam/serve/server.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "pam/mp/fault.h"
@@ -81,6 +83,32 @@ void SetCancelledResponse(ServeResponse* response, CancelReason reason,
   response->error = "cancelled: " + detail;
 }
 
+/// Why `request`, `ranks` wide, cannot run on a `capacity`-rank pool, or
+/// "" when it can. Each number comes from a client, so it is bounded before
+/// it sizes a thread team or reaches a double-to-integer conversion.
+std::string InvalidRequestReason(const MiningRequest& request, int ranks,
+                                 int capacity) {
+  if (request.dataset.empty()) return "request names no dataset";
+  const int threads = request.config.apriori.threads_per_rank;
+  if (ranks < 1 || ranks > capacity || threads < 1 || threads > capacity) {
+    return "requested " + std::to_string(ranks) + " ranks of " +
+           std::to_string(threads) + " threads from a " +
+           std::to_string(capacity) + "-rank pool";
+  }
+  if (!std::isfinite(request.deadline_ms) ||
+      request.deadline_ms > CancelToken::kMaxDeadlineMs) {
+    return "deadline_ms must be finite and at most " +
+           std::to_string(
+               static_cast<std::int64_t>(CancelToken::kMaxDeadlineMs));
+  }
+  const double fraction = request.config.apriori.minsup_fraction;
+  if (request.config.apriori.minsup_count == 0 &&
+      !(fraction >= 0.0 && fraction <= 1.0)) {
+    return "minsup_fraction must lie in [0, 1]";
+  }
+  return {};
+}
+
 void EmitCancelInstant(const char* detail) {
   obs::RankTracer* tracer = obs::CurrentTracer();
   if (tracer != nullptr) tracer->EmitInstant(obs::SpanKind::kCancel, detail);
@@ -129,16 +157,12 @@ bool MiningServer::AdmitLocked(MiningRequest& request,
     ++stats_.rejected_shutdown;
     return reject(ServeStatus::kShuttingDown, "server is shutting down");
   }
-  if (request.dataset.empty()) {
-    ++stats_.rejected_invalid;
-    return reject(ServeStatus::kInvalidRequest, "request names no dataset");
-  }
   const int ranks = IsParallel(request.algorithm) ? request.num_ranks : 1;
-  if (ranks < 1 || ranks > pool_.capacity()) {
+  if (std::string reason =
+          InvalidRequestReason(request, ranks, pool_.capacity());
+      !reason.empty()) {
     ++stats_.rejected_invalid;
-    return reject(ServeStatus::kInvalidRequest,
-                  "requested " + std::to_string(ranks) + " ranks from a " +
-                      std::to_string(pool_.capacity()) + "-rank pool");
+    return reject(ServeStatus::kInvalidRequest, std::move(reason));
   }
   if (!cache_.Contains(request.dataset)) {
     ++stats_.rejected_unknown_dataset;

@@ -32,7 +32,8 @@ enum class ServeStatus {
   kTenantInFlightExceeded, // tenant at its max concurrent admitted requests
   kTenantBudgetExhausted,  // tenant spent its rank-seconds budget
   kUnknownDataset,         // dataset id not registered with the cache
-  kInvalidRequest,         // malformed (e.g. ranks outside the pool)
+  kInvalidRequest,         // malformed (no dataset, or a rank, thread,
+                           // deadline or support value out of bounds)
   kShuttingDown,           // server no longer accepting
   /// Post-admission typed failures (DESIGN.md §13):
   kMiningFault,            // run died with CommError (fault injection),

@@ -1,6 +1,6 @@
 #include "pam/util/cancel.h"
 
-#include <algorithm>
+#include <cassert>
 
 namespace pam {
 namespace {
@@ -8,12 +8,6 @@ namespace {
 std::int64_t NowUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              CancelToken::Clock::now().time_since_epoch())
-      .count();
-}
-
-std::int64_t ToUs(CancelToken::Clock::time_point tp) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             tp.time_since_epoch())
       .count();
 }
 
@@ -46,37 +40,21 @@ CancelToken CancelToken::Create() {
   return CancelToken(std::move(state));
 }
 
-CancelToken CancelToken::WithDeadline(Clock::time_point deadline) {
-  CancelToken token = Create();
-  token.ArmDeadline(deadline);
-  return token;
-}
-
-CancelToken CancelToken::AfterMs(double ms) {
-  return WithDeadline(Clock::now() +
-                      std::chrono::microseconds(
-                          static_cast<std::int64_t>(ms * 1000.0)));
-}
-
 bool CancelToken::has_deadline() const {
   return state_ != nullptr &&
          state_->deadline_us.load(std::memory_order_relaxed) !=
              std::numeric_limits<std::int64_t>::max();
 }
 
-void CancelToken::ArmDeadline(Clock::time_point deadline) {
+void CancelToken::ArmDeadlineIn(double ms) {
+  assert(ms >= -kMaxDeadlineMs && ms <= kMaxDeadlineMs);
   if (state_ == nullptr) return;
-  const std::int64_t us = ToUs(deadline);
+  const std::int64_t us = NowUs() + static_cast<std::int64_t>(ms * 1000.0);
   // Deadlines only tighten: keep the minimum of all armed values.
   std::int64_t current = state_->deadline_us.load(std::memory_order_relaxed);
   while (us < current && !state_->deadline_us.compare_exchange_weak(
                              current, us, std::memory_order_relaxed)) {
   }
-}
-
-void CancelToken::ArmDeadlineIn(double ms) {
-  ArmDeadline(Clock::now() + std::chrono::microseconds(
-                                 static_cast<std::int64_t>(ms * 1000.0)));
 }
 
 void CancelToken::Cancel(CancelReason reason) {

@@ -67,19 +67,20 @@ class CancelToken {
   /// Null token: never cancels, all checks are no-ops.
   CancelToken() = default;
 
+  /// The longest deadline ArmDeadlineIn() takes, in milliseconds (about
+  /// 31 years): now plus this many microseconds stays far inside int64.
+  static constexpr double kMaxDeadlineMs = 1e12;
+
   /// A live token with no deadline (cancel/watchdog only).
   static CancelToken Create();
-  /// A live token that fires kDeadline at `deadline`.
-  static CancelToken WithDeadline(Clock::time_point deadline);
-  /// A live token that fires kDeadline `ms` from now.
-  static CancelToken AfterMs(double ms);
 
   bool valid() const { return state_ != nullptr; }
   bool has_deadline() const;
 
-  /// Arms (or tightens) the deadline on a live token: the effective
-  /// deadline only ever moves earlier. No-op on a null token.
-  void ArmDeadline(Clock::time_point deadline);
+  /// Arms (or tightens) a deadline `ms` from now on a live token: the
+  /// effective deadline only ever moves earlier. No-op on a null token.
+  /// `ms` must lie in [-kMaxDeadlineMs, kMaxDeadlineMs]: outside it (or
+  /// NaN) the conversion would overflow.
   void ArmDeadlineIn(double ms);
 
   /// Fires the token with `reason` (first reason wins; later calls are

@@ -180,9 +180,10 @@ TEST(TrianglePairCounterTest, MatchesTreeCountsOnC2) {
     ASSERT_GT(c2.size(), 0u);
 
     TrianglePairCounter tri(f1);
+    TrianglePairCounter::Scratch scratch = tri.MakeScratch();
     SubsetStats stats;
     for (std::size_t t = 0; t < db.size(); ++t) {
-      tri.AddTransaction(db.Transaction(t), &stats);
+      tri.Subset(db.Transaction(t), tri.cells(), &stats, nullptr, scratch);
     }
     std::vector<Count> tri_counts(c2.size(), 0);
     tri.Extract(c2, std::span<Count>(tri_counts));
@@ -204,8 +205,9 @@ TEST(TrianglePairCounterTest, MatchesTreeCountsOnDhpFilteredC2) {
   ASSERT_GT(c2.size(), 0u);
 
   TrianglePairCounter tri(f1);
+  TrianglePairCounter::Scratch scratch = tri.MakeScratch();
   for (std::size_t t = 0; t < db.size(); ++t) {
-    tri.AddTransaction(db.Transaction(t), nullptr);
+    tri.Subset(db.Transaction(t), tri.cells(), nullptr, nullptr, scratch);
   }
   std::vector<Count> tri_counts(c2.size(), 0);
   tri.Extract(c2, std::span<Count>(tri_counts));

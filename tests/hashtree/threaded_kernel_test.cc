@@ -2,9 +2,9 @@
 // counts AND SubsetStats must be byte-identical between the 1-thread path
 // and every team size, for the flat hash-tree kernel and the pass-2
 // triangle kernel, across tree shapes, page sizes, and full mining runs
-// of every formulation. A chaos cell combines fault injection with the
-// thread team so the TSan job exercises rank threads and counting workers
-// together.
+// of every formulation, and with a cancellation token in the team. A
+// chaos cell combines fault injection with the thread team so the TSan
+// job exercises rank threads and counting workers together.
 
 #include <algorithm>
 #include <numeric>
@@ -17,11 +17,13 @@
 #include "pam/core/apriori_gen.h"
 #include "pam/core/count_team.h"
 #include "pam/core/serial_apriori.h"
+#include "pam/hashtree/candidate_trie.h"
 #include "pam/hashtree/counting_pool.h"
 #include "pam/hashtree/hash_tree.h"
 #include "pam/hashtree/pair_counter.h"
 #include "pam/mp/fault.h"
 #include "pam/parallel/driver.h"
+#include "pam/util/cancel.h"
 #include "pam/util/prng.h"
 #include "testing/test_support.h"
 
@@ -95,8 +97,8 @@ TEST(ThreadedKernelTest, TreeCountsIdenticalAcrossTeamSizes) {
   }
 }
 
-// Same guarantee for the pass-2 triangle kernel: shard triangles merged in
-// fixed order equal the single-threaded triangular count.
+// Same guarantee for the pass-2 triangle kernel: counter strips merged in
+// fixed order into the triangle's cells equal the single-threaded count.
 TEST(ThreadedKernelTest, TriangleCountsIdenticalAcrossTeamSizes) {
   const TransactionDatabase db = testing::RandomDb(500, 24, 9, 23);
   AprioriConfig cfg;
@@ -113,7 +115,7 @@ TEST(ThreadedKernelTest, TriangleCountsIdenticalAcrossTeamSizes) {
     TeamRun out;
     TrianglePairCounter tri(f1);
     CountingPool pool(threads);
-    TriangleTeam team(&pool, &tri, &out.stats);
+    TeamCounter team(&pool, &tri, tri.cells(), &out.stats);
     team.CountSlice(db, {0, db.size()});
     team.Finish();
     out.shard_work = team.shard_work();
@@ -130,6 +132,79 @@ TEST(ThreadedKernelTest, TriangleCountsIdenticalAcrossTeamSizes) {
     ASSERT_EQ(team.shard_work.size(), static_cast<std::size_t>(threads))
         << label;
   }
+}
+
+// Counts `width` cells of `tree` over `slice` through a `threads`-sized
+// team that checks `cancel` between kCancelCheckStride sub-batches.
+template <typename Tree>
+TeamRun CountWithToken(const TransactionDatabase& db,
+                       TransactionDatabase::Slice slice, const Tree& tree,
+                       std::size_t width, int threads,
+                       const CancelToken* cancel) {
+  TeamRun out;
+  out.counts.assign(width, 0);
+  CountingPool pool(threads);
+  TeamCounter team(&pool, &tree, std::span<Count>(out.counts), &out.stats,
+                   /*root_filter=*/nullptr, cancel);
+  team.CountSlice(db, slice);
+  team.Finish();
+  out.shard_work = team.shard_work();
+  return out;
+}
+
+// Cancellation inside the counting team, for all three kernels: a fired
+// token stops CountSlice before anything is counted, and a live token over
+// a slice of several kCancelCheckStride sub-batches counts exactly what
+// the unsplit null-token batch counts.
+TEST(ThreadedKernelTest, TeamCancellationForEveryKernel) {
+  const TransactionDatabase db = testing::RandomDb(5000, 30, 10, 41);
+  // A slice that spans three sub-batches and does not start at 0.
+  const TransactionDatabase::Slice slice{100, db.size()};
+  ASSERT_GT(slice.size(), 2 * kCancelCheckStride);
+  const std::vector<Count> item_counts = CountItems(db, {0, db.size()});
+  const ItemsetCollection f1 = MakeF1(item_counts, 200);
+  ASSERT_GE(f1.size(), 4u);
+  const ItemsetCollection candidates = RandomCandidates(3, 300, 30, 99);
+  const TrianglePairCounter triangle(f1);
+  const CandidateTrie trie(candidates);
+  const HashTree tree(candidates, HashTreeConfig{});
+
+  CancelToken fired = CancelToken::Create();
+  fired.Cancel();
+  const CancelToken live = CancelToken::Create();
+  const auto check = [&](const auto& kernel, std::size_t width,
+                         const std::string& name) {
+    for (const int threads : {1, 3}) {
+      const std::string label = name + " threads=" + std::to_string(threads);
+      {
+        std::vector<Count> counts(width, 0);
+        SubsetStats stats;
+        CountingPool pool(threads);
+        TeamCounter team(&pool, &kernel, std::span<Count>(counts), &stats,
+                         /*root_filter=*/nullptr, &fired);
+        EXPECT_THROW(team.CountSlice(db, slice), CancelledError) << label;
+        EXPECT_EQ(counts, std::vector<Count>(width, 0)) << label;
+        EXPECT_EQ(stats, SubsetStats{}) << label;
+      }
+      const TeamRun base =
+          CountWithToken(db, slice, kernel, width, threads, nullptr);
+      const TeamRun split =
+          CountWithToken(db, slice, kernel, width, threads, &live);
+      EXPECT_EQ(base.stats.transactions, slice.size()) << label;
+      EXPECT_EQ(split.counts, base.counts) << label;
+      ExpectStatsEqual(split.stats, base.stats, label);
+      if (threads > 1) {  // shard work sums over every sub-batch
+        std::uint64_t shard_total = 0;
+        for (const std::uint64_t w : split.shard_work) shard_total += w;
+        EXPECT_EQ(shard_total, split.stats.traversal_steps +
+                                   split.stats.leaf_candidates_checked)
+            << label;
+      }
+    }
+  };
+  check(triangle, triangle.num_cells(), "triangle");
+  check(trie, candidates.size(), "trie");
+  check(tree, candidates.size(), "hash tree");
 }
 
 // End-to-end: every formulation's mined itemsets and counts are identical

@@ -1,6 +1,12 @@
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "pam/parallel/common.h"
+#include "pam/parallel/driver.h"
+#include "testing/test_support.h"
 
 namespace pam {
 namespace {
@@ -81,6 +87,34 @@ TEST(HdGridTest, RowsCoverAtLeastCeilRatio) {
         EXPECT_EQ(rows, p);
       }
     }
+  }
+}
+
+// A pinned grid takes the smallest divisor of P at or above the pin, as
+// Table II's threshold rule does, capped at P. Every pass HD's body runs
+// (k >= 3: pass 2 is the triangle's, CD-style on every formulation)
+// reports that grid on every rank, and the run mines serial's itemsets.
+TEST(HdGridTest, PinnedRowsTakeTheNextDivisorOfP) {
+  const TransactionDatabase db = testing::SmallQuestDb();
+  ParallelConfig cfg;
+  cfg.apriori.minsup_fraction = 0.02;
+  const auto reference = testing::SerialReference(db, cfg.apriori);
+  const int p = 8;
+  for (const auto& [pin, rows] : {std::pair{3, 4}, std::pair{16, 8}}) {
+    cfg.hd_forced_rows = pin;
+    const std::string label = "hd_forced_rows=" + std::to_string(pin);
+    const MiningReport result = MineParallel(Algorithm::kHD, db, p, cfg);
+    testing::ExpectMatchesSerial(result, reference, label);
+    int body_passes = 0;
+    for (const std::vector<PassMetrics>& pass : result.metrics.per_pass) {
+      if (pass[0].k < 3) continue;
+      ++body_passes;
+      for (const PassMetrics& row : pass) {
+        EXPECT_EQ(row.grid_rows, rows) << label << " k=" << row.k;
+        EXPECT_EQ(row.grid_cols, p / rows) << label << " k=" << row.k;
+      }
+    }
+    EXPECT_GE(body_passes, 1) << label;
   }
 }
 

@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -326,7 +328,46 @@ TEST(ServeTest, RejectsUnknownDatasetAndMalformedRequests) {
   serial_wide.num_ranks = 99;
   EXPECT_TRUE(server.Execute(serial_wide).ok());
 
-  EXPECT_EQ(server.Stats().rejected_invalid, 2u);
+  // The other numbers a client sends are bounded before they size a thread
+  // team or reach a double-to-integer conversion: threads per rank within
+  // [1, pool_ranks], a finite deadline a clock can hold, and (with no
+  // explicit count) a support fraction in [0, 1].
+  const auto rejects = [&](const std::string& label,
+                           const std::function<void(MiningRequest&)>& edit) {
+    MiningRequest request = Request("a", "quest", MiningAlgorithm::kCD, 2);
+    edit(request);
+    EXPECT_EQ(server.Execute(std::move(request)).status,
+              ServeStatus::kInvalidRequest)
+        << label;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  rejects("threads=pool+1", [&](MiningRequest& r) {
+    r.config.apriori.threads_per_rank = config.pool_ranks + 1;
+  });
+  rejects("threads=0",
+          [](MiningRequest& r) { r.config.apriori.threads_per_rank = 0; });
+  rejects("deadline=inf", [&](MiningRequest& r) { r.deadline_ms = inf; });
+  rejects("deadline=-inf", [&](MiningRequest& r) { r.deadline_ms = -inf; });
+  rejects("deadline=nan", [&](MiningRequest& r) { r.deadline_ms = nan; });
+  rejects("deadline=1e300", [](MiningRequest& r) { r.deadline_ms = 1e300; });
+  rejects("minsup=nan", [&](MiningRequest& r) {
+    r.config.apriori.minsup_fraction = nan;
+  });
+  rejects("minsup=-0.5", [](MiningRequest& r) {
+    r.config.apriori.minsup_fraction = -0.5;
+  });
+  rejects("minsup=1.5", [](MiningRequest& r) {
+    r.config.apriori.minsup_fraction = 1.5;
+  });
+  // An explicit count makes the fraction unused, so it is not checked.
+  MiningRequest by_count = Request("a", "quest", MiningAlgorithm::kCD, 2);
+  by_count.config.apriori.minsup_count = 12;
+  by_count.config.apriori.minsup_fraction = nan;
+  by_count.config.apriori.threads_per_rank = config.pool_ranks;
+  EXPECT_TRUE(server.Execute(std::move(by_count)).ok());
+
+  EXPECT_EQ(server.Stats().rejected_invalid, 11u);
   EXPECT_EQ(server.Stats().rejected_unknown_dataset, 1u);
 }
 

@@ -1,7 +1,7 @@
 # End-to-end CLI test: pam_gen writes a dataset, pam_mine mines it with a
 # parallel formulation and rules, and both must succeed with coherent
 # output. Invoked by CTest with -DGEN=<pam_gen> -DMINE=<pam_mine>
-# -DWORKDIR=<scratch dir>.
+# -DSERVE=<pam_serve> -DWORKDIR=<scratch dir>.
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(DATA "${WORKDIR}/tools_test.bin")
@@ -150,6 +150,26 @@ foreach(switch "rules=ture" "maximal=2" "stats=off" "help=maybe")
   endif()
 endforeach()
 file(REMOVE "${SMALL_TEXT}")
+
+# pam_serve arms --default-deadline-ms on every request that carries no
+# deadline, so a value no clock can hold exits 2 before the server starts,
+# as the server rejects such a deadline on a request.
+set(EMPTY_SCRIPT "${WORKDIR}/tools_test_empty_script.txt")
+file(WRITE "${EMPTY_SCRIPT}" "")
+foreach(value "inf" "nan" "1e300")
+  execute_process(
+    COMMAND "${SERVE}" --datasets "d=${DATA}" --default-deadline-ms ${value}
+    INPUT_FILE "${EMPTY_SCRIPT}"
+    RESULT_VARIABLE serve_rc OUTPUT_VARIABLE serve_out
+    ERROR_VARIABLE serve_err)
+  if(NOT serve_rc STREQUAL "2" OR
+     NOT serve_err MATCHES "error: --default-deadline-ms must be")
+    message(FATAL_ERROR
+            "pam_serve --default-deadline-ms ${value} exited '${serve_rc}', "
+            "want 2: ${serve_out}${serve_err}")
+  endif()
+endforeach()
+file(REMOVE "${EMPTY_SCRIPT}")
 
 # pam_gen reads its numbers through the same parser: a malformed one exits
 # 2 with the flag named, and nothing is written.

@@ -25,6 +25,7 @@
 // exhausted, then a server-counter summary. Network mode serves until
 // SIGINT/SIGTERM or (with --allow-shutdown) a client shutdown frame.
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -40,6 +41,7 @@
 #include "pam/serve/protocol.h"
 #include "pam/serve/server.h"
 #include "pam/tdb/io.h"
+#include "pam/util/cancel.h"
 #include "pam/util/flags.h"
 
 namespace {
@@ -238,6 +240,16 @@ int main(int argc, char** argv) {
   const bool allow_shutdown = flags.GetBool("allow-shutdown", false);
   if (!flags.error().empty()) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(), kUsage);
+    return 2;
+  }
+  // Armed on every request that carries no deadline, so it takes the
+  // bound the server puts on a request's own deadline_ms.
+  if (!std::isfinite(config.default_deadline_ms) ||
+      config.default_deadline_ms > pam::CancelToken::kMaxDeadlineMs) {
+    std::fprintf(stderr,
+                 "error: --default-deadline-ms must be finite and at most "
+                 "%g\n%s",
+                 pam::CancelToken::kMaxDeadlineMs, kUsage);
     return 2;
   }
   if (flags.Has("tenant-weights")) {
