@@ -17,10 +17,14 @@
 # exercise real threads: the intra-rank counting team differentials
 # (label `threaded`), the chaos matrix (rank threads + counting workers
 # over a faulty transport), the mining-server suite (label `serve`:
-# concurrent tenants over a shared rank pool and dataset cache), and the
+# concurrent tenants over a shared rank pool and dataset cache), the
 # static load-balancing suite (label `balance`: IDD and HD at P = 8 with
 # counting teams, whose per-pass partition digests must agree across
-# ranks and with the fault-free run).
+# ranks and with the fault-free run), and the transport's own suites
+# (labels `mp` and `comm_perf`: payload handles shared and forwarded
+# across rank threads, whose buffers live exactly as long as their
+# refcount says). `-L` matches label substrings, so `mp` also selects
+# the five `examples`.
 #
 #   scripts/ci.sh [release|sanitize|tsan]   (default: all)
 set -euo pipefail
@@ -63,10 +67,11 @@ run_fuzz_sanitized() {
 }
 
 run_tsan() {
-  echo "=== threaded + chaos + serve + balance suites under TSan ==="
+  echo "=== threaded + chaos + serve + balance + mp suites under TSan ==="
   cmake --preset tsan
   cmake --build --preset tsan
-  ctest --preset tsan -L 'threaded|chaos|serve|balance' --timeout "$test_timeout"
+  ctest --preset tsan -L 'threaded|chaos|serve|balance|mp|comm_perf' \
+    --timeout "$test_timeout"
 }
 
 # Smoke pass of the transport benchmark: exercises the zero-copy vs

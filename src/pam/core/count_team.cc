@@ -25,12 +25,9 @@ TeamCounter<Tree>::TeamCounter(CountingPool* pool, const Tree* tree,
       cancel_(cancel != nullptr && cancel->valid() ? cancel : nullptr),
       tracer_(obs::CurrentTracer()),
       team_(pool->num_threads()) {
-  scratch_.resize(static_cast<std::size_t>(team_));
-  for (typename Tree::Scratch& s : scratch_) s = tree->MakeScratch();
-  if (team_ > 1) {
-    strips_.Reset(team_, counts.size());
-    shard_stats_.assign(static_cast<std::size_t>(team_), SubsetStats{});
-  }
+  shards_.resize(static_cast<std::size_t>(team_));
+  for (Shard& s : shards_) s.scratch = tree->MakeScratch();
+  if (team_ > 1) strips_.Reset(team_, counts.size());
 }
 
 template <typename Tree>
@@ -44,15 +41,11 @@ void TeamCounter<Tree>::RunBatch(std::size_t n, const TxAt& tx_at) {
     obs::ScopedSpan span(obs::SpanKind::kSubsetCountShard, shard);
     const std::span<Count> out =
         shard == 0 ? counts_ : strips_.strip(shard);
-    SubsetStats* stats =
-        stats_ != nullptr
-            ? &shard_stats_[static_cast<std::size_t>(shard)]
-            : nullptr;
-    typename Tree::Scratch& scratch =
-        scratch_[static_cast<std::size_t>(shard)];
+    Shard& mine = shards_[static_cast<std::size_t>(shard)];
+    SubsetStats* stats = stats_ != nullptr ? &mine.stats : nullptr;
     const Tree* tree = tree_;
     for (std::size_t i = begin; i < end; ++i) {
-      tree->Subset(tx_at(i), out, stats, filter_, scratch);
+      tree->Subset(tx_at(i), out, stats, filter_, mine.scratch);
     }
   });
 }
@@ -74,7 +67,7 @@ std::size_t TeamCounter<Tree>::CountSlice(const TransactionDatabase& db,
     if (team_ == 1) {
       for (std::size_t t = begin; t < end; ++t) {
         tree_->Subset(db.Transaction(t), counts_, stats_, filter_,
-                      scratch_[0]);
+                      shards_[0].scratch);
       }
     } else {
       RunBatch(end - begin, [&db, begin](std::size_t i) {
@@ -92,7 +85,7 @@ std::size_t TeamCounter<Tree>::CountPage(PageView page) {
   if (team_ == 1) {
     std::size_t n = 0;
     ForEachTransaction(page, [&](ItemSpan tx) {
-      tree_->Subset(tx, counts_, stats_, filter_, scratch_[0]);
+      tree_->Subset(tx, counts_, stats_, filter_, shards_[0].scratch);
       ++n;
     });
     return n;
@@ -114,7 +107,7 @@ void TeamCounter<Tree>::Finish() {
   // (u64 sums of per-transaction contributions) and identical across runs.
   shard_work_.assign(static_cast<std::size_t>(team_), 0);
   for (int w = 0; w < team_; ++w) {
-    const SubsetStats& s = shard_stats_[static_cast<std::size_t>(w)];
+    const SubsetStats& s = shards_[static_cast<std::size_t>(w)].stats;
     stats_->Accumulate(s);
     shard_work_[static_cast<std::size_t>(w)] =
         s.traversal_steps + s.leaf_candidates_checked;

@@ -34,9 +34,10 @@ void AccumulateShardWork(std::vector<std::uint64_t>& into,
 /// §11): transactions are split across the pool's shards, shard 0 counting
 /// on the calling rank thread directly into `counts`, shards 1..T-1
 /// counting into cache-line padded CounterStrips, every shard with its own
-/// Tree::Scratch. Finish() merges strips and per-shard stats in fixed
-/// shard order, so counts and SubsetStats are byte-identical to the
-/// single-threaded path for every team size.
+/// Tree::Scratch and stats on a cache line of its own. Finish() merges
+/// strips and per-shard stats in fixed shard order, so counts and
+/// SubsetStats are byte-identical to the single-threaded path for every
+/// team size.
 ///
 /// `Tree` is the counting structure: TrianglePairCounter for pass 2 (with
 /// `counts` its cells() and no root filter), CandidateTrie for every later
@@ -84,10 +85,16 @@ class TeamCounter {
   int team_;
   bool finished_ = false;
 
-  std::vector<typename Tree::Scratch> scratch_;  // one per shard
+  // What one shard writes on every transaction: its scratch (the trie's
+  // base, the hash tree's epoch and stamp) and, with a team, its stats.
+  // One cache line apiece, so neighbouring shards never share one.
+  struct alignas(64) Shard {
+    typename Tree::Scratch scratch;
+    SubsetStats stats;
+  };
+  std::vector<Shard> shards_;
   // Team-active (team_ > 1) state.
   CounterStrips strips_;
-  std::vector<SubsetStats> shard_stats_;  // one per shard
   std::vector<std::uint64_t> shard_work_;
   std::vector<ItemSpan> page_tx_;  // reusable page-decode buffer
 };

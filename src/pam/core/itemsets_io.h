@@ -8,10 +8,9 @@
 
 namespace pam {
 
-/// Persists mined frequent itemsets so the expensive counting step can be
-/// decoupled from rule generation (pam_mine --save-itemsets /
-/// --load-itemsets). Binary format: magic, number of levels, then each
-/// level's ItemsetCollection serialization.
+/// Persists mined frequent itemsets (pam_mine --save-itemsets), so two
+/// runs' outputs can be compared byte for byte. Binary format: magic,
+/// number of levels, then each level's ItemsetCollection serialization.
 Status WriteFrequentItemsets(const FrequentItemsets& frequent,
                              const std::string& path);
 

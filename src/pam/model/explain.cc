@@ -1,6 +1,5 @@
 #include "pam/model/explain.h"
 
-#include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
 
@@ -50,27 +49,6 @@ std::string ExplainRun(const CostModel& model, Algorithm algorithm,
             balance.imbalance_percent);
   }
   Appendf(out, "modeled response time: %.3fs\n", run_total);
-  return out;
-}
-
-std::string SummarizeCounters(const RunMetrics& metrics) {
-  std::string out;
-  Appendf(out, "%4s %10s %9s | %14s %14s %14s | %12s %12s\n", "pass",
-          "cands", "freq", "traversals", "leaf visits", "checks",
-          "data bytes", "reduce words");
-  for (int pass = 0; pass < metrics.num_passes(); ++pass) {
-    const auto& row = metrics.per_pass[static_cast<std::size_t>(pass)];
-    const SubsetStats stats = metrics.PassSubsetStats(pass);
-    std::uint64_t reduce_words = 0;
-    for (const PassMetrics& m : row) reduce_words += m.reduction_words;
-    Appendf(out,
-            "%4d %10zu %9zu | %14" PRIu64 " %14" PRIu64 " %14" PRIu64
-            " | %12" PRIu64 " %12" PRIu64 "\n",
-            row[0].k, row[0].num_candidates_global,
-            row[0].num_frequent_global, stats.traversal_steps,
-            stats.distinct_leaf_visits, stats.leaf_candidates_checked,
-            metrics.TotalDataBytes(pass), reduce_words);
-  }
   return out;
 }
 

@@ -15,10 +15,6 @@ namespace pam {
 std::string ExplainRun(const CostModel& model, Algorithm algorithm,
                        const RunMetrics& metrics);
 
-/// One-line per-pass summary table without machine modeling (exact
-/// counters only).
-std::string SummarizeCounters(const RunMetrics& metrics);
-
 }  // namespace pam
 
 #endif  // PAM_MODEL_EXPLAIN_H_

@@ -548,11 +548,6 @@ Comm Comm::Sub(const std::vector<int>& member_ranks,
   return Comm(world_, id, std::move(world_members), my_new_rank);
 }
 
-std::uint64_t Comm::MyBytesSent() const {
-  return world_->bytes_sent[static_cast<std::size_t>(WorldRankOf(rank_))]
-      .load();
-}
-
 CommFaultStats Comm::MyFaultStats() const {
   const auto me = static_cast<std::size_t>(WorldRankOf(rank_));
   CommFaultStats stats;

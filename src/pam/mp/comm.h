@@ -191,10 +191,10 @@ class Comm {
   // ---- Point to point ------------------------------------------------
 
   /// Blocking-buffered send of raw bytes to rank `dst` of this comm:
-  /// wraps the bytes into a pooled Payload (the one copy the transport
-  /// ever makes) and sends the handle. Consults the world's FaultPlan:
-  /// recoverable injected faults trigger bounded retransmits; an
-  /// exhausted retransmit budget loses the message (the receiver's
+  /// copies the bytes into a Payload that owns them (the one copy the
+  /// transport ever makes) and sends the handle. Consults the world's
+  /// FaultPlan: recoverable injected faults trigger bounded retransmits;
+  /// an exhausted retransmit budget loses the message (the receiver's
   /// deadline turns that into CommError).
   void Send(int dst, int tag, std::span<const std::byte> data) {
     Send(dst, tag, Payload::Copy(data));
@@ -306,12 +306,6 @@ class Comm {
   /// Ring neighbors within this comm (IDD's logical ring of Section III-C).
   int RightNeighbor() const { return (rank_ + 1) % size(); }
   int LeftNeighbor() const { return (rank_ + size() - 1) % size(); }
-
-  /// Total bytes this world rank has sent so far (all comms). Counts
-  /// logical payload bytes only — zero-copy handle forwarding, injected
-  /// duplicates, and retransmits all record the full logical payload, so
-  /// the traffic figures are independent of the transport's internals.
-  std::uint64_t MyBytesSent() const;
 
   /// Fault activity of this world rank so far (all comms): faults the
   /// plan injected on its sends, retransmit attempts, and bad envelopes

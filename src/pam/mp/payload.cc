@@ -1,23 +1,11 @@
 #include "pam/mp/payload.h"
 
-#include <bit>
 #include <cstring>
 
 namespace pam {
 namespace {
 
-// Buffers larger than this are not pooled (one-off jumbo messages).
-constexpr std::size_t kMaxPooledBytes = std::size_t{1} << 24;  // 16 MiB
-// Free-list depth per size bucket; beyond this, returned buffers are freed.
-constexpr std::size_t kMaxBuffersPerBucket = 64;
-
 std::atomic<std::uint64_t> g_copy_count{0};
-
-// Bucket index: bit width of the capacity (so bucket b holds buffers with
-// capacity in [2^(b-1), 2^b)).
-std::size_t BucketOf(std::size_t size) {
-  return static_cast<std::size_t>(std::bit_width(size));
-}
 
 }  // namespace
 
@@ -45,73 +33,19 @@ std::uint64_t PayloadChecksum(std::span<const std::byte> bytes) {
   return h;
 }
 
-BufferPool& BufferPool::Global() {
-  static BufferPool* pool = new BufferPool();  // leaked: outlives all Reps
-  return *pool;
-}
-
-std::vector<std::byte> BufferPool::Acquire(std::size_t size) {
-  if (size > 0 && size <= kMaxPooledBytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A released buffer's capacity is at least its bucket's lower bound,
-    // so anything in the bucket of `size` or above fits without realloc.
-    for (std::size_t b = BucketOf(size);
-         b < sizeof(free_) / sizeof(free_[0]); ++b) {
-      if (!free_[b].empty() && free_[b].back().capacity() >= size) {
-        std::vector<std::byte> buffer = std::move(free_[b].back());
-        free_[b].pop_back();
-        ++hits_;
-        buffer.resize(size);
-        return buffer;
-      }
-    }
-    ++misses_;
-  }
-  return std::vector<std::byte>(size);
-}
-
-void BufferPool::Release(std::vector<std::byte> buffer) {
-  const std::size_t cap = buffer.capacity();
-  if (cap == 0 || cap > kMaxPooledBytes) return;
-  buffer.clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& bucket = free_[BucketOf(cap)];
-  if (bucket.size() < kMaxBuffersPerBucket) {
-    bucket.push_back(std::move(buffer));
-  }
-}
-
-std::uint64_t BufferPool::CopyCount() {
-  return g_copy_count.load(std::memory_order_relaxed);
-}
-
-void BufferPool::AddCopy() {
-  g_copy_count.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t BufferPool::Hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t BufferPool::Misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-Payload::Rep::~Rep() { BufferPool::Global().Release(std::move(data)); }
-
 Payload Payload::Copy(std::span<const std::byte> bytes) {
   if (bytes.empty()) return Payload();
-  BufferPool::AddCopy();
-  std::vector<std::byte> buffer = BufferPool::Global().Acquire(bytes.size());
-  std::memcpy(buffer.data(), bytes.data(), bytes.size());
-  return Payload(std::make_shared<const Rep>(std::move(buffer)));
+  g_copy_count.fetch_add(1, std::memory_order_relaxed);
+  return Adopt(std::vector<std::byte>(bytes.begin(), bytes.end()));
 }
 
 Payload Payload::Adopt(std::vector<std::byte> bytes) {
   if (bytes.empty()) return Payload();
   return Payload(std::make_shared<const Rep>(std::move(bytes)));
+}
+
+std::uint64_t Payload::CopyCount() {
+  return g_copy_count.load(std::memory_order_relaxed);
 }
 
 std::uint64_t Payload::checksum() const {

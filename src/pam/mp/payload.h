@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -17,64 +16,32 @@ namespace pam {
 /// format, so the host byte order does not matter.
 std::uint64_t PayloadChecksum(std::span<const std::byte> bytes);
 
-/// Recycles page-sized byte blocks across transport rounds so the ring
-/// pipeline does not churn the allocator: every Payload::Copy draws its
-/// backing buffer here and returns it when the last handle drops.
-///
-/// The pool also owns the transport's copy counter: Payload::Copy is the
-/// *only* way bytes enter the transport, so `CopyCount()` counts exactly
-/// the payload materializations performed. The `comm_perf` guard test
-/// pins ring forwarding to zero per-hop copies through this hook.
-class BufferPool {
- public:
-  /// The process-wide pool used by all Payload handles.
-  static BufferPool& Global();
-
-  /// A buffer of exactly `size` bytes (recycled when one of sufficient
-  /// capacity is pooled, freshly allocated otherwise).
-  std::vector<std::byte> Acquire(std::size_t size);
-
-  /// Returns a buffer to the pool (dropped if its size bucket is full).
-  void Release(std::vector<std::byte> buffer);
-
-  /// Payloads materialized by copying bytes (monotonic, process-wide).
-  /// Zero-copy forwarding of a handle never increments this.
-  static std::uint64_t CopyCount();
-
-  /// Acquire() calls satisfied from / missed by the free lists.
-  std::uint64_t Hits() const;
-  std::uint64_t Misses() const;
-
- private:
-  friend class Payload;
-  static void AddCopy();
-
-  mutable std::mutex mu_;
-  /// Free lists bucketed by power-of-two capacity (index = bit width).
-  std::vector<std::vector<std::byte>> free_[48];
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
 /// A refcounted immutable message payload. Handles are cheap to copy and
 /// share one buffer; the buffer is never mutated after construction, so a
 /// payload can sit in several mailboxes (ring forwarding, duplication
 /// faults, one-to-many sends) at once without any aliasing hazard. The
-/// framing checksum is computed once per payload — word-at-a-time, on
-/// first use — and memoized, so forwarding hops and receiver verification
-/// cost a load and a compare, not a recompute.
+/// payload owns its buffer, and the allocator frees it when the last
+/// handle drops. The framing checksum is computed once per payload —
+/// word-at-a-time, on first use — and memoized, so forwarding hops and
+/// receiver verification cost a load and a compare, not a recompute.
 class Payload {
  public:
   /// Empty payload (zero bytes; HPA's end-of-stream markers).
   Payload() = default;
 
-  /// Materializes a payload by copying `bytes` into a pooled buffer. The
-  /// single point where the transport copies message bytes.
+  /// Materializes a payload by copying `bytes` into a buffer of its own.
+  /// The single point where the transport copies message bytes.
   static Payload Copy(std::span<const std::byte> bytes);
 
   /// Wraps an already-built buffer without copying (fault injection
   /// builds its corrupt/truncate clones explicitly, then adopts them).
   static Payload Adopt(std::vector<std::byte> bytes);
+
+  /// Payloads materialized by Copy (monotonic, process-wide). Copy is the
+  /// only way bytes enter the transport, so this counts every copy it
+  /// makes; forwarding a handle never increments it, and the `comm_perf`
+  /// guard test pins ring forwarding to zero per-hop copies through it.
+  static std::uint64_t CopyCount();
 
   std::span<const std::byte> bytes() const {
     return rep_ == nullptr
@@ -100,11 +67,7 @@ class Payload {
  private:
   struct Rep {
     explicit Rep(std::vector<std::byte> b) : data(std::move(b)) {}
-    ~Rep();
-    Rep(const Rep&) = delete;
-    Rep& operator=(const Rep&) = delete;
-    std::vector<std::byte> data;  // never mutated; non-const so ~Rep can
-                                  // move it back into the pool
+    const std::vector<std::byte> data;
     mutable std::atomic<std::uint64_t> memo{0};
     mutable std::atomic<bool> memo_valid{false};
   };

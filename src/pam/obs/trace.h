@@ -123,7 +123,7 @@ class ScopedTracerInstall {
 /// RAII interval span against the current thread's tracer. When tracing
 /// is disabled this is one thread-local load and a null check — no clock
 /// read, no allocation — which keeps the subset-counting hot path
-/// zero-overhead (guarded by trace_test's BufferPool/span counters).
+/// zero-overhead (guarded by trace_test's payload-copy and span counters).
 class ScopedSpan {
  public:
   explicit ScopedSpan(SpanKind kind, std::int64_t index = -1,

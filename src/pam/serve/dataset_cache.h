@@ -18,7 +18,7 @@ namespace pam::serve {
 /// One resident dataset: the CSR database every request mines over, built
 /// exactly once per load. Every concurrent request over the dataset shares
 /// the one copy through the handle's refcount, so a cache hit moves zero
-/// bytes, which the serve suite pins with a BufferPool::CopyCount guard.
+/// bytes, which the serve suite pins with a Payload::CopyCount guard.
 struct CachedDataset {
   std::shared_ptr<const TransactionDatabase> db;
   /// Bytes the CSR holds: 4 per item plus 8 per offset. The cache budget

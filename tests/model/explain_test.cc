@@ -42,17 +42,6 @@ TEST(ExplainTest, TotalMatchesRunTime) {
   EXPECT_NE(text.find(buffer), std::string::npos) << text;
 }
 
-TEST(ExplainTest, CounterSummaryHasOneRowPerPass) {
-  MiningReport run = SmallRun();
-  const std::string text = SummarizeCounters(run.metrics);
-  std::size_t lines = 0;
-  for (char c : text) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines,
-            static_cast<std::size_t>(run.metrics.num_passes()) + 1);
-}
-
 TEST(ExplainTest, EmptyMetrics) {
   CostModel model(MachineModel::CrayT3E());
   RunMetrics metrics;

@@ -290,10 +290,10 @@ TEST(CommTest, ForwardedHandleSurvivesOriginatorScope) {
 
 TEST(CommTest, ForwardingAHandleCopiesNothing) {
   // One materialization at the source, then a relay hop and the final
-  // receive all share the same buffer: the pool's copy counter must move
+  // receive all share the same buffer: the payload copy counter must move
   // by exactly one for the whole chain.
   Runtime rt(2);
-  const std::uint64_t copies_before = BufferPool::CopyCount();
+  const std::uint64_t copies_before = Payload::CopyCount();
   rt.Run([](Comm& comm) {
     if (comm.rank() == 0) {
       std::vector<std::uint32_t> words = {10, 20, 30};
@@ -308,7 +308,7 @@ TEST(CommTest, ForwardingAHandleCopiesNothing) {
       comm.Send(0, 18, std::move(handle));  // relay: same handle
     }
   });
-  EXPECT_EQ(BufferPool::CopyCount() - copies_before, 1u);
+  EXPECT_EQ(Payload::CopyCount() - copies_before, 1u);
 }
 
 TEST(CommTest, AllReduceMaxEverywhere) {

@@ -64,19 +64,19 @@ TEST(PayloadTest, CopySnapshotsAndMemoizesChecksum) {
 }
 
 TEST(PayloadTest, AdoptTakesOwnershipWithoutCounting) {
-  const std::uint64_t copies_before = BufferPool::CopyCount();
+  const std::uint64_t copies_before = Payload::CopyCount();
   const Payload payload = Payload::Adopt(Bytes({1, 2, 3, 4}));
-  EXPECT_EQ(BufferPool::CopyCount(), copies_before);  // no materialization
+  EXPECT_EQ(Payload::CopyCount(), copies_before);  // no materialization
   EXPECT_EQ(payload.size(), 4u);
   EXPECT_EQ(payload.checksum(), PayloadChecksum(payload.bytes()));
 }
 
 TEST(PayloadTest, CopyIncrementsTheCopyCounter) {
-  const std::uint64_t copies_before = BufferPool::CopyCount();
+  const std::uint64_t copies_before = Payload::CopyCount();
   const Payload a = Payload::Copy(Bytes({1}));
   const Payload b = a;  // handle copy: free
   const Payload c = Payload::Copy(a.bytes());
-  EXPECT_EQ(BufferPool::CopyCount() - copies_before, 2u);
+  EXPECT_EQ(Payload::CopyCount() - copies_before, 2u);
   EXPECT_TRUE(a.SharesBufferWith(b));
   EXPECT_FALSE(a.SharesBufferWith(c));
 }
@@ -88,10 +88,10 @@ TEST(PayloadTest, EmptyPayloadIsWellFormed) {
   EXPECT_EQ(empty.data(), nullptr);
   EXPECT_EQ(empty.checksum(), PayloadChecksum({}));
   // Copying an empty span also yields the canonical empty payload.
-  const std::uint64_t copies_before = BufferPool::CopyCount();
+  const std::uint64_t copies_before = Payload::CopyCount();
   const Payload copied = Payload::Copy({});
   EXPECT_TRUE(copied.empty());
-  EXPECT_EQ(BufferPool::CopyCount(), copies_before);
+  EXPECT_EQ(Payload::CopyCount(), copies_before);
   EXPECT_FALSE(empty.SharesBufferWith(copied));  // no rep to share
 }
 
@@ -116,33 +116,6 @@ TEST(PayloadTest, ConcurrentChecksumCallsAgree) {
   }
   for (auto& th : threads) th.join();
   for (std::uint64_t value : seen) EXPECT_EQ(value, expected);
-}
-
-TEST(BufferPoolTest, ReleasedBuffersAreRecycled) {
-  BufferPool& pool = BufferPool::Global();
-  std::vector<std::byte> buffer = pool.Acquire(512);
-  ASSERT_EQ(buffer.size(), 512u);
-  const void* address = buffer.data();
-  pool.Release(std::move(buffer));
-  const std::uint64_t hits_before = pool.Hits();
-  // Same bucket, smaller request: must come back from the free list (other
-  // tests run sequentially, so the buffer we just released is on top).
-  std::vector<std::byte> again = pool.Acquire(300);
-  EXPECT_EQ(again.size(), 300u);
-  EXPECT_EQ(again.data(), address);
-  EXPECT_EQ(pool.Hits(), hits_before + 1);
-}
-
-TEST(BufferPoolTest, PayloadBuffersReturnToThePool) {
-  BufferPool& pool = BufferPool::Global();
-  const void* address = nullptr;
-  {
-    const Payload payload = Payload::Copy(std::vector<std::byte>(
-        1024, std::byte{5}));
-    address = payload.data();
-  }  // last handle dropped: Rep returns its buffer to the pool
-  const std::vector<std::byte> recycled = pool.Acquire(1024);
-  EXPECT_EQ(static_cast<const void*>(recycled.data()), address);
 }
 
 }  // namespace

@@ -324,7 +324,7 @@ TEST(TraceTest, PassSpansContainTheirRingRounds) {
 // The disabled path must not touch the span machinery at all: no span
 // emission anywhere, and on the serial counting path no transport-buffer
 // copies either (the observability layer shares no state with the
-// BufferPool, so a delta here would mean spans sneaked an allocation into
+// transport, so a delta here would mean spans sneaked a payload copy into
 // the kernel).
 TEST(TraceTest, NullSinkRunsAreZeroOverhead) {
   const TransactionDatabase db = testing::SmallQuestDb();
@@ -332,10 +332,10 @@ TEST(TraceTest, NullSinkRunsAreZeroOverhead) {
   cfg.apriori.minsup_fraction = 0.02;
 
   const std::uint64_t spans_before = obs::SpansEmittedTotal();
-  const std::uint64_t copies_before = BufferPool::CopyCount();
+  const std::uint64_t copies_before = Payload::CopyCount();
   MiningReport serial = MineSerial(db, cfg.apriori);
   ASSERT_GT(serial.frequent.TotalCount(), 0u);
-  EXPECT_EQ(BufferPool::CopyCount(), copies_before);
+  EXPECT_EQ(Payload::CopyCount(), copies_before);
   MiningReport parallel = testing::SessionMine(Algorithm::kCD, db, 4, cfg);
   ASSERT_GT(parallel.frequent.TotalCount(), 0u);
   EXPECT_EQ(obs::SpansEmittedTotal(), spans_before);

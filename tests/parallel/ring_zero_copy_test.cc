@@ -10,7 +10,7 @@ namespace pam {
 namespace {
 
 // Regression guards (label: comm_perf) pinning the transport's zero-copy
-// contract through the pool's copy counter: materializing a payload from
+// contract through Payload::CopyCount(): materializing a payload from
 // raw bytes is the only operation that increments it, so the counter
 // measures exactly how many times message bytes were copied, process-wide.
 
@@ -23,7 +23,7 @@ TEST(RingZeroCopyGuard, ForwardingHopsDoNotCopyPayloads) {
   const std::uint64_t rounds = 4;
   Runtime rt(p);
   std::atomic<std::uint64_t> pages_seen{0};
-  const std::uint64_t copies_before = BufferPool::CopyCount();
+  const std::uint64_t copies_before = Payload::CopyCount();
   rt.Run([&](Comm& comm) {
     std::vector<Page> pages(rounds);
     for (std::uint64_t i = 0; i < rounds; ++i) {
@@ -38,7 +38,7 @@ TEST(RingZeroCopyGuard, ForwardingHopsDoNotCopyPayloads) {
   EXPECT_EQ(pages_seen.load(),
             static_cast<std::uint64_t>(p) * p * rounds);
 
-  const std::uint64_t delta = BufferPool::CopyCount() - copies_before;
+  const std::uint64_t delta = Payload::CopyCount() - copies_before;
   const std::uint64_t wraps = static_cast<std::uint64_t>(p) * rounds;
   // AllReduceMax exchanges log2(P) one-word messages per rank.
   const std::uint64_t collective_slack = static_cast<std::uint64_t>(p) * 4;
@@ -56,7 +56,7 @@ TEST(RingZeroCopyGuard, AllGatherForwardsHandlesWithoutCopying) {
   // process-wide delta is exactly P (the contributions we made ourselves).
   const int p = 8;
   Runtime rt(p);
-  const std::uint64_t copies_before = BufferPool::CopyCount();
+  const std::uint64_t copies_before = Payload::CopyCount();
   rt.Run([](Comm& comm) {
     const std::vector<std::uint32_t> mine(
         256, static_cast<std::uint32_t>(comm.rank()));
@@ -71,7 +71,7 @@ TEST(RingZeroCopyGuard, AllGatherForwardsHandlesWithoutCopying) {
       EXPECT_EQ(words[0], static_cast<std::uint32_t>(r));
     }
   });
-  EXPECT_EQ(BufferPool::CopyCount() - copies_before,
+  EXPECT_EQ(Payload::CopyCount() - copies_before,
             static_cast<std::uint64_t>(p))
       << "all-gather forwarding reintroduced a per-hop payload copy";
 }

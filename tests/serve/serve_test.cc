@@ -8,7 +8,7 @@
 //     (bounded queue, per-tenant in-flight and rank-seconds quotas,
 //     unknown dataset, malformed request, shutdown);
 //   - the dataset cache hands every request the same immutable database
-//     — a cache hit moves zero bytes (BufferPool::CopyCount guard);
+//     — a cache hit moves zero bytes (Payload::CopyCount guard);
 //   - every rank lease is back in the pool after Shutdown.
 
 #include <algorithm>
@@ -284,14 +284,14 @@ TEST(ServeTest, DatasetCacheServesOneSharedCopy) {
   ASSERT_TRUE(first.ok()) << first.error;
   ASSERT_NE(first.dataset, nullptr);
   EXPECT_EQ(first.dataset->db->items().data(), registered_items);
-  const std::uint64_t copies_after_load = BufferPool::CopyCount();
+  const std::uint64_t copies_after_load = Payload::CopyCount();
 
   // ...and every later request over the dataset moves zero bytes: same
   // handle, no new Payload::Copy.
   ServeResponse second =
       server.Execute(Request("b", "quest", MiningAlgorithm::kSerial, 1));
   ASSERT_TRUE(second.ok()) << second.error;
-  EXPECT_EQ(BufferPool::CopyCount(), copies_after_load);
+  EXPECT_EQ(Payload::CopyCount(), copies_after_load);
   EXPECT_EQ(first.dataset, second.dataset);
 
   const ServerStats stats = server.Stats();
