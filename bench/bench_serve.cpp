@@ -10,6 +10,11 @@
 // same request — the server must add scheduling, never arithmetic — and
 // the harness exits non-zero on any mismatch.
 //
+// The net_hit section drives the same server over loopback TCP instead:
+// MiningServer + NetServer + NetClient, one fresh mine of a Quest T15.I6
+// draw with rules, then 200 result-cache hits of it, timed send to
+// decoded response the way a remote client sees them.
+//
 //   bench_serve [--smoke]
 
 #include <algorithm>
@@ -25,6 +30,8 @@
 
 #include "bench_util.h"
 #include "pam/mp/fault.h"
+#include "pam/serve/net_server.h"
+#include "pam/serve/protocol.h"
 #include "pam/serve/server.h"
 
 namespace {
@@ -94,6 +101,130 @@ double PercentileMs(std::vector<double>& sorted_seconds, double q) {
   return sorted_seconds[idx] * 1e3;
 }
 
+/// Every frequent itemset and its count: what a served result must share
+/// with the solo run of its request.
+using Flat = std::map<std::vector<pam::Item>, pam::Count>;
+
+Flat FlattenItemsets(const pam::FrequentItemsets& frequent) {
+  Flat flat;
+  for (const auto& level : frequent.levels) {
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      pam::ItemSpan span = level.Get(i);
+      flat[std::vector<pam::Item>(span.begin(), span.end())] = level.count(i);
+    }
+  }
+  return flat;
+}
+
+bool SameRules(const std::vector<pam::Rule>& a,
+               const std::vector<pam::Rule>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].antecedent != b[i].antecedent ||
+        a[i].consequent != b[i].consequent ||
+        a[i].joint_count != b[i].joint_count) {
+      return false;
+    }
+  }
+  return true;
+}
+
+struct NetHitResult {
+  std::size_t transactions = 0;
+  std::size_t itemsets = 0;
+  std::size_t rules = 0;
+  std::size_t frame_bytes = 0;
+  std::size_t hits = 0;
+  double mine_ms = 0.0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  bool ok = false;
+};
+
+/// The result-cache hit as a remote client sees it: one fresh mine of the
+/// request over loopback TCP, then `hits` repeats answered from the cache,
+/// each timed from send to decoded response. Every response is held to a
+/// solo run of the same request.
+NetHitResult RunNetHit(bool smoke) {
+  NetHitResult result;
+  pam::QuestConfig data =
+      pam::QuestT15I6(pam::bench::ScaledN(smoke ? 2000 : 20000), 1997);
+  data.num_patterns = 400;
+  const pam::TransactionDatabase db = pam::GenerateQuest(data);
+  result.transactions = db.size();
+  MiningRequest request;
+  request.tenant = "bench";
+  request.dataset = "t15i6";
+  request.algorithm = MiningAlgorithm::kCD;
+  request.num_ranks = 2;
+  request.config.apriori.minsup_fraction = 0.005;
+  request.generate_rules = true;
+  request.min_confidence = 0.5;
+  pam::MiningSession solo;
+  const pam::MiningReport reference = solo.Run(request, db);
+  const Flat reference_flat = FlattenItemsets(reference.frequent);
+  result.itemsets = reference_flat.size();
+  result.rules = reference.rules.size();
+
+  ServerConfig config;
+  config.pool_ranks = 4;
+  config.workers = 2;
+  config.result_cache = true;
+  config.result_cache_budget_bytes = 4 << 20;
+  MiningServer server(config);
+  server.datasets().RegisterLoaded("t15i6", pam::TransactionDatabase(db));
+  pam::serve::NetServer net(&server, pam::serve::NetServerConfig{});
+  pam::serve::NetClient client;
+  if (!net.Start().ok() || !client.Connect("127.0.0.1", net.port()).ok()) {
+    std::printf("UNEXPECTED: net_hit could not start the loopback server\n");
+    return result;
+  }
+  const std::size_t hits = 200;
+  std::vector<double> hit_seconds;
+  bool ok = true;
+  for (std::size_t i = 0; i <= hits && ok; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    pam::Result<pam::serve::NetClient::ServerFrame> frame =
+        client.SendMine(i + 1, request).ok()
+            ? client.Recv()
+            : pam::Result<pam::serve::NetClient::ServerFrame>(
+                  pam::Status::Error("send failed"));
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    ok = frame.ok() &&
+         frame.value().type == pam::serve::FrameType::kResponse &&
+         frame.value().response.status == pam::serve::ServeStatus::kOk &&
+         frame.value().response.from_result_cache == (i > 0);
+    if (!ok) break;
+    const pam::serve::ResponseFrame& response = frame.value().response;
+    if (i == 0) {
+      result.mine_ms = seconds * 1e3;
+      result.frame_bytes = pam::serve::EncodeResponse(response).size();
+      ok = FlattenItemsets(response.frequent) == reference_flat &&
+           SameRules(response.rules, reference.rules);
+    } else {
+      hit_seconds.push_back(seconds);
+      // Spot-check the hits' payloads; the first and last in full.
+      if (i == 1 || i == hits) {
+        ok = FlattenItemsets(response.frequent) == reference_flat &&
+             SameRules(response.rules, reference.rules);
+      } else {
+        ok = response.rules.size() == reference.rules.size();
+      }
+    }
+  }
+  client.Close();
+  net.Stop();
+  server.Shutdown();
+  std::sort(hit_seconds.begin(), hit_seconds.end());
+  result.hits = hit_seconds.size();
+  result.p50_ms = PercentileMs(hit_seconds, 0.50);
+  result.p99_ms = PercentileMs(hit_seconds, 0.99);
+  result.ok = ok && result.hits == hits;
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -122,21 +253,13 @@ int main(int argc, char** argv) {
               web.size());
 
   // Solo references for every mix cell, mined outside the server.
-  std::map<const MixCell*, std::map<std::vector<pam::Item>, pam::Count>>
-      references;
+  std::map<const MixCell*, Flat> references;
   for (const MixCell& cell : kMix) {
     const pam::TransactionDatabase& db =
         std::string(cell.dataset) == "retail" ? retail : web;
     pam::MiningSession solo;
-    pam::MiningReport report = solo.Run(RequestOf(cell), db);
-    std::map<std::vector<pam::Item>, pam::Count> flat;
-    for (const auto& level : report.frequent.levels) {
-      for (std::size_t i = 0; i < level.size(); ++i) {
-        pam::ItemSpan s = level.Get(i);
-        flat[std::vector<pam::Item>(s.begin(), s.end())] = level.count(i);
-      }
-    }
-    references[&cell] = std::move(flat);
+    references[&cell] =
+        FlattenItemsets(solo.Run(RequestOf(cell), db).frequent);
   }
 
   ServerConfig config;
@@ -181,15 +304,8 @@ int main(int argc, char** argv) {
             mismatch = true;
           } else {
             // Exactness: the served result must equal the solo run.
-            std::map<std::vector<pam::Item>, pam::Count> flat;
-            for (const auto& level : response.report->frequent.levels) {
-              for (std::size_t s = 0; s < level.size(); ++s) {
-                pam::ItemSpan span = level.Get(s);
-                flat[std::vector<pam::Item>(span.begin(), span.end())] =
-                    level.count(s);
-              }
-            }
-            if (flat != references[&cell]) {
+            if (FlattenItemsets(response.report->frequent) !=
+                references[&cell]) {
               std::printf("MISMATCH: %s/%s served result != solo run\n",
                           cell.tenant,
                           pam::MiningAlgorithmName(cell.algorithm).c_str());
@@ -410,15 +526,7 @@ int main(int argc, char** argv) {
         mismatch = true;
       }
       // Hits must be byte-identical to the solo reference, like misses.
-      std::map<std::vector<pam::Item>, pam::Count> flat;
-      for (const auto& level : response.report->frequent.levels) {
-        for (std::size_t s = 0; s < level.size(); ++s) {
-          pam::ItemSpan span = level.Get(s);
-          flat[std::vector<pam::Item>(span.begin(), span.end())] =
-              level.count(s);
-        }
-      }
-      if (flat != references[&cell]) {
+      if (FlattenItemsets(response.report->frequent) != references[&cell]) {
         std::printf("MISMATCH: result-cache response != solo run (%s/%s)\n",
                     cell.tenant,
                     pam::MiningAlgorithmName(cell.algorithm).c_str());
@@ -509,6 +617,21 @@ int main(int argc, char** argv) {
     mismatch = true;
   }
 
+  // Result-cache hits over loopback TCP (DESIGN.md §15): what a remote
+  // client waits for, encode, socket and decode included.
+  const NetHitResult net_hit = RunNetHit(smoke);
+  std::printf(
+      "net hit: T15.I6 %zu tx, %zu itemsets, %zu rules, %zu-byte frame; "
+      "fresh mine %.2fms, %zu hits p50 %.3fms p99 %.3fms\n",
+      net_hit.transactions, net_hit.itemsets, net_hit.rules,
+      net_hit.frame_bytes, net_hit.mine_ms, net_hit.hits, net_hit.p50_ms,
+      net_hit.p99_ms);
+  if (!net_hit.ok) {
+    std::printf("MISMATCH: a loopback response failed or differed from the "
+                "solo run\n");
+    mismatch = true;
+  }
+
   std::FILE* f = std::fopen("BENCH_serve.json", "w");
   if (f != nullptr) {
     std::fprintf(f,
@@ -567,9 +690,17 @@ int main(int argc, char** argv) {
         "  \"weighted_fairness\": {\"heavy_weight\": 3.0, "
         "\"light_weight\": 1.0, \"jobs_per_tenant\": %d, \"window\": %zu, "
         "\"heavy_in_window\": %zu, \"light_in_window\": %zu, "
-        "\"ratio\": %.2f}\n}\n",
+        "\"ratio\": %.2f},\n",
         wf_jobs_per_tenant, wf_window, wf_heavy_in_window,
         wf_light_in_window, wf_ratio);
+    std::fprintf(
+        f,
+        "  \"net_hit\": {\"transactions\": %zu, \"itemsets\": %zu, "
+        "\"rules\": %zu, \"frame_bytes\": %zu, \"hits\": %zu, "
+        "\"mine_ms\": %.3f, \"p50_ms\": %.4f, \"p99_ms\": %.4f}\n}\n",
+        net_hit.transactions, net_hit.itemsets, net_hit.rules,
+        net_hit.frame_bytes, net_hit.hits, net_hit.mine_ms, net_hit.p50_ms,
+        net_hit.p99_ms);
     std::fclose(f);
     std::printf("wrote BENCH_serve.json\n");
   }

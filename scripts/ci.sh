@@ -94,8 +94,9 @@ PYEOF
 
 # Smoke pass of the serving benchmark: drives the multi-tenant mining
 # server with the mixed-algorithm request mix plus the open-loop overload
-# burst (bench_serve exits non-zero if any served result diverges from a
-# solo run), then checks the emitted BENCH_serve.json shape.
+# burst, and result-cache hits over loopback TCP (net_hit; bench_serve
+# exits non-zero if any served result diverges from a solo run), then
+# checks the emitted BENCH_serve.json shape.
 run_bench_serve_smoke() {
   echo "=== bench_serve smoke ==="
   (cd build-release/bench && ./bench_serve --smoke)
@@ -131,11 +132,16 @@ assert wf["heavy_weight"] == 3.0 and wf["light_weight"] == 1.0, wf
 assert wf["heavy_in_window"] + wf["light_in_window"] == wf["window"], wf
 assert wf["ratio"] >= 2.0, \
     f"3:1-weighted tenant got only {wf['ratio']}x the share"
+net = doc["net_hit"]
+assert net["hits"] == 200 and net["rules"] > 0 and net["itemsets"] > 0, net
+assert net["frame_bytes"] > 0 and net["mine_ms"] > 0, net
+assert 0 < net["p50_ms"] <= net["p99_ms"], net
 print(f"BENCH_serve.json: {len(sections)} sections, "
       f"{over['queue_full']} queue-full rejections, "
       f"deadline shed rate {dl['shed_rate']:.2f}, "
       f"cache speedup {rc['speedup']:.0f}x, "
-      f"fairness ratio {wf['ratio']:.1f}: ok")
+      f"fairness ratio {wf['ratio']:.1f}, "
+      f"net hit p50 {net['p50_ms']:.3f} ms: ok")
 PYEOF
 }
 

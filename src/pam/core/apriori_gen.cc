@@ -10,8 +10,12 @@ std::vector<Count> CountItems(const TransactionDatabase& db,
                               std::size_t num_items) {
   const std::size_t n = std::max(num_items, db.NumItems());
   std::vector<Count> counts(n, 0);
-  for (std::size_t t = slice.begin; t < slice.end; ++t) {
-    for (Item x : db.Transaction(t)) ++counts[x];
+  // Pass 1 counts occurrences, not transactions: the slice's items are one
+  // contiguous CSR range, counted in one flat loop.
+  const Item* items = db.items().data();
+  const std::size_t end = db.offsets()[slice.end];
+  for (std::size_t i = db.offsets()[slice.begin]; i < end; ++i) {
+    ++counts[items[i]];
   }
   return counts;
 }

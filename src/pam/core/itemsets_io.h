@@ -1,6 +1,7 @@
 #ifndef PAM_CORE_ITEMSETS_IO_H_
 #define PAM_CORE_ITEMSETS_IO_H_
 
+#include <cstdint>
 #include <string>
 
 #include "pam/core/serial_apriori.h"
@@ -8,16 +9,15 @@
 
 namespace pam {
 
+/// First word of a WriteFrequentItemsets file ("PAMFI01F").
+inline constexpr std::uint64_t kFrequentItemsetsMagic = 0x50414d4649303146ULL;
+
 /// Persists mined frequent itemsets (pam_mine --save-itemsets), so two
 /// runs' outputs can be compared byte for byte. Binary format: magic,
-/// number of levels, then each level's ItemsetCollection serialization.
+/// number of levels, then each level's ItemsetCollection serialization,
+/// each a u64 word count followed by the words.
 Status WriteFrequentItemsets(const FrequentItemsets& frequent,
                              const std::string& path);
-
-/// Reads a file written by WriteFrequentItemsets, validating the magic
-/// and structural invariants (level k at position k-1, sorted-unique
-/// collections).
-Result<FrequentItemsets> ReadFrequentItemsets(const std::string& path);
 
 }  // namespace pam
 

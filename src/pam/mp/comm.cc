@@ -16,14 +16,34 @@ bool EnvelopeIntact(const Envelope& envelope) {
          envelope.payload.checksum() == envelope.checksum;
 }
 
+void Mailbox::PutLocked(Envelope envelope, bool front) {
+  const auto expected = expected_seq_.find(
+      std::make_tuple(envelope.comm_id, envelope.src_world, envelope.tag));
+  if (expected != expected_seq_.end() && envelope.seq < expected->second) {
+    // A copy of a message already delivered: stale on arrival.
+    ++discarded_;
+    return;
+  }
+  if (front) {
+    queue_.push_front(std::move(envelope));
+  } else {
+    queue_.push_back(std::move(envelope));
+  }
+}
+
 void Mailbox::Put(Envelope envelope, bool front) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (front) {
-      queue_.push_front(std::move(envelope));
-    } else {
-      queue_.push_back(std::move(envelope));
-    }
+    PutLocked(std::move(envelope), front);
+  }
+  cv_.notify_all();
+}
+
+void Mailbox::PutTwice(Envelope envelope) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    PutLocked(envelope, /*front=*/false);
+    PutLocked(std::move(envelope), /*front=*/false);
   }
   cv_.notify_all();
 }
@@ -38,12 +58,6 @@ bool Mailbox::ScanLocked(std::uint64_t comm_id, int src_world, int tag,
     }
     std::uint64_t& expected =
         expected_seq_[std::make_tuple(comm_id, it->src_world, tag)];
-    if (it->seq < expected) {
-      // Stale duplicate of an already delivered message.
-      it = queue_.erase(it);
-      ++discarded_;
-      continue;
-    }
     if (it->seq > expected) {
       // Hole: an earlier message of this stream is still in flight
       // (reordered behind us, or awaiting retransmit). Deliver it first.
@@ -58,9 +72,19 @@ bool Mailbox::ScanLocked(std::uint64_t comm_id, int src_world, int tag,
       ++discarded_;
       continue;
     }
+    const int src = it->src_world;
+    const std::uint64_t delivered = expected++;
     *envelope = std::move(*it);
     queue_.erase(it);
-    ++expected;
+    // Every other queued copy of this message, or of an earlier one, is
+    // stale now: discard and count it here, so the count does not depend on
+    // whether a later receive on the stream ever scans past it.
+    std::erase_if(queue_, [&](const Envelope& e) {
+      const bool stale = e.comm_id == comm_id && e.src_world == src &&
+                         e.tag == tag && e.seq <= delivered;
+      discarded_ += stale ? 1 : 0;
+      return stale;
+    });
     return true;
   }
   return false;
@@ -256,8 +280,7 @@ void Comm::Send(int dst, int tag, Payload payload) {
       case FaultKind::kDrop:
         break;  // never delivered; retransmit
       case FaultKind::kDuplicate:
-        box.Put(make_envelope(payload));
-        box.Put(make_envelope(payload));  // second copy filtered by seq
+        box.PutTwice(make_envelope(payload));  // second copy filtered by seq
         return;
       case FaultKind::kReorder:
         box.Put(make_envelope(payload),

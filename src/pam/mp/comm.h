@@ -77,7 +77,9 @@ bool EnvelopeIntact(const Envelope& envelope);
 /// One rank's incoming message queue. Matching is by (comm_id, src, tag)
 /// stream; within a stream, envelopes are delivered strictly in sequence
 /// order, and envelopes that fail integrity checks (or repeat an already
-/// delivered sequence number) are discarded on sight.
+/// delivered sequence number) are discarded on sight. A stale copy is
+/// counted as soon as it is stale, at its Put or at the delivery that made
+/// it stale, so DiscardedCount() does not depend on arrival order.
 class Mailbox {
  public:
   enum class TakeStatus {
@@ -88,6 +90,12 @@ class Mailbox {
 
   /// `front` = true injects at the head of the queue (reorder fault).
   void Put(Envelope envelope, bool front = false);
+  /// Queues two copies of `envelope` under one lock (duplicate fault), so
+  /// the receiver always finds the second queued when it takes the first
+  /// and counts it then, on its own thread: a run's per-pass `detected`
+  /// does not depend on how the sender's two puts interleave with the
+  /// receiver's passes.
+  void PutTwice(Envelope envelope);
 
   /// Removes and returns the next in-sequence intact message matching
   /// (comm_id, src, tag); src == -1 matches any source. Blocks until one
@@ -110,8 +118,13 @@ class Mailbox {
   std::uint64_t DiscardedCount() const;
 
  private:
-  /// Scans the queue for the first deliverable envelope, erasing stale
-  /// duplicates and corrupt attempts along the way. Caller holds mu_.
+  /// Queues `envelope` unless it is stale (counted instead). Caller holds
+  /// mu_.
+  void PutLocked(Envelope envelope, bool front);
+  /// Scans the queue for the first deliverable envelope, erasing corrupt
+  /// attempts along the way, and on delivery erases every queued copy of
+  /// the stream at or below the delivered sequence number. Caller holds
+  /// mu_.
   bool ScanLocked(std::uint64_t comm_id, int src_world, int tag,
                   Envelope* envelope);
 

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -44,12 +45,26 @@ Status WriteAll(int fd, const std::byte* data, std::size_t size) {
 
 }  // namespace
 
+/// One queued write: owned bytes (a whole frame, or a kResponse head)
+/// followed by an optional shared payload, which is sent from the result
+/// cache's own buffer and never copied.
+struct Segment {
+  std::vector<std::byte> bytes;
+  PayloadHandle payload;
+  /// Bytes of bytes ⧺ payload already written to the socket.
+  std::size_t sent = 0;
+
+  std::size_t size() const {
+    return bytes.size() + (payload != nullptr ? payload->size() : 0);
+  }
+};
+
 /// One finished request's encoded response, routed back to its
 /// connection by id (the connection may be gone — then it is dropped).
 struct Completion {
   std::uint64_t conn_id = 0;
   std::uint64_t tag = 0;
-  std::vector<std::byte> frame;
+  Segment frame;
 };
 
 /// State shared between the loop thread and worker-thread completion
@@ -87,8 +102,8 @@ struct NetServer::Connection {
   bool negotiated = false;
   bool read_closed = false;
   bool close_after_flush = false;
-  std::vector<std::byte> out;
-  std::size_t out_offset = 0;
+  /// Frames not yet fully written, in the order they were queued.
+  std::deque<Segment> out;
   /// In-flight kMine tags and their cancel tokens (fired on kCancel, and
   /// en masse when the connection dies with requests outstanding).
   std::map<std::uint64_t, CancelToken> inflight;
@@ -206,7 +221,7 @@ void NetServer::LoopMain() {
     for (auto& [id, conn] : connections_) {
       short events = 0;
       if (!conn.read_closed && !conn.close_after_flush) events |= POLLIN;
-      if (conn.out_offset < conn.out.size()) events |= POLLOUT;
+      if (!conn.out.empty()) events |= POLLOUT;
       fds.push_back({conn.fd, events, 0});
       fd_conn.push_back(id);
     }
@@ -247,7 +262,7 @@ void NetServer::LoopMain() {
         CloseConnection(id, /*cancel_inflight=*/true);
         continue;
       }
-      const bool flushed = conn.out_offset >= conn.out.size();
+      const bool flushed = conn.out.empty();
       if (flushed && conn.close_after_flush) {
         CloseConnection(id, /*cancel_inflight=*/true);
       } else if (flushed && conn.read_closed && conn.inflight.empty()) {
@@ -312,7 +327,7 @@ bool NetServer::ReadFrom(Connection& conn) {
 
 bool NetServer::DispatchFrames(Connection& conn) {
   FrameType type;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;
   for (;;) {
     const FrameReader::NextResult next = conn.reader.Next(&type, &body);
     if (next == FrameReader::NextResult::kNeedMore) return true;
@@ -438,25 +453,22 @@ void NetServer::HandleMine(Connection& conn,
   server_->SubmitWith(
       std::move(request),
       [state, conn_id, tag](ServeResponse response) {
-        // Worker thread: encode here, off the event loop, then hand the
-        // bytes over through the self-pipe.
+        // Worker thread: encode the head here, off the event loop, then
+        // hand it over through the self-pipe. A cached report's payload
+        // was encoded when it was published and goes out as it is; any
+        // other response's payload is encoded now.
         Completion completion;
         completion.conn_id = conn_id;
         completion.tag = tag;
-        completion.frame = EncodeResponse(tag, response);
+        completion.frame.payload = ResponsePayload(response);
+        completion.frame.bytes = EncodeResponseHead(
+            tag, response, completion.frame.payload->size());
         state->Push(std::move(completion));
       });
 }
 
 void NetServer::QueueWrite(Connection& conn, std::vector<std::byte> frame) {
-  // Compact the flushed prefix before appending.
-  if (conn.out_offset > 0 && conn.out_offset >= conn.out.size() / 2) {
-    conn.out.erase(conn.out.begin(),
-                   conn.out.begin() +
-                       static_cast<std::ptrdiff_t>(conn.out_offset));
-    conn.out_offset = 0;
-  }
-  conn.out.insert(conn.out.end(), frame.begin(), frame.end());
+  conn.out.push_back(Segment{std::move(frame), nullptr, 0});
 }
 
 void NetServer::QueueError(Connection& conn, WireError error,
@@ -468,17 +480,48 @@ void NetServer::QueueError(Connection& conn, WireError error,
 }
 
 bool NetServer::FlushWrites(Connection& conn) {
-  while (conn.out_offset < conn.out.size()) {
-    const ssize_t n =
-        ::send(conn.fd, conn.out.data() + conn.out_offset,
-               conn.out.size() - conn.out_offset, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out_offset += static_cast<std::size_t>(n);
-      continue;
+  constexpr std::size_t kMaxIov = 64;
+  while (!conn.out.empty()) {
+    // Gather the unsent tail of the queue, up to kMaxIov pieces: each
+    // segment's owned bytes, then its shared payload, in place.
+    iovec iov[kMaxIov];
+    std::size_t pieces = 0;
+    for (const Segment& segment : conn.out) {
+      if (pieces + 2 > kMaxIov) break;
+      std::size_t skip = segment.sent;
+      const auto add = [&](const std::vector<std::byte>& part) {
+        if (skip >= part.size()) {
+          skip -= part.size();
+          return;
+        }
+        iov[pieces].iov_base = const_cast<std::byte*>(part.data() + skip);
+        iov[pieces].iov_len = part.size() - skip;
+        ++pieces;
+        skip = 0;
+      };
+      add(segment.bytes);
+      if (segment.payload != nullptr) add(*segment.payload);
     }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = pieces;
+    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n < 0 && errno == EINTR) continue;
-    return false;
+    if (n <= 0) return false;
+    // Retire every segment the write finished; a short write leaves the
+    // front one partly sent.
+    auto written = static_cast<std::size_t>(n);
+    while (written > 0) {
+      Segment& front = conn.out.front();
+      const std::size_t left = front.size() - front.sent;
+      if (written < left) {
+        front.sent += written;
+        break;
+      }
+      written -= left;
+      conn.out.pop_front();
+    }
   }
   return true;
 }
@@ -506,7 +549,7 @@ void NetServer::DrainCompletions() {
     auto it = connections_.find(completion.conn_id);
     if (it == connections_.end()) continue;  // connection died meanwhile
     it->second.inflight.erase(completion.tag);
-    QueueWrite(it->second, std::move(completion.frame));
+    it->second.out.push_back(std::move(completion.frame));
   }
 }
 
@@ -597,7 +640,7 @@ void NetClient::Close() {
 Result<NetClient::ServerFrame> NetClient::Recv() {
   if (fd_ < 0) return Status::Error("not connected");
   FrameType type;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;  // into reader_'s buffer: no Feed below
   for (;;) {
     const FrameReader::NextResult next = reader_.Next(&type, &body);
     if (next == FrameReader::NextResult::kError) {

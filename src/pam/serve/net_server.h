@@ -38,14 +38,19 @@ struct NetServerConfig {
 /// Connection state machine: accept -> kHello/kHelloAck version
 /// negotiation -> request frames. Each kMine is handed to
 /// MiningServer::SubmitWith with a connection-held CancelToken; the
-/// worker's completion callback encodes the kResponse frame off the loop
+/// worker's completion callback encodes the kResponse head off the loop
 /// thread and queues it through a self-pipe, so the loop never blocks on
 /// mining and responses may interleave out of submission order (tags
-/// correlate them). kCancel fires the token of an in-flight tag; kStats
-/// answers synchronously. A client that half-closes (EOF after its last
-/// request) still receives every pending response before the server
-/// closes; a connection that dies mid-flight has its in-flight tokens
-/// cancelled so the pool is not wasted on an unreachable client.
+/// correlate them). A cached report's payload was encoded once, when the
+/// report was published, and every response carrying it sends that one
+/// buffer: a connection's write queue is a deque of segments (owned bytes
+/// plus an optional shared payload) flushed with sendmsg, so no payload is
+/// copied into a connection buffer. kCancel fires the token of an
+/// in-flight tag; kStats answers synchronously. A client that half-closes
+/// (EOF after its last request) still receives every pending response
+/// before the server closes; a connection that dies mid-flight has its
+/// in-flight tokens cancelled so the pool is not wasted on an unreachable
+/// client.
 ///
 /// Protocol errors are typed kError frames: version mismatch, malformed
 /// or oversize frames, and frames before hello close the connection
@@ -91,10 +96,11 @@ class NetServer {
   /// returns false when the connection must close immediately.
   bool DispatchFrames(Connection& conn);
   void HandleMine(Connection& conn, std::span<const std::byte> body);
-  /// Appends a frame to the connection's write buffer.
+  /// Appends a frame to the connection's write queue.
   void QueueWrite(Connection& conn, std::vector<std::byte> frame);
   void QueueError(Connection& conn, WireError error, std::string message);
-  /// Flushes the write buffer; returns false when the connection died.
+  /// Writes queued segments until the socket would block; returns false
+  /// when the connection died.
   bool FlushWrites(Connection& conn);
   void CloseConnection(std::uint64_t conn_id, bool cancel_inflight);
   void DrainCompletions();

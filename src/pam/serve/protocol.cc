@@ -21,12 +21,15 @@ constexpr std::size_t kHeaderBytes = 5;  // u32 body length + u8 type
 /// front and written in place by Finish, and every primitive is one
 /// bounded insert. `body_bytes` sizes the one reservation (the default
 /// holds every frame but a response, which is sized exactly); a frame that
-/// outgrows it still encodes correctly, it just reallocates.
+/// outgrows it still encodes correctly, it just reallocates. A writer
+/// opened with `framed` false reserves no header and writes a bare run of
+/// fields, which Take returns: a response payload.
 class Writer {
  public:
-  explicit Writer(std::size_t body_bytes = 256) {
-    out_.reserve(kHeaderBytes + body_bytes);
-    out_.resize(kHeaderBytes);
+  explicit Writer(std::size_t body_bytes = 256, bool framed = true) {
+    const std::size_t header = framed ? kHeaderBytes : 0;
+    out_.reserve(header + body_bytes);
+    out_.resize(header);
   }
 
   void U8(std::uint8_t v) { Raw(&v, sizeof v); }
@@ -48,13 +51,19 @@ class Writer {
     Array(items);
   }
 
-  /// The frame: the header written over the reserved bytes, no copy.
-  std::vector<std::byte> Finish(FrameType type) && {
-    const auto body = static_cast<std::uint32_t>(out_.size() - kHeaderBytes);
+  /// The frame: the header written over the reserved bytes, no copy. The
+  /// body is what was written plus `tail_bytes` that the caller sends
+  /// after it from another buffer (a response's shared payload).
+  std::vector<std::byte> Finish(FrameType type,
+                                std::size_t tail_bytes = 0) && {
+    const auto body = static_cast<std::uint32_t>(out_.size() - kHeaderBytes +
+                                                 tail_bytes);
     std::memcpy(out_.data(), &body, sizeof body);
     out_[4] = static_cast<std::byte>(type);
     return std::move(out_);
   }
+  /// The bare fields of an unframed writer.
+  std::vector<std::byte> Take() && { return std::move(out_); }
 
  private:
   void Raw(const void* data, std::size_t n) {
@@ -131,29 +140,44 @@ Status Malformed(const char* what) {
   return Status::Error(std::string("malformed ") + what + " frame");
 }
 
-/// The kResponse frame both EncodeResponse overloads write, sized exactly
-/// before the one reservation.
-std::vector<std::byte> EncodeResponseFrame(
-    std::uint64_t tag, ServeStatus status, const std::string& error,
-    double queue_seconds, double service_seconds, bool from_result_cache,
-    Count minsup_count, const FrequentItemsets& frequent,
-    const std::vector<Rule>& rules) {
-  std::size_t body_bytes = 50 + error.size();
-  for (const ItemsetCollection& level : frequent.levels) {
-    body_bytes += 12 + level.items().size() * sizeof(Item) +
-                  level.size() * sizeof(Count);
-  }
-  for (const Rule& rule : rules) {
-    body_bytes += 32 + (rule.antecedent.size() + rule.consequent.size()) *
-                           sizeof(Item);
-  }
-  Writer w(body_bytes);
+// A kResponse body is a per-request head followed by a payload that every
+// response carrying the same report shares (protocol.h).
+
+/// Tag, status, error string, the two times and the cached flag.
+std::size_t HeadBodyBytes(const std::string& error) {
+  return 30 + error.size();
+}
+
+void WriteResponseHead(Writer& w, std::uint64_t tag, ServeStatus status,
+                       const std::string& error, double queue_seconds,
+                       double service_seconds, bool from_result_cache) {
   w.U64(tag);
   w.U8(static_cast<std::uint8_t>(status));
   w.Str(error);
   w.F64(queue_seconds);
   w.F64(service_seconds);
   w.U8(from_result_cache ? 1 : 0);
+}
+
+/// The payload's exact size (minsup count, level and rule counts, then the
+/// levels and rules), so its one reservation never grows.
+std::size_t PayloadBytes(const FrequentItemsets& frequent,
+                         const std::vector<Rule>& rules) {
+  std::size_t bytes = 20;
+  for (const ItemsetCollection& level : frequent.levels) {
+    bytes += 12 + level.items().size() * sizeof(Item) +
+             level.size() * sizeof(Count);
+  }
+  for (const Rule& rule : rules) {
+    bytes += 32 + (rule.antecedent.size() + rule.consequent.size()) *
+                      sizeof(Item);
+  }
+  return bytes;
+}
+
+void WriteResponsePayload(Writer& w, Count minsup_count,
+                          const FrequentItemsets& frequent,
+                          const std::vector<Rule>& rules) {
   w.U64(minsup_count);
   w.U32(static_cast<std::uint32_t>(frequent.levels.size()));
   for (const ItemsetCollection& level : frequent.levels) {
@@ -170,7 +194,6 @@ std::vector<std::byte> EncodeResponseFrame(
     w.F64(rule.support);
     w.F64(rule.confidence);
   }
-  return std::move(w).Finish(FrameType::kResponse);
 }
 
 }  // namespace
@@ -259,21 +282,38 @@ std::vector<std::byte> EncodeStats(const StatsFrame& stats) {
 }
 
 std::vector<std::byte> EncodeResponse(const ResponseFrame& response) {
-  return EncodeResponseFrame(response.tag, response.status, response.error,
-                             response.queue_seconds, response.service_seconds,
-                             response.from_result_cache, response.minsup_count,
-                             response.frequent, response.rules);
+  Writer w(HeadBodyBytes(response.error) +
+           PayloadBytes(response.frequent, response.rules));
+  WriteResponseHead(w, response.tag, response.status, response.error,
+                    response.queue_seconds, response.service_seconds,
+                    response.from_result_cache);
+  WriteResponsePayload(w, response.minsup_count, response.frequent,
+                       response.rules);
+  return std::move(w).Finish(FrameType::kResponse);
 }
 
-std::vector<std::byte> EncodeResponse(std::uint64_t tag,
-                                      const ServeResponse& response) {
+std::vector<std::byte> EncodeResponsePayload(const MiningReport& report) {
+  Writer w(PayloadBytes(report.frequent, report.rules), /*framed=*/false);
+  WriteResponsePayload(w, report.minsup_count, report.frequent,
+                       report.rules);
+  return std::move(w).Take();
+}
+
+std::vector<std::byte> EncodeResponseHead(std::uint64_t tag,
+                                          const ServeResponse& response,
+                                          std::size_t payload_bytes) {
+  Writer w(HeadBodyBytes(response.error));
+  WriteResponseHead(w, tag, response.status, response.error,
+                    response.queue_seconds, response.service_seconds,
+                    response.from_result_cache);
+  return std::move(w).Finish(FrameType::kResponse, payload_bytes);
+}
+
+PayloadHandle ResponsePayload(const ServeResponse& response) {
+  if (response.payload != nullptr) return response.payload;
   static const MiningReport kNoReport;
-  const MiningReport& report =
-      response.report != nullptr ? *response.report : kNoReport;
-  return EncodeResponseFrame(tag, response.status, response.error,
-                             response.queue_seconds, response.service_seconds,
-                             response.from_result_cache, report.minsup_count,
-                             report.frequent, report.rules);
+  return std::make_shared<const std::vector<std::byte>>(EncodeResponsePayload(
+      response.report != nullptr ? *response.report : kNoReport));
 }
 
 std::vector<std::byte> EncodeStatsResponse(const StatsResponseFrame& frame) {
@@ -503,7 +543,7 @@ void FrameReader::Feed(std::span<const std::byte> bytes) {
 }
 
 FrameReader::NextResult FrameReader::Next(FrameType* type,
-                                          std::vector<std::byte>* body) {
+                                          std::span<const std::byte>* body) {
   if (failed_) return NextResult::kError;
   const std::size_t available = buffer_.size() - consumed_;
   if (available < 5) return NextResult::kNeedMore;
@@ -526,7 +566,7 @@ FrameReader::NextResult FrameReader::Next(FrameType* type,
   }
   if (available < 5u + length) return NextResult::kNeedMore;
   *type = static_cast<FrameType>(raw_type);
-  body->assign(p + 5, p + 5 + length);
+  *body = std::span<const std::byte>(p + 5, length);
   consumed_ += 5u + length;
   return NextResult::kFrame;
 }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,7 +24,16 @@ namespace pam::serve {
 ///
 ///   [u32 body_bytes (LE)] [u8 FrameType] [body]
 ///
-/// and a connection opens with version negotiation: the client's kHello
+/// A kResponse body is written in two parts, a per-request head (tag,
+/// status, error, queue and service seconds, cached flag) and a payload
+/// (minsup count, levels, rules) that depends only on the report. The
+/// result cache encodes a report's payload once and every hit of it sends
+/// those same bytes after its own head; the frame on the wire is head ⧺
+/// payload, the same bytes EncodeResponse writes for the same fields, so
+/// the split is invisible to a client and the protocol version does not
+/// change.
+///
+/// A connection opens with version negotiation: the client's kHello
 /// carries the magic and its supported [min, max] version range, the
 /// server answers kHelloAck with the highest version both sides speak, or
 /// a typed kError{kVersionMismatch} frame and a close. All integers are
@@ -146,11 +156,19 @@ std::vector<std::byte> EncodeMine(const MineFrame& mine);
 std::vector<std::byte> EncodeCancel(const CancelFrame& cancel);
 std::vector<std::byte> EncodeStats(const StatsFrame& stats);
 std::vector<std::byte> EncodeResponse(const ResponseFrame& response);
-/// The same frame, written straight from a served response: nothing is
-/// copied out of its (possibly shared) report first. A null report encodes
-/// as no itemsets and no rules.
-std::vector<std::byte> EncodeResponse(std::uint64_t tag,
-                                      const ServeResponse& response);
+
+/// The two parts of a kResponse frame (see the frame comment above). The
+/// payload is unframed: minsup count, levels and rules.
+std::vector<std::byte> EncodeResponsePayload(const MiningReport& report);
+/// The frame header and the head fields of `response`, for a frame whose
+/// body ends with `payload_bytes` of payload sent from another buffer.
+std::vector<std::byte> EncodeResponseHead(std::uint64_t tag,
+                                          const ServeResponse& response,
+                                          std::size_t payload_bytes);
+/// The payload `response` is sent with: the result cache's shared one when
+/// it carries it, else its report's, encoded now. A null report encodes as
+/// no itemsets and no rules.
+PayloadHandle ResponsePayload(const ServeResponse& response);
 std::vector<std::byte> EncodeStatsResponse(const StatsResponseFrame& stats);
 std::vector<std::byte> EncodeError(const ErrorFrame& error);
 std::vector<std::byte> EncodeShutdown();
@@ -176,6 +194,8 @@ Result<ProtocolVersion> NegotiateVersion(const HelloFrame& hello);
 
 /// Splits a byte stream back into frames. Feed() appends raw bytes as
 /// they arrive; Next() yields complete frames until the buffer runs dry.
+/// A frame's body is a view of the reader's own buffer, valid until the
+/// next Feed(), so a caller decodes it in place without copying it out.
 /// A length prefix over `max_frame_bytes` or an unknown frame type is a
 /// hard kError state: stream framing is lost and the connection must
 /// close (there is no way to resynchronize a length-prefixed stream).
@@ -193,7 +213,7 @@ class FrameReader {
     kNeedMore,  // the buffer holds no complete frame yet
     kError,     // framing lost (oversize length or unknown type)
   };
-  NextResult Next(FrameType* type, std::vector<std::byte>* body);
+  NextResult Next(FrameType* type, std::span<const std::byte>* body);
 
   const std::string& error() const { return error_; }
   /// Bytes buffered but not yet consumed as frames.

@@ -21,4 +21,8 @@ std::size_t ReportBytes(const MiningReport& report) {
   return bytes;
 }
 
+std::size_t ResultBytes(const CachedResult& result) {
+  return ReportBytes(result.report) + result.payload.size();
+}
+
 }  // namespace pam::serve

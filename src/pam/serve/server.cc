@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "pam/mp/fault.h"
 #include "pam/obs/trace.h"
+#include "pam/serve/protocol.h"
 
 namespace pam::serve {
 
@@ -107,6 +110,14 @@ std::string InvalidRequestReason(const MiningRequest& request, int ranks,
     return "minsup_fraction must lie in [0, 1]";
   }
   return {};
+}
+
+/// Points `response` at a result-cache entry: its report and its payload
+/// both alias the entry, so either handle pins it.
+void ServeFromEntry(ServeResponse* response,
+                    const std::shared_ptr<const CachedResult>& entry) {
+  response->report = ReportHandle(entry, &entry->report);
+  response->payload = PayloadHandle(entry, &entry->payload);
 }
 
 void EmitCancelInstant(const char* detail) {
@@ -329,7 +340,7 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
     obs::ScopedSpan span(obs::SpanKind::kServeRequest,
                          static_cast<std::int64_t>(job.sequence), nullptr);
     const CancelReason queued_reason = token.Check();
-    ReportHandle hit;
+    ResultCache::Handle hit;
     if (queued_reason == CancelReason::kNone && cacheable) {
       hit = results_.Get(
           ResultKey(cache_.Generation(job.request.dataset), digest));
@@ -343,10 +354,11 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
                                       : "cancelled_in_queue");
       span.Cancel();
     } else if (hit != nullptr) {
-      // Result-cache hit (DESIGN.md §15): hand out the cached report
-      // itself — no copy, no dataset touch, no rank lease, no tenant
-      // charge. The handle pins the entry while the response holds it.
-      response.report = std::move(hit);
+      // Result-cache hit (DESIGN.md §15): hand out the cached report and
+      // its encoded payload themselves — no copy, no encode, no dataset
+      // touch, no rank lease, no tenant charge. The handles pin the entry
+      // while the response holds them.
+      ServeFromEntry(&response, hit);
       response.status = ServeStatus::kOk;
       response.from_result_cache = true;
       obs::RankTracer* tracer = obs::CurrentTracer();
@@ -379,9 +391,9 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
             inflight_[job.sequence] = token;
           }
           MiningSession session;
+          std::optional<MiningReport> mined;
           try {
-            response.report = std::make_shared<const MiningReport>(
-                session.Run(job.request, *response.dataset->db));
+            mined = session.Run(job.request, *response.dataset->db);
             response.status = ServeStatus::kOk;
           } catch (const CancelledError& e) {
             SetCancelledResponse(&response, e.reason(), e.what());
@@ -410,13 +422,21 @@ ServeResponse MiningServer::Process(Job& job, int worker_id) {
           // The machine was used whether the run completed, faulted, or
           // was cancelled mid-flight.
           charged = static_cast<double>(ranks) * response.service_seconds;
-          if (cacheable && response.status == ServeStatus::kOk) {
+          if (mined && cacheable) {
             // Publish the freshly mined report for later identical
-            // requests: the cache and the response share it. It is keyed
-            // on the generation of the dataset actually mined, so a run
-            // that raced a re-registration never answers for the new one.
+            // requests, with its payload encoded here, once: the cache and
+            // every response share both. It is keyed on the generation of
+            // the dataset actually mined, so a run that raced a
+            // re-registration never answers for the new one.
+            auto entry = std::make_shared<CachedResult>();
+            entry->report = std::move(*mined);
+            entry->payload = EncodeResponsePayload(entry->report);
+            ServeFromEntry(&response, entry);
             results_.Put(ResultKey(response.dataset->generation, digest),
-                         response.report, ReportBytes(*response.report));
+                         entry, ResultBytes(*entry));
+          } else if (mined) {
+            response.report =
+                std::make_shared<const MiningReport>(std::move(*mined));
           }
         }
       }

@@ -95,9 +95,11 @@ struct ServerConfig {
   /// cached report is answered without touching the dataset or leasing a
   /// rank. Off by default — hits do not re-mine, so responses stop
   /// carrying a fresh dataset handle and per-run metrics, which callers
-  /// must opt into.
+  /// must opt into. An entry holds the report and its encoded kResponse
+  /// payload, written once when the report is published.
   bool result_cache = false;
-  /// Resident-bytes budget of the result cache (0 = unlimited).
+  /// Resident-bytes budget of the result cache (0 = unlimited). It counts
+  /// each entry's report and payload together (ResultBytes).
   std::size_t result_cache_budget_bytes = 0;
   /// Idle TTL of cached results in milliseconds (0 = never expires).
   double result_cache_ttl_ms = 0;
@@ -111,6 +113,12 @@ struct ServeResponse {
   /// The mining result; null unless the status is kOk. A fresh mine and
   /// every later result-cache hit of it share this one report.
   ReportHandle report;
+  /// The report's encoded kResponse payload (protocol.h), set whenever the
+  /// report is a result-cache entry's: a cacheable fresh mine and every hit
+  /// of it carry the same bytes, so a front-end sends them without
+  /// encoding. Null otherwise (result cache off, a timeline or fault run,
+  /// any error status).
+  PayloadHandle payload;
   /// The cached dataset served (kOk and kMiningFault; lets callers verify
   /// cross-request sharing — same dataset id means the same handle and the
   /// same underlying database).

@@ -8,10 +8,13 @@
 
 #include "pam/parallel/driver.h"
 #include "pam/util/prng.h"
+#include "testing/itemsets_reader.h"
 #include "testing/random_db.h"
 
 namespace pam {
 namespace {
+
+using testing::ReadFrequentItemsets;
 
 class ItemsetsIoTest : public ::testing::Test {
  protected:

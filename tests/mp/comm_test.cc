@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -565,6 +566,64 @@ TEST(CommFaultTest, DuplicatesFilteredBySequenceNumber) {
   });
   EXPECT_EQ(rt.TotalFaultStats().injected, 50u);
   EXPECT_GT(rt.TotalFaultStats().detected, 0u);
+}
+
+// An intact envelope of stream (comm 1, source 0, tag 4) at `seq`.
+internal_mp::Envelope StreamEnvelope(std::uint64_t seq) {
+  internal_mp::Envelope envelope;
+  envelope.comm_id = 1;
+  envelope.src_world = 0;
+  envelope.tag = 4;
+  envelope.seq = seq;
+  envelope.payload = Payload::Copy(std::as_bytes(std::span("abc")));
+  envelope.declared_size = envelope.payload.size();
+  envelope.checksum = envelope.payload.checksum();
+  return envelope;
+}
+
+TEST(MailboxTest, DuplicateOfTheLastMessageIsCounted) {
+  // Both copies arrive before the one receive: the delivery makes the
+  // second copy stale, and it is counted then, though no later receive on
+  // the stream ever scans past it.
+  internal_mp::Mailbox box;
+  box.Put(StreamEnvelope(0));
+  box.Put(StreamEnvelope(0));
+  internal_mp::Envelope got;
+  ASSERT_EQ(box.TryTake(1, 0, 4, &got),
+            internal_mp::Mailbox::TakeStatus::kOk);
+  EXPECT_EQ(got.seq, 0u);
+  EXPECT_EQ(box.DiscardedCount(), 1u);
+  EXPECT_EQ(box.TryTake(1, 0, 4, &got),
+            internal_mp::Mailbox::TakeStatus::kTimeout);
+  EXPECT_EQ(box.DiscardedCount(), 1u);
+  // The duplicate fault queues both copies at once: the take of the first
+  // counts the second.
+  box.PutTwice(StreamEnvelope(1));
+  ASSERT_EQ(box.TryTake(1, 0, 4, &got),
+            internal_mp::Mailbox::TakeStatus::kOk);
+  EXPECT_EQ(got.seq, 1u);
+  EXPECT_EQ(box.DiscardedCount(), 2u);
+}
+
+TEST(MailboxTest, CopyArrivingAfterDeliveryIsCountedAtPut) {
+  // The same two copies in the other arrival order count the same.
+  internal_mp::Mailbox box;
+  box.Put(StreamEnvelope(0));
+  internal_mp::Envelope got;
+  ASSERT_EQ(box.TryTake(1, 0, 4, &got),
+            internal_mp::Mailbox::TakeStatus::kOk);
+  EXPECT_EQ(box.DiscardedCount(), 0u);
+  box.Put(StreamEnvelope(0));
+  EXPECT_EQ(box.DiscardedCount(), 1u);
+  EXPECT_EQ(box.TryTake(1, 0, 4, &got),
+            internal_mp::Mailbox::TakeStatus::kTimeout);
+  // An envelope of another stream with the same seq is not stale.
+  internal_mp::Envelope other = StreamEnvelope(0);
+  other.tag = 5;
+  box.Put(std::move(other));
+  ASSERT_EQ(box.TryTake(1, 0, 5, &got),
+            internal_mp::Mailbox::TakeStatus::kOk);
+  EXPECT_EQ(box.DiscardedCount(), 1u);
 }
 
 TEST(CommFaultTest, ReorderRepairedByResequencing) {

@@ -4,9 +4,10 @@
 // encoder; each decoder gets a fixed number of mutants of its own frame
 // type, drawn from a seeded Prng by the mutators in testing/mutate.h, so
 // every run tries the same inputs and a failure names the trial and the
-// input that caused it. Each mutant is fed to a FrameReader, and every
-// frame it yields goes to the decoder of that frame's type. The
-// properties:
+// input that caused it. Each mutant is fed to a FrameReader in seeded
+// pieces, and every frame it yields goes, as a view of the reader's
+// buffer, to the decoder of that frame's type before the next piece is
+// fed. The properties:
 //   - nothing crashes or trips a sanitizer, and framing errors carry a
 //     message;
 //   - a decoder returns a typed error with a message, or a value, and a
@@ -16,12 +17,14 @@
 //     decodes and re-encodes to the same bytes (decode -> encode -> decode
 //     is a fixed point).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,18 +146,22 @@ std::map<FrameType, std::vector<Bytes>> Seeds() {
   request.generate_rules = true;
   request.min_confidence = 0.5;
   MiningSession session;
-  serve::ServeResponse ok;
-  ok.report = std::make_shared<const MiningReport>(
-      session.Run(request, testing::TinyQuestDb()));
+  MiningReport report = session.Run(request, testing::TinyQuestDb());
+  serve::ResponseFrame ok;
+  ok.tag = 42;
   ok.queue_seconds = 0.25;
   ok.service_seconds = 1.5;
   ok.from_result_cache = true;
-  add(FrameType::kResponse, serve::EncodeResponse(42, ok));
-  serve::ServeResponse failed;
+  ok.minsup_count = report.minsup_count;
+  ok.frequent = std::move(report.frequent);
+  ok.rules = std::move(report.rules);
+  add(FrameType::kResponse, serve::EncodeResponse(ok));
+  serve::ResponseFrame failed;
+  failed.tag = 43;
   failed.status = serve::ServeStatus::kMiningFault;
   failed.error = "dataset load failed: read failed";
   failed.service_seconds = 0.125;
-  add(FrameType::kResponse, serve::EncodeResponse(43, failed));
+  add(FrameType::kResponse, serve::EncodeResponse(failed));
 
   serve::StatsResponseFrame stats;
   stats.tag = 9;
@@ -222,7 +229,7 @@ bool CheckFrame(FrameType type, std::span<const std::byte> body, int trial,
   FrameReader reader;
   reader.Feed(once.value());
   FrameType again_type;
-  Frame again_body;
+  std::span<const std::byte> again_body;
   EXPECT_EQ(reader.Next(&again_type, &again_body),
             FrameReader::NextResult::kFrame)
       << Context(trial, input);
@@ -237,22 +244,33 @@ bool CheckFrame(FrameType type, std::span<const std::byte> body, int trial,
   return true;
 }
 
-// Feeds `input` to a FrameReader and checks every frame it yields; returns
-// how many decoded.
+// Feeds `input` to a FrameReader in seeded pieces and checks every frame
+// it yields, decoding each body view before the next Feed, which may move
+// the buffer under it (under ASan a read through a stale view aborts);
+// returns how many decoded.
 int CheckStream(const Bytes& input, int trial) {
   FrameReader reader;
-  reader.Feed(AsSpan(input));
+  Prng rng(0x5eedu + static_cast<std::uint64_t>(trial + 1));
+  const std::span<const std::byte> stream = AsSpan(input);
+  std::size_t fed = 0;
   FrameType type;
-  Frame body;
+  std::span<const std::byte> body;
   int decoded = 0;
   for (;;) {
     const FrameReader::NextResult next = reader.Next(&type, &body);
-    if (next == FrameReader::NextResult::kNeedMore) break;
     if (next == FrameReader::NextResult::kError) {
       EXPECT_FALSE(reader.error().empty()) << Context(trial, input);
       break;
     }
-    decoded += CheckFrame(type, body, trial, input) ? 1 : 0;
+    if (next == FrameReader::NextResult::kFrame) {
+      decoded += CheckFrame(type, body, trial, input) ? 1 : 0;
+      continue;
+    }
+    if (fed == stream.size()) break;
+    const std::size_t piece = std::min<std::size_t>(
+        stream.size() - fed, 1 + rng.NextBounded(stream.size()));
+    reader.Feed(stream.subspan(fed, piece));
+    fed += piece;
   }
   return decoded;
 }
@@ -264,7 +282,7 @@ TEST(FrameFuzzTest, EverySeedRoundTripsByteForByte) {
       FrameReader reader;
       reader.Feed(AsSpan(seed));
       FrameType got;
-      Frame body;
+      std::span<const std::byte> body;
       ASSERT_EQ(reader.Next(&got, &body), FrameReader::NextResult::kFrame);
       EXPECT_EQ(got, type);
       const Result<Frame> again = Reencode(got, body);

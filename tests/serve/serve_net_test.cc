@@ -16,19 +16,27 @@
 //   - start-time fair queueing gives a weight-3 tenant ~3x the service
 //     share of a weight-1 peer under saturation, with a starvation bound;
 //   - a result-cache hit returns a byte-identical report without leasing
-//     a rank, and the counter invariants extend to the new counters.
+//     a rank, and the counter invariants extend to the new counters;
+//   - a kResponse frame is its head then its payload, byte for byte the
+//     frames pinned before the split; a cached report's payload is
+//     encoded once and shared by every hit, and the result budget counts
+//     it; frames queued behind a shared payload under short writes arrive
+//     whole and in order.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,7 +90,7 @@ TEST(ProtocolTest, HelloRoundTripAndNegotiation) {
   FrameReader reader;
   reader.Feed(frame);
   FrameType type;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;
   ASSERT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kFrame);
   EXPECT_EQ(type, FrameType::kHello);
   Result<HelloFrame> decoded = serve::DecodeHello(body);
@@ -129,7 +137,7 @@ TEST(ProtocolTest, MineFrameRoundTripsEveryField) {
   FrameReader reader;
   reader.Feed(serve::EncodeMine(mine));
   FrameType type;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;
   ASSERT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kFrame);
   ASSERT_EQ(type, FrameType::kMine);
   Result<MineFrame> decoded = serve::DecodeMine(body);
@@ -176,6 +184,17 @@ ResponseFrame FrameOf(std::uint64_t tag, const ServeResponse& response) {
   return frame;
 }
 
+// The frame NetServer writes for `response`: its head, then the payload it
+// is sent with.
+std::vector<std::byte> WireFrame(std::uint64_t tag,
+                                 const ServeResponse& response) {
+  const serve::PayloadHandle payload = serve::ResponsePayload(response);
+  std::vector<std::byte> frame =
+      serve::EncodeResponseHead(tag, response, payload->size());
+  frame.insert(frame.end(), payload->begin(), payload->end());
+  return frame;
+}
+
 TEST(ProtocolTest, ResponseFrameRoundTripsItemsetsAndRules) {
   // Mine a real report so the frame carries non-trivial levels and rules.
   const TransactionDatabase db = testing::TinyQuestDb();
@@ -190,9 +209,10 @@ TEST(ProtocolTest, ResponseFrameRoundTripsItemsetsAndRules) {
   response.service_seconds = 1.5;
   response.from_result_cache = true;
 
-  // Both encoders write the same bytes, and those bytes are the ones the
-  // byte-at-a-time codec wrote (digest pinned from it).
-  const std::vector<std::byte> encoded = serve::EncodeResponse(42, response);
+  // The frame NetServer writes (head, then payload) and the one-buffer
+  // encoder's are the same bytes, the ones the byte-at-a-time codec wrote
+  // (digest pinned from it).
+  const std::vector<std::byte> encoded = WireFrame(42, response);
   EXPECT_EQ(encoded, serve::EncodeResponse(FrameOf(42, response)));
   EXPECT_EQ(encoded.size(), 814459u);
   EXPECT_EQ(FrameDigest(encoded), 0x9e50918167bb2879ull);
@@ -200,7 +220,7 @@ TEST(ProtocolTest, ResponseFrameRoundTripsItemsetsAndRules) {
   FrameReader reader;
   reader.Feed(encoded);
   FrameType type;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;
   ASSERT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kFrame);
   ASSERT_EQ(type, FrameType::kResponse);
   Result<ResponseFrame> decoded = serve::DecodeResponse(body);
@@ -232,7 +252,7 @@ TEST(ProtocolTest, ResponseFrameRoundTripsItemsetsAndRules) {
   failed.status = ServeStatus::kMiningFault;
   failed.error = "dataset load failed: read failed";
   ASSERT_EQ(failed.report, nullptr);
-  const std::vector<std::byte> failed_frame = serve::EncodeResponse(7, failed);
+  const std::vector<std::byte> failed_frame = WireFrame(7, failed);
   EXPECT_EQ(failed_frame, serve::EncodeResponse(FrameOf(7, failed)));
   EXPECT_EQ(FrameDigest(failed_frame), 0x747588040a0ffe57ull);
   reader.Feed(failed_frame);
@@ -243,6 +263,53 @@ TEST(ProtocolTest, ResponseFrameRoundTripsItemsetsAndRules) {
   EXPECT_EQ(failed_decoded.value().error, failed.error);
   EXPECT_TRUE(failed_decoded.value().frequent.levels.empty());
   EXPECT_TRUE(failed_decoded.value().rules.empty());
+}
+
+TEST(ProtocolTest, HeadThenPayloadIsTheWholeFrame) {
+  // Three frames whose FNV-1a digests were taken from the one-buffer
+  // encoder before the head/payload split: one with rules, one with an
+  // error status and message, one whose report is empty. Written as head
+  // then payload they are the same bytes, so the wire did not change.
+  MiningSession session;
+  MiningRequest request = Request("t", "d", MiningAlgorithm::kSerial, 1);
+  request.generate_rules = true;
+  request.min_confidence = 0.3;
+  ServeResponse mined;
+  mined.report = std::make_shared<const MiningReport>(
+      session.Run(request, testing::TinyQuestDb()));
+  mined.queue_seconds = 0.25;
+  mined.service_seconds = 1.5;
+  mined.from_result_cache = true;
+
+  ServeResponse failed;
+  failed.status = ServeStatus::kMiningFault;
+  failed.error = "dataset load failed: read failed";
+
+  MiningReport empty_report;
+  empty_report.minsup_count = 12;
+  ServeResponse empty;
+  empty.report = std::make_shared<const MiningReport>(empty_report);
+  empty.queue_seconds = 0.5;
+  empty.service_seconds = 0.75;
+
+  const struct {
+    const char* name;
+    std::uint64_t tag;
+    const ServeResponse& response;
+    std::size_t bytes;
+    std::uint64_t digest;
+  } frames[] = {
+      {"rules", 42, mined, 814459u, 0x9e50918167bb2879ull},
+      {"error", 7, failed, 87u, 0x747588040a0ffe57ull},
+      {"empty", 9, empty, 55u, 0xe0db62b9559bc59eull},
+  };
+  for (const auto& f : frames) {
+    const std::vector<std::byte> whole =
+        serve::EncodeResponse(FrameOf(f.tag, f.response));
+    EXPECT_EQ(whole.size(), f.bytes) << f.name;
+    EXPECT_EQ(FrameDigest(whole), f.digest) << f.name;
+    EXPECT_EQ(WireFrame(f.tag, f.response), whole) << f.name;
+  }
 }
 
 TEST(ProtocolTest, StatsResponseRoundTripsEveryCounter) {
@@ -278,7 +345,7 @@ TEST(ProtocolTest, StatsResponseRoundTripsEveryCounter) {
   FrameReader reader;
   reader.Feed(serve::EncodeStatsResponse(stats));
   FrameType type;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;
   ASSERT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kFrame);
   ASSERT_EQ(type, FrameType::kStatsResponse);
   Result<StatsResponseFrame> decoded = serve::DecodeStatsResponse(body);
@@ -318,7 +385,7 @@ TEST(ProtocolTest, ErrorFrameRoundTripAndCloseTable) {
   FrameReader reader;
   reader.Feed(serve::EncodeError(error));
   FrameType type;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;
   ASSERT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kFrame);
   ASSERT_EQ(type, FrameType::kError);
   Result<ErrorFrame> decoded = serve::DecodeError(body);
@@ -350,7 +417,7 @@ TEST(ProtocolTest, FrameReaderReassemblesByteAtATime) {
   FrameReader reader;
   std::vector<FrameType> types;
   FrameType type;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;
   for (const std::byte b : stream) {
     reader.Feed(std::span<const std::byte>(&b, 1));
     while (reader.Next(&type, &body) == FrameReader::NextResult::kFrame) {
@@ -373,7 +440,7 @@ TEST(ProtocolTest, FrameReaderRejectsOversizeAndUnknownType) {
     header[4] = std::byte{static_cast<unsigned char>(FrameType::kMine)};
     reader.Feed(header);
     FrameType type;
-    std::vector<std::byte> body;
+    std::span<const std::byte> body;
     EXPECT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kError);
     EXPECT_NE(reader.error().find("exceeds"), std::string::npos);
   }
@@ -385,7 +452,7 @@ TEST(ProtocolTest, FrameReaderRejectsOversizeAndUnknownType) {
     header[4] = std::byte{200};  // no such frame type
     reader.Feed(header);
     FrameType type;
-    std::vector<std::byte> body;
+    std::span<const std::byte> body;
     EXPECT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kError);
   }
 }
@@ -528,9 +595,19 @@ TEST(CanonicalDigestTest, SensitiveToResultAffectingFields) {
 /// protocol, so it can impersonate broken or hostile peers.
 class RawClient {
  public:
-  bool Connect(int port) {
+  /// A nonzero `receive_buffer` shrinks SO_RCVBUF before connecting, so
+  /// the window the server may fill stays small. A read that waits 30 s
+  /// fails instead of hanging the test.
+  bool Connect(int port, int receive_buffer = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd_ < 0) return false;
+    if (receive_buffer > 0 &&
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                     sizeof receive_buffer) != 0) {
+      return false;
+    }
+    const timeval timeout{30, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     sockaddr_in addr = {};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -547,6 +624,13 @@ class RawClient {
       sent += static_cast<std::size_t>(n);
     }
     return true;
+  }
+  /// One read of at most `max_bytes`; empty at EOF or on an error.
+  std::vector<std::byte> Recv(std::size_t max_bytes) {
+    std::vector<std::byte> bytes(max_bytes);
+    const ssize_t n = ::recv(fd_, bytes.data(), bytes.size(), 0);
+    bytes.resize(n > 0 ? static_cast<std::size_t>(n) : 0);
+    return bytes;
   }
   /// Reads until EOF; returns everything the server sent.
   std::vector<std::byte> RecvAll() {
@@ -571,7 +655,7 @@ ErrorFrame ExpectErrorFrame(const std::vector<std::byte>& bytes) {
   FrameReader reader;
   reader.Feed(bytes);
   FrameType type = FrameType::kHello;
-  std::vector<std::byte> body;
+  std::span<const std::byte> body;
   EXPECT_EQ(reader.Next(&type, &body), FrameReader::NextResult::kFrame);
   EXPECT_EQ(type, FrameType::kError);
   Result<ErrorFrame> decoded = serve::DecodeError(body);
@@ -1094,6 +1178,188 @@ TEST(ResultCacheTest, NetResponsesByteIdenticalAcrossHit) {
             first.value().response.rules.size());
   EXPECT_EQ(second.value().response.minsup_count,
             first.value().response.minsup_count);
+}
+
+TEST(ResultCacheTest, PayloadIsEncodedOnceAndSharedByHits) {
+  ServerConfig config;
+  config.result_cache = true;
+  MiningServer server(config);
+  server.datasets().RegisterLoaded(
+      "quest", TransactionDatabase(testing::SmallQuestDb()));
+  MiningRequest request = Request("t", "quest", MiningAlgorithm::kCD, 2);
+  request.generate_rules = true;
+  request.min_confidence = 0.3;
+
+  const ServeResponse fresh = server.Submit(request).get();
+  ASSERT_EQ(fresh.status, ServeStatus::kOk);
+  EXPECT_FALSE(fresh.from_result_cache);
+  ASSERT_NE(fresh.payload, nullptr);
+  // The entry is charged the report and its payload together.
+  const std::size_t resident = server.Stats().result_resident_bytes;
+  EXPECT_EQ(resident,
+            serve::ReportBytes(*fresh.report) + fresh.payload->size());
+  EXPECT_EQ(*fresh.payload, serve::EncodeResponsePayload(*fresh.report));
+
+  // Both hits carry the very buffer the publish encoded: no hit encodes.
+  for (int hit = 0; hit < 2; ++hit) {
+    const ServeResponse again = server.Submit(request).get();
+    ASSERT_EQ(again.status, ServeStatus::kOk);
+    EXPECT_TRUE(again.from_result_cache);
+    EXPECT_EQ(again.report.get(), fresh.report.get());
+    EXPECT_EQ(again.payload.get(), fresh.payload.get());
+  }
+  EXPECT_EQ(server.Stats().result_resident_bytes, resident);
+  EXPECT_EQ(server.Stats().result_hits, 2u);
+}
+
+TEST(ResultCacheTest, UncachedResponsesEncodeTheirOwnPayload) {
+  // A timeline run is run-specific, so it skips the cache both ways: it
+  // carries no shared payload, and the frame encoded for it is still the
+  // one its report spells. The wire cannot ask for a timeline, so the
+  // NetServer half uses the other response that carries no payload, an
+  // error status, with the result cache on.
+  ServerConfig config;
+  config.result_cache = true;
+  LoopbackHarness harness(config);
+  MiningRequest request = Request("t", "quest", MiningAlgorithm::kSerial, 1);
+  request.collect_timeline = true;
+  const ServeResponse timed = harness.server.Submit(request).get();
+  ASSERT_EQ(timed.status, ServeStatus::kOk);
+  EXPECT_EQ(timed.payload, nullptr);
+  EXPECT_EQ(harness.server.Stats().result_resident_bytes, 0u);
+  EXPECT_EQ(harness.server.Stats().result_misses, 0u);
+  EXPECT_EQ(WireFrame(5, timed), serve::EncodeResponse(FrameOf(5, timed)));
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.net.port()).ok());
+  ASSERT_TRUE(
+      client.SendMine(6, Request("t", "nope", MiningAlgorithm::kSerial, 1))
+          .ok());
+  Result<NetClient::ServerFrame> frame = client.Recv();
+  ASSERT_TRUE(frame.ok()) << frame.status().message();
+  ASSERT_EQ(frame.value().type, FrameType::kResponse);
+  const ResponseFrame& response = frame.value().response;
+  EXPECT_EQ(response.tag, 6u);
+  EXPECT_EQ(response.status, ServeStatus::kUnknownDataset);
+  EXPECT_EQ(response.error, "unknown dataset 'nope'");
+  EXPECT_TRUE(response.frequent.levels.empty());
+  EXPECT_TRUE(response.rules.empty());
+}
+
+TEST(NetServeTest, ShortWritesKeepFramesWholeAndInOrder) {
+  // One connection, one worker, the result cache on: a fresh mine and two
+  // hits of a 3.2 MB response, then a stats poll, a refused cancel and a
+  // third hit. The client shrinks its receive buffer and reads nothing
+  // until all six are queued, so the server's sendmsg runs into short
+  // writes: the three responses are several megabytes more than the
+  // socket buffers hold, and the owned kStats and kError frames queue
+  // behind a shared payload that is still pending. Every frame must
+  // arrive whole, in submission order, with the bytes of the in-process
+  // response.
+  ServerConfig config;
+  config.workers = 1;
+  config.result_cache = true;
+  LoopbackHarness harness(config);
+  const TransactionDatabase db = testing::TinyQuestDb();
+  harness.server.datasets().RegisterLoaded("tiny", TransactionDatabase(db));
+  MiningRequest request = Request("t", "tiny", MiningAlgorithm::kSerial, 1,
+                                  /*minsup=*/0.01);
+  request.generate_rules = true;
+  request.min_confidence = 0.3;
+  ServeResponse solo;
+  MiningSession session;
+  solo.report = std::make_shared<const MiningReport>(
+      session.Run(request, db));
+
+  RawClient raw;
+  ASSERT_TRUE(raw.Connect(harness.net.port(), /*receive_buffer=*/4096));
+  ASSERT_TRUE(raw.Send(serve::EncodeHello(HelloFrame{})));
+  FrameReader reader;
+  FrameType type;
+  std::span<const std::byte> body;
+  while (reader.Next(&type, &body) != FrameReader::NextResult::kFrame) {
+    const std::vector<std::byte> bytes = raw.Recv(4096);
+    ASSERT_FALSE(bytes.empty());
+    reader.Feed(bytes);
+  }
+  ASSERT_EQ(type, FrameType::kHelloAck);
+
+  const auto send_mine = [&](std::uint64_t tag) {
+    MineFrame mine;
+    mine.tag = tag;
+    mine.request = request;
+    return raw.Send(serve::EncodeMine(mine));
+  };
+  for (std::uint64_t tag = 1; tag <= 3; ++tag) ASSERT_TRUE(send_mine(tag));
+  // The three responses are queued once the loop has drained their
+  // completions, which follow the counted completion by microseconds; the
+  // pause leaves that hand-off ample room before the next frames arrive.
+  while (harness.server.Stats().completed < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(raw.Send(serve::EncodeStats(serve::StatsFrame{50})));
+  ASSERT_TRUE(raw.Send(serve::EncodeCancel(serve::CancelFrame{999})));
+  ASSERT_TRUE(send_mine(4));
+
+  // Read slowly, a few KB at a time, until six frames have arrived.
+  std::vector<FrameType> types;
+  std::vector<std::vector<std::byte>> frames;
+  for (int reads = 0; frames.size() < 6; ++reads) {
+    while (frames.size() < 6 &&
+           reader.Next(&type, &body) == FrameReader::NextResult::kFrame) {
+      types.push_back(type);
+      // The view dies at the next Feed: keep a copy of the whole frame.
+      std::vector<std::byte> frame(5);
+      const auto length = static_cast<std::uint32_t>(body.size());
+      std::memcpy(frame.data(), &length, sizeof length);
+      frame[4] = static_cast<std::byte>(type);
+      frame.insert(frame.end(), body.begin(), body.end());
+      frames.push_back(std::move(frame));
+    }
+    if (frames.size() == 6) break;
+    if (reads % 64 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const std::vector<std::byte> bytes = raw.Recv(4096);
+    ASSERT_FALSE(bytes.empty()) << "closed or silent for 30 s after "
+                                << frames.size() << " frames";
+    reader.Feed(bytes);
+  }
+  ASSERT_EQ(types, (std::vector<FrameType>{
+                       FrameType::kResponse, FrameType::kResponse,
+                       FrameType::kResponse, FrameType::kStatsResponse,
+                       FrameType::kError, FrameType::kResponse}));
+  EXPECT_EQ(reader.buffered_bytes(), 0u);
+
+  const std::uint64_t response_tags[] = {1, 2, 3, 0, 0, 4};
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const std::span<const std::byte> frame_body(frames[i].data() + 5,
+                                                frames[i].size() - 5);
+    if (types[i] == FrameType::kStatsResponse) {
+      Result<StatsResponseFrame> stats =
+          serve::DecodeStatsResponse(frame_body);
+      ASSERT_TRUE(stats.ok()) << stats.status().message();
+      EXPECT_EQ(stats.value().tag, 50u);
+      continue;
+    }
+    if (types[i] == FrameType::kError) {
+      Result<ErrorFrame> error = serve::DecodeError(frame_body);
+      ASSERT_TRUE(error.ok()) << error.status().message();
+      EXPECT_EQ(error.value().error, WireError::kUnknownTag);
+      continue;
+    }
+    Result<ResponseFrame> decoded = serve::DecodeResponse(frame_body);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    // The in-process response, with the times this run's server measured.
+    ServeResponse expected = solo;
+    expected.queue_seconds = decoded.value().queue_seconds;
+    expected.service_seconds = decoded.value().service_seconds;
+    expected.from_result_cache = response_tags[i] != 1;
+    EXPECT_EQ(frames[i],
+              serve::EncodeResponse(FrameOf(response_tags[i], expected)))
+        << "frame " << i;
+  }
 }
 
 }  // namespace
