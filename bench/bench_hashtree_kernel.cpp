@@ -19,8 +19,17 @@
 // thread-sweep numbers cannot be interpreted, and exits non-zero on any
 // count/stats mismatch.
 //
+// Its `generation` section times the two mining layers around the
+// kernels on the deep draw (Quest T15.I6, 20K transactions, 400 patterns,
+// seed 1997, minsup 0.5%): AprioriGen for every C_k with k >= 3 from the
+// mined F_{k-1}, and GenerateRules at 50% confidence, best of 101 each,
+// after the kernel passes (a warm heap, as in a mining process). Both are
+// checked against tests/testing/reference.h's brute-force join+prune and
+// rule enumeration, rule by rule, and a mismatch also fails the run.
+//
 //   --smoke   10K transactions, one repetition: exactness + JSON shape only
-//             (CI gate)
+//             (CI gate; the generation section still mines the full deep
+//             draw, once)
 
 #include <cinttypes>
 #include <cstdio>
@@ -34,10 +43,12 @@
 #include "bench_util.h"
 #include "pam/core/apriori_gen.h"
 #include "pam/core/count_team.h"
+#include "pam/core/rulegen.h"
 #include "pam/hashtree/candidate_trie.h"
 #include "pam/hashtree/counting_pool.h"
 #include "pam/hashtree/hash_tree.h"
 #include "pam/hashtree/pair_counter.h"
+#include "pam/parallel/driver.h"
 #include "pam/util/timer.h"
 #include "testing/reference.h"
 
@@ -335,6 +346,134 @@ void AppendPassJson(std::string* out, const PassReport& r, std::size_t n) {
   *out += "}";
 }
 
+struct GenerationLevel {
+  int k = 0;
+  std::size_t candidates = 0;
+  std::size_t reference_candidates = 0;
+  double seconds = 0.0;
+};
+
+struct GenerationReport {
+  std::size_t transactions = 0;
+  std::size_t itemsets = 0;
+  std::vector<GenerationLevel> levels;
+  double candgen_seconds = 0.0;  // the levels' sum
+  std::size_t rules = 0;
+  std::size_t reference_rules = 0;
+  double rules_seconds = 0.0;
+  bool identical = false;
+};
+
+// Best of `reps` wall-clock seconds of `step()`; the value it returns is
+// freed after the clock stops.
+template <typename Step>
+double BestOf(int reps, Step&& step) {
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    WallTimer timer;
+    const auto result = step();
+    const double s = timer.Seconds();
+    if (rep == 0 || s < best) best = s;
+  }
+  return best;
+}
+
+bool SameRules(const std::vector<Rule>& a, const std::vector<Rule>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].antecedent != b[i].antecedent ||
+        a[i].consequent != b[i].consequent ||
+        a[i].joint_count != b[i].joint_count ||
+        a[i].support != b[i].support || a[i].confidence != b[i].confidence) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Candidate and rule generation on the deep draw, the layers e2ebench's
+// deep_t15i6 replay reports as core.candgen and core.rulegen.
+GenerationReport RunGeneration(int reps) {
+  QuestConfig data = QuestT15I6(20000, 1997);
+  data.num_patterns = 400;
+  const TransactionDatabase db = GenerateQuest(data);
+  AprioriConfig cfg;
+  cfg.minsup_fraction = 0.005;
+  const FrequentItemsets frequent = MineSerial(db, cfg).frequent;
+  constexpr double kMinConfidence = 0.5;
+
+  GenerationReport r;
+  r.transactions = db.size();
+  r.itemsets = frequent.TotalCount();
+  r.identical = true;
+  for (std::size_t level = 1; level < frequent.levels.size(); ++level) {
+    const ItemsetCollection& prev = frequent.levels[level];
+    GenerationLevel row;
+    row.k = prev.k() + 1;
+    row.seconds = BestOf(reps, [&] { return AprioriGen(prev); });
+    const ItemsetCollection candidates = AprioriGen(prev);
+    const ItemsetCollection reference = testing::AprioriGenBruteForce(prev);
+    row.candidates = candidates.size();
+    row.reference_candidates = reference.size();
+    r.identical = r.identical && candidates.items() == reference.items();
+    r.candgen_seconds += row.seconds;
+    r.levels.push_back(row);
+  }
+  r.rules_seconds = BestOf(reps, [&] {
+    return GenerateRules(frequent, db.size(), kMinConfidence);
+  });
+  const std::vector<Rule> rules =
+      GenerateRules(frequent, db.size(), kMinConfidence);
+  const std::vector<Rule> reference =
+      testing::GenerateRulesBruteForce(frequent, db.size(), kMinConfidence);
+  r.rules = rules.size();
+  r.reference_rules = reference.size();
+  r.identical = r.identical && SameRules(rules, reference);
+  return r;
+}
+
+void PrintGeneration(const GenerationReport& r) {
+  std::printf("generation (T15.I6, %zu tx, minsup 0.5%%, %zu itemsets):\n",
+              r.transactions, r.itemsets);
+  for (const GenerationLevel& l : r.levels) {
+    std::printf("  AprioriGen C_%d: %zu candidates (reference %zu), %.3f ms\n",
+                l.k, l.candidates, l.reference_candidates, l.seconds * 1e3);
+  }
+  std::printf("  AprioriGen C_3..: %.3f ms\n", r.candgen_seconds * 1e3);
+  std::printf("  GenerateRules: %zu rules (reference %zu), %.3f ms\n",
+              r.rules, r.reference_rules, r.rules_seconds * 1e3);
+  std::printf("  identical to the references: %s\n",
+              r.identical ? "yes" : "NO");
+}
+
+void AppendGenerationJson(std::string* out, const GenerationReport& r,
+                          int reps) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "  \"generation\": {\"workload\": \"T15.I6 deep draw\", "
+                "\"transactions\": %zu, \"minsup\": 0.005, "
+                "\"min_confidence\": 0.5, \"itemsets\": %zu, "
+                "\"reps\": %d,\n    \"apriori_gen\": [",
+                r.transactions, r.itemsets, reps);
+  *out += buf;
+  for (std::size_t i = 0; i < r.levels.size(); ++i) {
+    const GenerationLevel& l = r.levels[i];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"k\": %d, \"candidates\": %zu, "
+                  "\"reference_candidates\": %zu, \"seconds\": %.6f}",
+                  i == 0 ? "" : ", ", l.k, l.candidates,
+                  l.reference_candidates, l.seconds);
+    *out += buf;
+  }
+  std::snprintf(buf, sizeof(buf),
+                "],\n    \"apriori_gen_seconds\": %.6f, \"rules\": %zu, "
+                "\"reference_rules\": %zu, \"generate_rules_seconds\": "
+                "%.6f, \"identical\": %s}",
+                r.candgen_seconds, r.rules, r.reference_rules,
+                r.rules_seconds, r.identical ? "true" : "false");
+  *out += buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -346,6 +485,7 @@ int main(int argc, char** argv) {
       "Subset-counting kernel: classic vs flat vs trie vs pass-2 triangle",
       "engineering baseline for the Section IV counting terms "
       "(T10.I4.D100K workload)");
+
 
   const std::size_t n = smoke ? 10000 : bench::ScaledN(100000);
   const TransactionDatabase db = GenerateQuest(KernelWorkload(n));
@@ -372,7 +512,12 @@ int main(int argc, char** argv) {
     if (prev.size() < 2) break;
   }
 
-  bool ok = !reports.empty();
+  const int generation_reps = smoke ? 1 : 101;
+  const GenerationReport generation = RunGeneration(generation_reps);
+  PrintGeneration(generation);
+  std::printf("\n");
+
+  bool ok = !reports.empty() && generation.identical;
   const unsigned host_cores = std::thread::hardware_concurrency();
   std::string json = "{\n";
   json += "  \"workload\": \"T10.I4.D" + std::to_string(n) + "\",\n";
@@ -396,7 +541,9 @@ int main(int argc, char** argv) {
     json += i + 1 < reports.size() ? ",\n" : "\n";
     ok = ok && reports[i].counts_identical && reports[i].stats_identical;
   }
-  json += "  ]\n}\n";
+  json += "  ],\n";
+  AppendGenerationJson(&json, generation, generation_reps);
+  json += "\n}\n";
 
   std::FILE* f = std::fopen("BENCH_kernel.json", "w");
   if (f != nullptr) {
@@ -406,7 +553,7 @@ int main(int argc, char** argv) {
   }
 
   if (!ok) {
-    std::printf("FAIL: kernel outputs differ\n");
+    std::printf("FAIL: kernel or generation outputs differ\n");
     return 1;
   }
   return 0;

@@ -187,7 +187,10 @@ EOF
 # trie, and the counting-team sweeps, on a 10K-transaction workload
 # (bench_hashtree_kernel exits non-zero on any count or stats mismatch),
 # then checks that every pass row of BENCH_kernel.json records exact
-# counts and stats, and that the k = 2 row sweeps the triangle's team.
+# counts and stats, that the k = 2 row sweeps the triangle's team, and
+# that the generation section (AprioriGen and GenerateRules on the deep
+# T15.I6 draw) exists with candidate and rule counts equal to the
+# brute-force reference run's.
 run_bench_kernel_smoke() {
   echo "=== bench_hashtree_kernel smoke ==="
   (cd build-release/bench && ./bench_hashtree_kernel --smoke)
@@ -209,6 +212,17 @@ for row in passes:
 pass2 = [row for row in passes if row["k"] == 2]
 assert pass2 and pass2[0].get("triangle_team"), "k=2: no triangle team sweep"
 print(f"BENCH_kernel.json: {len(passes)} passes, counts and stats exact: ok")
+gen = doc["generation"]
+levels = gen["apriori_gen"]
+assert levels and levels[0]["k"] == 3, gen
+for row in levels:
+    assert row["candidates"] == row["reference_candidates"], row
+assert gen["apriori_gen_seconds"] > 0, gen
+assert gen["rules"] > 0 and gen["rules"] == gen["reference_rules"], gen
+assert gen["generate_rules_seconds"] > 0, gen
+assert gen["identical"] is True, "generation differs from the references"
+print(f"generation: C_3..C_{levels[-1]['k']}, {gen['rules']} rules, "
+      f"equal to the reference run: ok")
 PYEOF
 }
 

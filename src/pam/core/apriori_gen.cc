@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace pam {
 
@@ -67,66 +68,18 @@ ItemsetCollection FilterByBuckets(const ItemsetCollection& c2,
 
 ItemsetCollection AprioriGen(const ItemsetCollection& frequent) {
   assert(frequent.IsSortedUnique());
-  const int k_prev = frequent.k();
-  const int k = k_prev + 1;
-  ItemsetCollection candidates(k);
+  ItemsetCollection candidates(frequent.k() + 1);
   if (frequent.size() < 2) return candidates;
-
-  std::vector<Item> joined(static_cast<std::size_t>(k));
-  std::vector<Item> subset(static_cast<std::size_t>(k_prev));
-
-  // Join step: scan blocks of itemsets that share their first k-2 items
-  // (lexicographic order groups them contiguously) and join each pair.
-  std::size_t block_begin = 0;
-  while (block_begin < frequent.size()) {
-    std::size_t block_end = block_begin + 1;
-    ItemSpan first = frequent.Get(block_begin);
-    while (block_end < frequent.size()) {
-      ItemSpan other = frequent.Get(block_end);
-      bool same_prefix = true;
-      for (int i = 0; i + 1 < k_prev; ++i) {
-        if (first[static_cast<std::size_t>(i)] !=
-            other[static_cast<std::size_t>(i)]) {
-          same_prefix = false;
-          break;
-        }
-      }
-      if (!same_prefix) break;
-      ++block_end;
-    }
-
-    for (std::size_t a = block_begin; a < block_end; ++a) {
-      ItemSpan ia = frequent.Get(a);
-      for (std::size_t b = a + 1; b < block_end; ++b) {
-        ItemSpan ib = frequent.Get(b);
-        // joined = ia + last item of ib (kept sorted because ib > ia
-        // lexicographically with equal prefix implies ib.last > ia.last).
-        std::copy(ia.begin(), ia.end(), joined.begin());
-        joined[static_cast<std::size_t>(k_prev)] =
-            ib[static_cast<std::size_t>(k_prev - 1)];
-
-        // Prune step: every (k-1)-subset must be frequent. Subsets formed
-        // by dropping position d for d in [0, k-2] (dropping the last or
-        // second-to-last reproduces ia/ib which are frequent by input).
-        bool all_frequent = true;
-        for (int drop = 0; drop + 2 < k && all_frequent; ++drop) {
-          std::size_t out = 0;
-          for (int i = 0; i < k; ++i) {
-            if (i != drop) {
-              subset[out++] = joined[static_cast<std::size_t>(i)];
-            }
-          }
-          all_frequent = frequent.Find(ItemSpan(
-                             subset.data(), subset.size())) !=
-                         ItemsetCollection::npos;
-        }
-        if (all_frequent) {
-          candidates.Add(ItemSpan(joined.data(), joined.size()));
-        }
-      }
-    }
-    block_begin = block_end;
-  }
+  // Joining 1-itemsets prunes nothing, so C_2 needs no index.
+  std::optional<ItemsetIndex> index;
+  if (frequent.k() >= 2) index.emplace(frequent);
+  std::vector<Item> scratch;
+  JoinAndPrune(
+      frequent.items(), frequent.k(), scratch,
+      [&](ItemSpan subset) {
+        return index->Find(subset) != ItemsetCollection::npos;
+      },
+      [&](ItemSpan candidate) { candidates.Add(candidate); });
   assert(candidates.IsSortedUnique());
   return candidates;
 }

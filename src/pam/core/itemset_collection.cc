@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -88,19 +89,8 @@ void ItemsetCollection::ShrinkToFit() {
 }
 
 std::size_t ItemsetCollection::Find(ItemSpan items) const {
-  std::size_t lo = 0;
-  std::size_t hi = size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const int c = CompareItemsets(Get(mid), items);
-    if (c == 0) return mid;
-    if (c < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return npos;
+  if (items.size() != static_cast<std::size_t>(k_)) return npos;
+  return FindSorted(items_, items);
 }
 
 std::vector<std::uint64_t> ItemsetCollection::Serialize() const {
@@ -132,6 +122,40 @@ ItemsetCollection ItemsetCollection::Deserialize(const std::uint64_t* data,
     col.AddWithCount(ItemSpan(scratch.data(), scratch.size()), counts[i]);
   }
   return col;
+}
+
+std::size_t FindSorted(ItemSpan sets, ItemSpan items) {
+  const std::size_t k = items.size();
+  std::size_t lo = 0;
+  std::size_t hi = k == 0 ? 0 : sets.size() / k;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const int c = CompareItemsets(sets.subspan(mid * k, k), items);
+    if (c == 0) return mid;
+    if (c < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return ItemsetCollection::npos;
+}
+
+ItemsetIndex::ItemsetIndex(const ItemsetCollection& sets) : sets_(&sets) {
+  assert(sets.size() < std::numeric_limits<std::uint32_t>::max());
+  std::size_t num_slots = 2;
+  while (num_slots < 2 * sets.size()) num_slots *= 2;
+  slots_.assign(num_slots, 0);
+  const std::size_t mask = num_slots - 1;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    std::size_t s = Hash(sets.Get(i)) & mask;
+    while (slots_[s] != 0) {
+      assert(CompareItemsets(sets.Get(slots_[s] - 1), sets.Get(i)) != 0 &&
+             "an indexed collection holds no itemset twice");
+      s = (s + 1) & mask;
+    }
+    slots_[s] = static_cast<std::uint32_t>(i + 1);
+  }
 }
 
 }  // namespace pam

@@ -1,6 +1,7 @@
 #ifndef PAM_CORE_ITEMSET_COLLECTION_H_
 #define PAM_CORE_ITEMSET_COLLECTION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -75,6 +76,8 @@ class ItemsetCollection {
   }
 
   /// Index of `items` via binary search, or npos. Requires IsSortedUnique().
+  /// A caller that probes one collection many times builds an
+  /// ItemsetIndex over it instead.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t Find(ItemSpan items) const;
 
@@ -88,6 +91,55 @@ class ItemsetCollection {
   int k_;
   std::vector<Item> items_;   // k_ * size() entries
   std::vector<Count> counts_;
+};
+
+/// Position of `items` among the itemsets stored flat in `sets`
+/// (`items.size()` items each, in strictly increasing lexicographic order),
+/// by binary search, or ItemsetCollection::npos.
+std::size_t FindSorted(ItemSpan sets, ItemSpan items);
+
+/// An open-addressing hash table of positions over one ItemsetCollection,
+/// built once and probed many times: apriori_gen's prune, rule
+/// generation's antecedent lookups, HPA's owner probe and ExtractMaximal
+/// each replace a binary search of the collection per probe with about one
+/// slot read and one itemset comparison. The table has at least twice as
+/// many slots as itemsets (linear probing, 4 bytes a slot). The collection
+/// must hold no itemset twice and must outlive the index unchanged.
+class ItemsetIndex {
+ public:
+  explicit ItemsetIndex(const ItemsetCollection& sets);
+
+  /// Position of `items` in the indexed collection, or
+  /// ItemsetCollection::npos (always npos unless `items.size()` is its k).
+  std::size_t Find(ItemSpan items) const {
+    if (items.size() != static_cast<std::size_t>(sets_->k())) {
+      return ItemsetCollection::npos;
+    }
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = Hash(items) & mask;; s = (s + 1) & mask) {
+      const std::uint32_t slot = slots_[s];
+      if (slot == 0) return ItemsetCollection::npos;
+      const ItemSpan member = sets_->Get(slot - 1);
+      if (std::equal(member.begin(), member.end(), items.begin())) {
+        return slot - 1;
+      }
+    }
+  }
+
+  /// The hash whose low bits pick an itemset's first slot, and the slot
+  /// count (a power of two); public so tests can build colliding probes.
+  /// Not HashItemset: its multiplies carry bits only upward, so its low
+  /// bits see only the items' low bits; this one folds the high half down.
+  static std::uint64_t Hash(ItemSpan items) {
+    std::uint64_t h = items.size();
+    for (Item x : items) h = (h ^ x) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 32);
+  }
+  std::size_t num_slots() const { return slots_.size(); }
+
+ private:
+  const ItemsetCollection* sets_;
+  std::vector<std::uint32_t> slots_;  // position + 1; 0 marks an empty slot
 };
 
 }  // namespace pam

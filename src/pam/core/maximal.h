@@ -13,7 +13,9 @@ namespace pam {
 /// summary of which itemsets are frequent (the paper's synthetic
 /// generator is parameterized by the "maximal potentially frequent
 /// itemsets" for the same reason). Result is grouped by size like the
-/// input, counts preserved.
+/// input, counts preserved. Each (k+1)-set marks its k-subsets through an
+/// ItemsetIndex over F_k, so the cost is linear in the input; no level may
+/// hold an itemset twice.
 FrequentItemsets ExtractMaximal(const FrequentItemsets& frequent);
 
 }  // namespace pam

@@ -1,7 +1,8 @@
 #include "pam/core/rulegen.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdint>
+#include <iterator>
 #include <sstream>
 
 #include "pam/core/apriori_gen.h"
@@ -9,86 +10,129 @@
 namespace pam {
 namespace {
 
-// Sorted set difference: full \ part (part must be a subset of full).
-std::vector<Item> Difference(ItemSpan full, ItemSpan part) {
-  std::vector<Item> out;
-  out.reserve(full.size() - part.size());
-  std::set_difference(full.begin(), full.end(), part.begin(), part.end(),
-                      std::back_inserter(out));
-  return out;
-}
+// One rule that met the threshold, before the sort: its two doubles, its
+// joint count, and its items in the arena: the antecedent's `ante_size`
+// items at `offset`, then the consequent's.
+struct RuleRecord {
+  double confidence;
+  double support;
+  Count joint_count;
+  std::size_t offset;
+  std::uint32_t ante_size;
+  std::uint32_t size;
+};
 
-// Canonical rule order: descending confidence, then descending support,
-// then lexicographic.
-void SortRules(std::vector<Rule>& rules) {
-  std::sort(rules.begin(), rules.end(), [](const Rule& a, const Rule& b) {
-    if (a.confidence != b.confidence) return a.confidence > b.confidence;
-    if (a.support != b.support) return a.support > b.support;
-    if (a.antecedent != b.antecedent) return a.antecedent < b.antecedent;
-    return a.consequent < b.consequent;
-  });
-}
+// ap-genrules over every source itemset, one instance for the whole call
+// so that a source itemset allocates nothing once the buffers have grown:
+// antecedents go in one reused buffer, consequents grow level by level in
+// two, and each rule that meets the threshold is appended as a RuleRecord.
+class RuleBuilder {
+ public:
+  RuleBuilder(const FrequentItemsets& frequent, std::size_t num_transactions,
+              double min_confidence)
+      : frequent_(frequent),
+        n_(static_cast<double>(num_transactions)),
+        min_confidence_(min_confidence) {
+    indexes_.reserve(frequent.levels.size());
+    for (const ItemsetCollection& level : frequent.levels) {
+      indexes_.emplace_back(level);
+    }
+  }
 
-// Appends every rule derivable from frequent itemset `index` of
-// `levels[level]`: ap-genrules for one source itemset.
-void RulesForItemset(const FrequentItemsets& frequent, std::size_t level,
-                     std::size_t index, std::size_t num_transactions,
-                     double min_confidence, std::vector<Rule>* rules) {
-  const ItemsetCollection& sets = frequent.levels[level];
-  const double n = static_cast<double>(num_transactions);
-  ItemSpan full = sets.Get(index);
-  const Count joint = sets.count(index);
+  void AddRulesFor(ItemSpan full, Count joint) {
+    // Consequents of size 1 that clear the confidence bar.
+    current_.clear();
+    for (const Item& item : full) {
+      if (TryRule(full, ItemSpan(&item, 1), joint)) current_.push_back(item);
+    }
+    // Grow consequents level-wise while the antecedent stays non-empty:
+    // moving items from the antecedent to the consequent can only lower
+    // confidence, so only surviving consequents are joined.
+    for (std::size_t m = 1; current_.size() >= 2 * m && m + 1 < full.size();
+         ++m) {
+      next_.clear();
+      JoinAndPrune(
+          current_, static_cast<int>(m), scratch_,
+          [&](ItemSpan subset) {
+            return FindSorted(current_, subset) != ItemsetCollection::npos;
+          },
+          [&](ItemSpan consequent) {
+            if (TryRule(full, consequent, joint)) {
+              next_.insert(next_.end(), consequent.begin(), consequent.end());
+            }
+          });
+      std::swap(current_, next_);
+    }
+  }
 
-  // Consequents of size 1 that clear the confidence bar.
-  ItemsetCollection consequents(1);
-  for (Item item : full) {
-    std::vector<Item> antecedent = Difference(full, ItemSpan(&item, 1));
-    Count ante_count = 0;
-    const bool found = frequent.Lookup(
-        ItemSpan(antecedent.data(), antecedent.size()), &ante_count);
-    assert(found && "antecedent of a frequent set must be frequent");
-    if (!found || ante_count == 0) continue;
+  // Sorts the records into the canonical rule order (descending
+  // confidence, then descending support, then lexicographic antecedent and
+  // consequent: a total order, since the two sets name the rule) and
+  // builds each Rule once, into a vector of exactly the rules' size.
+  std::vector<Rule> Take() {
+    const auto items = [this](const RuleRecord& r, bool consequent) {
+      const Item* first = arena_.data() + r.offset;
+      return consequent ? ItemSpan(first + r.ante_size, r.size - r.ante_size)
+                        : ItemSpan(first, r.ante_size);
+    };
+    const auto before = [&](const RuleRecord& a, const RuleRecord& b) {
+      if (a.confidence != b.confidence) return a.confidence > b.confidence;
+      if (a.support != b.support) return a.support > b.support;
+      const int c = CompareItemsets(items(a, false), items(b, false));
+      if (c != 0) return c < 0;
+      return CompareItemsets(items(a, true), items(b, true)) < 0;
+    };
+    std::sort(records_.begin(), records_.end(), before);
+    std::vector<Rule> rules;
+    rules.reserve(records_.size());
+    for (const RuleRecord& r : records_) {
+      const ItemSpan ante = items(r, false);
+      const ItemSpan cons = items(r, true);
+      rules.push_back(Rule{std::vector<Item>(ante.begin(), ante.end()),
+                           std::vector<Item>(cons.begin(), cons.end()),
+                           r.joint_count, r.support, r.confidence});
+    }
+    return rules;
+  }
+
+ private:
+  // Records full \ consequent => consequent if its antecedent is frequent
+  // and the rule meets the threshold; returns whether it did.
+  bool TryRule(ItemSpan full, ItemSpan consequent, Count joint) {
+    antecedent_.clear();
+    std::set_difference(full.begin(), full.end(), consequent.begin(),
+                        consequent.end(), std::back_inserter(antecedent_));
+    // Levels are indexed by size, as FrequentItemsets::Lookup reads them.
+    const std::size_t level = antecedent_.size() - 1;
+    if (level >= indexes_.size()) return false;
+    const std::size_t pos = indexes_[level].Find(antecedent_);
+    if (pos == ItemsetCollection::npos) return false;
+    const Count ante_count = frequent_.levels[level].count(pos);
+    if (ante_count == 0) return false;
     const double conf =
         static_cast<double>(joint) / static_cast<double>(ante_count);
-    if (conf >= min_confidence) {
-      rules->push_back(Rule{std::move(antecedent),
-                            {item},
-                            joint,
-                            static_cast<double>(joint) / n,
-                            conf});
-      consequents.AddWithCount(ItemSpan(&item, 1), 0);
-    }
+    if (!(conf >= min_confidence_)) return false;
+    records_.push_back(
+        RuleRecord{conf, static_cast<double>(joint) / n_, joint,
+                   arena_.size(),
+                   static_cast<std::uint32_t>(antecedent_.size()),
+                   static_cast<std::uint32_t>(full.size())});
+    arena_.insert(arena_.end(), antecedent_.begin(), antecedent_.end());
+    arena_.insert(arena_.end(), consequent.begin(), consequent.end());
+    return true;
   }
 
-  // Grow consequents level-wise while the antecedent stays non-empty.
-  while (consequents.size() >= 2 &&
-         static_cast<std::size_t>(consequents.k()) + 1 < full.size()) {
-    ItemsetCollection next = AprioriGen(consequents);
-    ItemsetCollection surviving(next.k());
-    for (std::size_t c = 0; c < next.size(); ++c) {
-      ItemSpan consequent = next.Get(c);
-      std::vector<Item> antecedent = Difference(full, consequent);
-      Count ante_count = 0;
-      if (!frequent.Lookup(ItemSpan(antecedent.data(), antecedent.size()),
-                           &ante_count) ||
-          ante_count == 0) {
-        continue;
-      }
-      const double conf =
-          static_cast<double>(joint) / static_cast<double>(ante_count);
-      if (conf >= min_confidence) {
-        rules->push_back(
-            Rule{std::move(antecedent),
-                 std::vector<Item>(consequent.begin(), consequent.end()),
-                 joint,
-                 static_cast<double>(joint) / n,
-                 conf});
-        surviving.AddWithCount(consequent, 0);
-      }
-    }
-    consequents = std::move(surviving);
-  }
-}
+  const FrequentItemsets& frequent_;
+  const double n_;
+  const double min_confidence_;
+  std::vector<ItemsetIndex> indexes_;  // one per antecedent size
+  std::vector<Item> antecedent_;
+  std::vector<Item> current_;  // surviving consequents, flat and sorted
+  std::vector<Item> next_;
+  std::vector<Item> scratch_;  // JoinAndPrune's
+  std::vector<RuleRecord> records_;
+  std::vector<Item> arena_;
+};
 
 }  // namespace
 
@@ -111,18 +155,16 @@ std::string Rule::ToString() const {
 std::vector<Rule> GenerateRules(const FrequentItemsets& frequent,
                                 std::size_t num_transactions,
                                 double min_confidence) {
-  std::vector<Rule> rules;
+  RuleBuilder builder(frequent, num_transactions, min_confidence);
   for (std::size_t level = 1; level < frequent.levels.size(); ++level) {
-    for (std::size_t s = 0; s < frequent.levels[level].size(); ++s) {
-      RulesForItemset(frequent, level, s, num_transactions, min_confidence,
-                      &rules);
+    const ItemsetCollection& sets = frequent.levels[level];
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      builder.AddRulesFor(sets.Get(s), sets.count(s));
     }
   }
-  SortRules(rules);
-  // A cached report pins its rules for its whole life, so release
-  // push_back's growth slack before returning.
-  rules.shrink_to_fit();
-  return rules;
+  // A cached report pins its rules for its whole life; Take reserves them
+  // exactly, so there is no growth slack to release.
+  return builder.Take();
 }
 
 }  // namespace pam

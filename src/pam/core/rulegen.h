@@ -25,13 +25,17 @@ struct Rule {
 
 /// Generates every association rule meeting `min_confidence` from the
 /// frequent itemsets, using the ap-genrules strategy: consequents of a
-/// frequent itemset are grown level-wise (via AprioriGen over the current
-/// consequent set) and a consequent is abandoned as soon as its rule falls
-/// below the confidence threshold — valid because moving items from the
-/// antecedent to the consequent can only lower confidence.
+/// frequent itemset are grown level-wise (through apriori_gen's join and
+/// prune, JoinAndPrune, over the current consequents) and a consequent is
+/// abandoned as soon as its rule falls below the confidence threshold —
+/// valid because moving items from the antecedent to the consequent can
+/// only lower confidence. Antecedent supports are read through one
+/// ItemsetIndex per level.
 ///
 /// `num_transactions` converts counts into relative support. Rules are
-/// returned sorted by descending confidence, then descending support.
+/// returned sorted by descending confidence, then descending support, then
+/// lexicographically by antecedent and consequent, in a vector with no
+/// spare capacity.
 std::vector<Rule> GenerateRules(const FrequentItemsets& frequent,
                                 std::size_t num_transactions,
                                 double min_confidence);

@@ -148,8 +148,8 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
   const PassBody body = [&](int k, ItemsetCollection candidates,
                             CountingPool& /*pool*/, PassMetrics& m) {
     m.grid_rows = p;
-    // Hash ownership; the collection stays sorted so owners can probe
-    // incoming subsets with one binary search.
+    // Hash ownership; owners probe incoming subsets through an index over
+    // the whole C_k, whose positions are the count slots.
     std::vector<std::uint32_t> my_ids;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       if (HashItemset(candidates.Get(i)) %
@@ -162,11 +162,12 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
 
     std::vector<Count> counts(candidates.size(), 0);
     m.tree_build_inserts = my_ids.size();
+    const ItemsetIndex index(candidates);
     SubsetRouter router(
         comm, k, config.page_bytes / sizeof(Item),
         [&](ItemSpan subset) {
           ++m.subset.leaf_candidates_checked;
-          const std::size_t idx = candidates.Find(subset);
+          const std::size_t idx = index.Find(subset);
           if (idx != ItemsetCollection::npos) ++counts[idx];
         },
         &m);

@@ -1,9 +1,14 @@
 #include "pam/serve/protocol.h"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <utility>
+
+#include "pam/util/cancel.h"
+#include "pam/util/flags.h"
 
 namespace pam::serve {
 namespace {
@@ -594,6 +599,36 @@ bool ParseTokens(const std::string& line, std::string* verb,
   return true;
 }
 
+// Reads the value of `key` strictly: the whole token must be a base-10
+// integer (FlagParser::ParseInt) in [lo, hi], or a finite number
+// (FlagParser::ParseDouble) in [lo, hi]. A malformed or out-of-range value
+// is an error naming the key, never a silent 0.
+Status ParseIntField(const std::string& key, const std::string& value,
+                     std::int64_t lo, std::int64_t hi, int* out) {
+  std::int64_t parsed = 0;
+  if (!FlagParser::ParseInt(value, &parsed) || parsed < lo || parsed > hi) {
+    return Status::Error(key + " must be an integer from " +
+                         std::to_string(lo) + " to " + std::to_string(hi) +
+                         ", got '" + value + "'");
+  }
+  *out = static_cast<int>(parsed);
+  return Status::Ok();
+}
+
+Status ParseNumberField(const std::string& key, const std::string& value,
+                        double lo, double hi, double* out) {
+  double parsed = 0.0;
+  if (!FlagParser::ParseDouble(value, &parsed) ||
+      !(parsed >= lo && parsed <= hi)) {
+    char range[96];
+    std::snprintf(range, sizeof range, " must be a number from %g to %g",
+                  lo, hi);
+    return Status::Error(key + range + ", got '" + value + "'");
+  }
+  *out = parsed;
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<Command> ParseCommandLine(const std::string& line) {
@@ -625,7 +660,10 @@ Result<Command> ParseCommandLine(const std::string& line) {
   request.num_ranks = 4;
   request.config.apriori.minsup_fraction = 1.0 / 100.0;
   request.min_confidence = 0.5;
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   for (const auto& [key, value] : kv) {
+    Status field;
+    double percent = 0.0;
     if (key == "id") {
       command.id = value;
     } else if (key == "tenant") {
@@ -636,23 +674,28 @@ Result<Command> ParseCommandLine(const std::string& line) {
       if (!ParseMiningAlgorithm(value, &request.algorithm))
         return Status::Error("unknown algorithm '" + value + "'");
     } else if (key == "ranks") {
-      request.num_ranks = std::atoi(value.c_str());
+      field = ParseIntField(key, value, 1, kIntMax, &request.num_ranks);
     } else if (key == "minsup") {
-      request.config.apriori.minsup_fraction =
-          std::atof(value.c_str()) / 100.0;
+      field = ParseNumberField(key, value, 0.0, 100.0, &percent);
+      request.config.apriori.minsup_fraction = percent / 100.0;
     } else if (key == "threads") {
-      request.config.apriori.threads_per_rank = std::atoi(value.c_str());
+      field = ParseIntField(key, value, 1, kIntMax,
+                            &request.config.apriori.threads_per_rank);
     } else if (key == "max-k") {
-      request.config.apriori.max_k = std::atoi(value.c_str());
+      field = ParseIntField(key, value, 0, kIntMax,
+                            &request.config.apriori.max_k);
     } else if (key == "rules") {
       request.generate_rules = value == "true";
     } else if (key == "minconf") {
-      request.min_confidence = std::atof(value.c_str()) / 100.0;
+      field = ParseNumberField(key, value, 0.0, 100.0, &percent);
+      request.min_confidence = percent / 100.0;
     } else if (key == "deadline-ms") {
-      request.deadline_ms = std::atof(value.c_str());
+      field = ParseNumberField(key, value, 0.0, CancelToken::kMaxDeadlineMs,
+                               &request.deadline_ms);
     } else {
       return Status::Error("unknown key '" + key + "'");
     }
+    if (!field.ok()) return field;
   }
   return command;
 }

@@ -254,9 +254,11 @@ struct Command {
 
 /// Parses one line of the text protocol. Key order is free-form; bare
 /// keys (e.g. `rules`) are booleans. Fails with a typed Status on an
-/// unknown verb, an unknown algorithm, or a malformed field — the callers
-/// print it as a warning and skip the line, exactly the old tool
-/// behaviour.
+/// unknown verb, an unknown algorithm, an unknown key, or a number that is
+/// not wholly one base-10 token within its range (ranks and threads at
+/// least 1, max-k at least 0, minsup and minconf percents from 0 to 100,
+/// deadline-ms finite from 0 to CancelToken::kMaxDeadlineMs); the message
+/// names the key. The callers print it as a warning and skip the line.
 Result<Command> ParseCommandLine(const std::string& line);
 
 /// Renders one response as the tools' standard line, e.g.

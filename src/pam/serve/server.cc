@@ -109,6 +109,10 @@ std::string InvalidRequestReason(const MiningRequest& request, int ranks,
       !(fraction >= 0.0 && fraction <= 1.0)) {
     return "minsup_fraction must lie in [0, 1]";
   }
+  if (request.generate_rules &&
+      !(request.min_confidence >= 0.0 && request.min_confidence <= 1.0)) {
+    return "min_confidence must lie in [0, 1]";
+  }
   return {};
 }
 

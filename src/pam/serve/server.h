@@ -33,7 +33,8 @@ enum class ServeStatus {
   kTenantBudgetExhausted,  // tenant spent its rank-seconds budget
   kUnknownDataset,         // dataset id not registered with the cache
   kInvalidRequest,         // malformed (no dataset, or a rank, thread,
-                           // deadline or support value out of bounds)
+                           // deadline, support or rule-confidence value
+                           // out of bounds)
   kShuttingDown,           // server no longer accepting
   /// Post-admission typed failures (DESIGN.md §13):
   kMiningFault,            // run died with CommError (fault injection),

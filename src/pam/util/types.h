@@ -40,8 +40,9 @@ inline int CompareItemsets(ItemSpan a, ItemSpan b) {
   return a.size() < b.size() ? -1 : 1;
 }
 
-/// 64-bit FNV-1a style hash of an itemset, used by apriori_gen's prune
-/// lookup table and by tests.
+/// 64-bit FNV-1a style hash of an itemset: HPA's candidate owner and the
+/// DHP pair bucket are this hash modulo a count, so HPA's and DHP's
+/// counters are fixed by it.
 inline std::uint64_t HashItemset(ItemSpan items) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (Item x : items) {

@@ -6,6 +6,7 @@
 
 #include "pam/util/prng.h"
 #include "testing/random_db.h"
+#include "testing/reference.h"
 
 namespace pam {
 namespace {
@@ -139,6 +140,23 @@ TEST(AprioriGenTest, SoundAndCompleteOverRandomInput) {
       }
     }
     EXPECT_EQ(c3.size(), expected);
+  }
+}
+
+TEST(AprioriGenTest, MatchesBruteForceJoinAndPrune) {
+  // Random F_{k-1} over a small universe, dense enough that most blocks
+  // join and a share of the joined sets fail the prune.
+  for (int k = 3; k <= 6; ++k) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const ItemsetCollection frequent = testing::RandomCandidates(
+          k - 1, 12 * static_cast<std::size_t>(k), 10,
+          seed * 100 + static_cast<std::uint64_t>(k));
+      const ItemsetCollection fast = AprioriGen(frequent);
+      const ItemsetCollection slow = testing::AprioriGenBruteForce(frequent);
+      ASSERT_EQ(fast.k(), k);
+      ASSERT_EQ(fast.size(), slow.size()) << "k " << k << " seed " << seed;
+      EXPECT_EQ(fast.items(), slow.items()) << "k " << k << " seed " << seed;
+    }
   }
 }
 

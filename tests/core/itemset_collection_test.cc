@@ -1,6 +1,10 @@
 #include "pam/core/itemset_collection.h"
 
+#include <set>
+
 #include <gtest/gtest.h>
+
+#include "testing/random_db.h"
 
 namespace pam {
 namespace {
@@ -138,6 +142,71 @@ TEST(ItemsetCollectionTest, SerializeEmpty) {
       ItemsetCollection::Deserialize(wire.data(), wire.size());
   EXPECT_EQ(back.k(), 2);
   EXPECT_TRUE(back.empty());
+}
+
+TEST(ItemsetIndexTest, FindsEveryMemberAtItsPosition) {
+  for (int k = 1; k <= 5; ++k) {
+    for (std::size_t n : {2u, 7u, 100u, 1000u}) {
+      const ItemsetCollection col = testing::RandomCandidates(
+          k, n, 60, static_cast<std::uint64_t>(k) * 1000 + n);
+      const ItemsetIndex index(col);
+      EXPECT_GE(index.num_slots(), 2 * col.size());
+      for (std::size_t i = 0; i < col.size(); ++i) {
+        EXPECT_EQ(index.Find(col.Get(i)), i) << "k " << k << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(ItemsetIndexTest, NonMembersAreNotFoundEvenWhenTheyCollide) {
+  for (int k = 1; k <= 4; ++k) {
+    const ItemsetCollection col =
+        testing::RandomCandidates(k, 40, 100, 77 + static_cast<unsigned>(k));
+    const ItemsetIndex index(col);
+    const std::size_t mask = index.num_slots() - 1;
+    std::set<std::vector<Item>> members;
+    std::set<std::size_t> home_slots;
+    for (std::size_t i = 0; i < col.size(); ++i) {
+      members.insert(ToVec(col.Get(i)));
+      home_slots.insert(ItemsetIndex::Hash(col.Get(i)) & mask);
+    }
+    // Probes drawn from the same universe: every one that is not a member
+    // must miss, and a share of them start on a member's home slot.
+    const ItemsetCollection probes = testing::RandomCandidates(
+        k, 2000, 100, 991 + static_cast<unsigned>(k));
+    std::size_t misses = 0;
+    std::size_t colliding_misses = 0;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const ItemSpan probe = probes.Get(i);
+      if (members.count(ToVec(probe)) > 0) continue;
+      EXPECT_EQ(index.Find(probe), ItemsetCollection::npos);
+      ++misses;
+      colliding_misses += home_slots.count(ItemsetIndex::Hash(probe) & mask);
+    }
+    EXPECT_GT(misses, 0u) << "k " << k;
+    EXPECT_GT(colliding_misses, 0u) << "k " << k;
+  }
+}
+
+TEST(ItemsetIndexTest, EmptySingletonAndWrongSizeProbes) {
+  const std::vector<Item> a = {3, 9};
+  const std::vector<Item> b = {3, 10};
+  const std::vector<Item> c = {3};
+  const ItemsetCollection empty(2);
+  const ItemsetIndex empty_index(empty);
+  EXPECT_EQ(empty_index.Find(ItemSpan(a.data(), a.size())),
+            ItemsetCollection::npos);
+
+  ItemsetCollection one(2);
+  one.Add(ItemSpan(a.data(), a.size()));
+  const ItemsetIndex one_index(one);
+  EXPECT_EQ(one_index.Find(ItemSpan(a.data(), a.size())), 0u);
+  EXPECT_EQ(one_index.Find(ItemSpan(b.data(), b.size())),
+            ItemsetCollection::npos);
+  // Only an itemset of the collection's arity can be a member.
+  EXPECT_EQ(one_index.Find(ItemSpan(c.data(), c.size())),
+            ItemsetCollection::npos);
+  EXPECT_EQ(one.Find(ItemSpan(c.data(), c.size())), ItemsetCollection::npos);
 }
 
 }  // namespace

@@ -113,6 +113,23 @@ TEST(ClosedTest, ClosedPreservesSupportInformation) {
   }
 }
 
+TEST(MaximalTest, MatchesQuadraticReferenceOnRandomDbs) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const TransactionDatabase db = testing::RandomDb(150, 12, 8, 400 + seed);
+    for (Count minsup : {4u, 8u, 16u}) {
+      const FrequentItemsets frequent = Mine(db, minsup);
+      const FrequentItemsets fast = ExtractMaximal(frequent);
+      const FrequentItemsets slow = testing::ExtractMaximalQuadratic(frequent);
+      ASSERT_EQ(fast.levels.size(), slow.levels.size()) << "seed " << seed;
+      for (std::size_t level = 0; level < fast.levels.size(); ++level) {
+        EXPECT_EQ(fast.levels[level].items(), slow.levels[level].items())
+            << "seed " << seed << " minsup " << minsup << " level " << level;
+        EXPECT_EQ(fast.levels[level].counts(), slow.levels[level].counts());
+      }
+    }
+  }
+}
+
 TEST(MaximalTest, EmptyInput) {
   FrequentItemsets empty;
   EXPECT_EQ(ExtractMaximal(empty).TotalCount(), 0u);

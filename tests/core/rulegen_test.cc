@@ -1,6 +1,7 @@
 #include "pam/core/rulegen.h"
 
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +55,20 @@ TEST(RuleGenTest, ConfidenceThresholdFilters) {
   for (const Rule& r : strict) EXPECT_GE(r.confidence, 0.9);
 }
 
+// Every rule, position by position: the same sets, counts and doubles in
+// the same order.
+void ExpectSameRules(const std::vector<Rule>& fast,
+                     const std::vector<Rule>& slow, const std::string& label) {
+  ASSERT_EQ(fast.size(), slow.size()) << label;
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    EXPECT_EQ(fast[i].antecedent, slow[i].antecedent) << label << " #" << i;
+    EXPECT_EQ(fast[i].consequent, slow[i].consequent) << label << " #" << i;
+    EXPECT_EQ(fast[i].joint_count, slow[i].joint_count) << label << " #" << i;
+    EXPECT_EQ(fast[i].support, slow[i].support) << label << " #" << i;
+    EXPECT_EQ(fast[i].confidence, slow[i].confidence) << label << " #" << i;
+  }
+}
+
 TEST(RuleGenTest, MatchesBruteForceOnRandomDbs) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     TransactionDatabase db = testing::RandomDb(80, 10, 7, seed);
@@ -66,11 +81,43 @@ TEST(RuleGenTest, MatchesBruteForceOnRandomDbs) {
           testing::GenerateRulesBruteForce(frequent, db.size(), conf);
       EXPECT_EQ(Keys(fast), Keys(slow))
           << "seed " << seed << " conf " << conf;
-      ASSERT_EQ(fast.size(), slow.size());
-      for (std::size_t i = 0; i < fast.size(); ++i) {
-        EXPECT_DOUBLE_EQ(fast[i].confidence, slow[i].confidence);
-        EXPECT_DOUBLE_EQ(fast[i].support, slow[i].support);
+      ExpectSameRules(fast, slow,
+                      "seed " + std::to_string(seed) + " conf " +
+                          std::to_string(conf));
+    }
+  }
+}
+
+TEST(RuleGenTest, MatchesBruteForceOrderUnderManyTies) {
+  // A few distinct transactions, each repeated: whole families of rules
+  // share one confidence and one support, so the order rests on the
+  // antecedent and consequent tie-breaks.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const TransactionDatabase distinct = testing::RandomDb(6, 9, 7, 50 + seed);
+    TransactionDatabase db;
+    for (int copy = 0; copy < 5; ++copy) {
+      for (std::size_t t = 0; t < distinct.size(); ++t) {
+        const ItemSpan tx = distinct.Transaction(t);
+        db.Add(std::vector<Item>(tx.begin(), tx.end()));
       }
+    }
+    AprioriConfig cfg;
+    cfg.minsup_count = 5;
+    const FrequentItemsets frequent = MineSerial(db, cfg).frequent;
+    for (double conf : {0.0, 0.5, 1.0}) {
+      const std::vector<Rule> fast = GenerateRules(frequent, db.size(), conf);
+      const std::vector<Rule> slow =
+          testing::GenerateRulesBruteForce(frequent, db.size(), conf);
+      ASSERT_GT(fast.size(), 10u) << "seed " << seed;
+      std::size_t ties = 0;
+      for (std::size_t i = 1; i < fast.size(); ++i) {
+        ties += fast[i].confidence == fast[i - 1].confidence &&
+                fast[i].support == fast[i - 1].support;
+      }
+      EXPECT_GT(ties, fast.size() / 2) << "seed " << seed;
+      ExpectSameRules(fast, slow,
+                      "ties seed " + std::to_string(seed) + " conf " +
+                          std::to_string(conf));
     }
   }
 }

@@ -33,6 +33,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -513,6 +514,31 @@ TEST(ProtocolTest, ParseCommandLineVerbsAndDefaults) {
       serve::ParseCommandLine("mine id=x dataset=d algorithm=zz").ok());
   EXPECT_FALSE(
       serve::ParseCommandLine("mine id=x dataset=d minsupp=2").ok());
+  // Numbers parse strictly: the whole token, finite, in range. A typo is a
+  // typed failure naming the key, never a silent 0 (an unbounded mine at
+  // minsup 0) or a truncated prefix.
+  for (const char* field :
+       {"ranks=2x", "ranks=1e3", "ranks=0", "ranks=", "ranks=99999999999",
+        "threads=0", "threads=1.5", "max-k=-1", "max-k=abc", "minsup=abc",
+        "minsup=nan", "minsup=-1", "minsup=101", "minsup=1,5", "minconf=nan",
+        "minconf=-5", "minconf=250", "minconf=inf", "deadline-ms=inf",
+        "deadline-ms=-1", "deadline-ms=1e300", "deadline-ms=5ms"}) {
+    const std::string line = std::string("mine id=x dataset=d ") + field;
+    const Result<Command> bad = serve::ParseCommandLine(line);
+    ASSERT_FALSE(bad.ok()) << line;
+    const std::string key = std::string(field).substr(
+        0, std::string(field).find('='));
+    EXPECT_NE(bad.status().message().find(key + " must be"),
+              std::string::npos)
+        << line << ": " << bad.status().message();
+  }
+  // The range ends themselves parse.
+  Result<Command> edges = serve::ParseCommandLine(
+      "mine id=x dataset=d ranks=1 threads=1 max-k=0 minsup=0 minconf=100 "
+      "deadline-ms=0");
+  ASSERT_TRUE(edges.ok()) << edges.status().message();
+  EXPECT_DOUBLE_EQ(edges.value().request.min_confidence, 1.0);
+  EXPECT_DOUBLE_EQ(edges.value().request.config.apriori.minsup_fraction, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -825,7 +851,19 @@ TEST(NetServeTest, PerRequestRefusalsKeepStreamHealthy) {
   ASSERT_EQ(frame.value().type, FrameType::kError);
   EXPECT_EQ(frame.value().error.error, WireError::kShutdownForbidden);
 
-  // The stream survived both refusals: a real request still works.
+  // A binary kMine frame passes the same admission as a local request: a
+  // rules request at NaN confidence is answered kInvalidRequest.
+  MiningRequest nan_conf = Request("t", "quest", MiningAlgorithm::kSerial, 1);
+  nan_conf.generate_rules = true;
+  nan_conf.min_confidence = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(client.SendMine(2, nan_conf).ok());
+  frame = client.Recv();
+  ASSERT_TRUE(frame.ok());
+  ASSERT_EQ(frame.value().type, FrameType::kResponse);
+  EXPECT_EQ(frame.value().response.status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(harness.server.Stats().rejected_invalid, 1u);
+
+  // The stream survived every refusal: a real request still works.
   ASSERT_TRUE(
       client.SendMine(1, Request("t", "quest", MiningAlgorithm::kSerial, 1))
           .ok());

@@ -360,6 +360,18 @@ TEST(ServeTest, RejectsUnknownDatasetAndMalformedRequests) {
   rejects("minsup=1.5", [](MiningRequest& r) {
     r.config.apriori.minsup_fraction = 1.5;
   });
+  // A rules request's confidence is a fraction in [0, 1] too: NaN would
+  // pass no rule at all and report success.
+  for (const double conf : {nan, -0.1, 1.5, inf}) {
+    rejects("minconf=" + std::to_string(conf), [conf](MiningRequest& r) {
+      r.generate_rules = true;
+      r.min_confidence = conf;
+    });
+  }
+  // Without rules the confidence is unused, so it is not checked.
+  MiningRequest no_rules = Request("a", "quest", MiningAlgorithm::kCD, 2);
+  no_rules.min_confidence = nan;
+  EXPECT_TRUE(server.Execute(std::move(no_rules)).ok());
   // An explicit count makes the fraction unused, so it is not checked.
   MiningRequest by_count = Request("a", "quest", MiningAlgorithm::kCD, 2);
   by_count.config.apriori.minsup_count = 12;
@@ -367,7 +379,7 @@ TEST(ServeTest, RejectsUnknownDatasetAndMalformedRequests) {
   by_count.config.apriori.threads_per_rank = config.pool_ranks;
   EXPECT_TRUE(server.Execute(std::move(by_count)).ok());
 
-  EXPECT_EQ(server.Stats().rejected_invalid, 11u);
+  EXPECT_EQ(server.Stats().rejected_invalid, 15u);
   EXPECT_EQ(server.Stats().rejected_unknown_dataset, 1u);
 }
 

@@ -8,12 +8,19 @@
 //                       node-per-allocation tree with a recursive
 //                       traversal; the only independent check of the
 //                       production kernel's SubsetStats.
+//   AprioriGenBruteForce
+//                       every pair of F_{k-1} whose union has k items,
+//                       kept when all its (k-1)-subsets are in F_{k-1};
+//                       the oracle for AprioriGen.
 //   CountBruteForce     O(|T| * |C_k|) subset matching; counts only.
 //   BruteForceFrequent  every itemset of every transaction, enumerated;
 //                       the exactness oracle for whole mining runs.
 //   GenerateRulesBruteForce
 //                       every non-empty proper subset of every frequent
 //                       itemset as a consequent; the oracle for rules.
+//   ExtractMaximalQuadratic
+//                       every pair of F_k x F_{k+1} tested for
+//                       containment; the oracle for ExtractMaximal.
 //   ExtractClosed       frequent itemsets with no superset of equal
 //                       support, beside the library's ExtractMaximal.
 //   CoveredByClosure    membership in the downward closure of a set of
@@ -22,7 +29,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -183,6 +192,42 @@ class ReferenceHashTree {
   std::uint64_t epoch_ = 0;
 };
 
+/// apriori_gen by enumeration: the union of every pair of `frequent`
+/// (k-1)-itemsets that has k items, kept when each of its (k-1)-subsets is
+/// in `frequent`. Quadratic in |F_{k-1}|. Sorted like AprioriGen's output.
+inline ItemsetCollection AprioriGenBruteForce(
+    const ItemsetCollection& frequent) {
+  const std::size_t k = static_cast<std::size_t>(frequent.k()) + 1;
+  std::set<std::vector<Item>> members;
+  for (std::size_t i = 0; i < frequent.size(); ++i) {
+    const ItemSpan s = frequent.Get(i);
+    members.emplace(s.begin(), s.end());
+  }
+  std::set<std::vector<Item>> joined;
+  std::vector<Item> set;
+  std::vector<Item> subset;
+  for (std::size_t a = 0; a < frequent.size(); ++a) {
+    for (std::size_t b = a + 1; b < frequent.size(); ++b) {
+      const ItemSpan ia = frequent.Get(a);
+      const ItemSpan ib = frequent.Get(b);
+      set.clear();
+      std::set_union(ia.begin(), ia.end(), ib.begin(), ib.end(),
+                     std::back_inserter(set));
+      if (set.size() != k) continue;
+      bool keep = true;
+      for (std::size_t drop = 0; drop < k && keep; ++drop) {
+        subset = set;
+        subset.erase(subset.begin() + static_cast<std::ptrdiff_t>(drop));
+        keep = members.count(subset) > 0;
+      }
+      if (keep) joined.insert(set);
+    }
+  }
+  ItemsetCollection out(static_cast<int>(k));
+  for (const auto& c : joined) out.Add(ItemSpan(c.data(), c.size()));
+  return out;
+}
+
 /// Counts every candidate over the transactions [slice.begin, slice.end)
 /// of `db` by testing each candidate against each transaction.
 inline std::vector<Count> CountBruteForce(
@@ -274,6 +319,32 @@ inline std::vector<Rule> GenerateRulesBruteForce(
     return a.consequent < b.consequent;
   });
   return rules;
+}
+
+/// The maximal frequent itemsets by testing every pair of F_k x F_{k+1}
+/// for containment: the quadratic loop ExtractMaximal replaced.
+inline FrequentItemsets ExtractMaximalQuadratic(
+    const FrequentItemsets& frequent) {
+  FrequentItemsets out;
+  for (std::size_t level = 0; level < frequent.levels.size(); ++level) {
+    const ItemsetCollection& sets = frequent.levels[level];
+    ItemsetCollection kept(sets.k());
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      bool dominated = false;
+      if (level + 1 < frequent.levels.size()) {
+        const ItemsetCollection& supersets = frequent.levels[level + 1];
+        for (std::size_t j = 0; j < supersets.size() && !dominated; ++j) {
+          dominated = IsSortedSubset(sets.Get(i), supersets.Get(j));
+        }
+      }
+      if (!dominated) kept.AddWithCount(sets.Get(i), sets.count(i));
+    }
+    out.levels.push_back(std::move(kept));
+  }
+  while (!out.levels.empty() && out.levels.back().empty()) {
+    out.levels.pop_back();
+  }
+  return out;
 }
 
 /// The closed frequent itemsets: those with no superset of equal support.

@@ -116,7 +116,8 @@ file(REMOVE "${BAD_TEXT}")
 set(SMALL_TEXT "${WORKDIR}/tools_test_small.txt")
 file(WRITE "${SMALL_TEXT}" "1 2 3\n1 2\n2 3\n1 3\n")
 foreach(case "ranks;0" "ranks;-1" "dhp;-1" "minsup;-5" "minsup;abc"
-             "ranks;2x" "threads-per-rank;0")
+             "ranks;2x" "threads-per-rank;0" "minconf;nan" "minconf;-5"
+             "minconf;250")
   list(GET case 0 flag)
   list(GET case 1 value)
   execute_process(

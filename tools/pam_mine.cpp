@@ -154,6 +154,8 @@ int main(int argc, char** argv) {
       : dhp < 0 ? "--dhp must be at least 0"
       : !(minsup >= 0.0 && minsup <= 100.0)
           ? "--minsup must be a percent from 0 to 100"
+      : !(minconf >= 0.0 && minconf <= 100.0)
+          ? "--minconf must be a percent from 0 to 100"
           : nullptr;
   if (range_error != nullptr) {
     std::fprintf(stderr, "error: %s\n%s", range_error, kUsage);
